@@ -41,6 +41,9 @@ type t = {
   graph : Netsim.Graph.t;
   storage : Replica_group.t;
   region_servers : (string, Netsim.Graph.node list) Hashtbl.t;
+  nearest : Netsim.Graph.node list option array;
+      (* per-host [nearest_servers] answers, indexed by node id and
+         filled on a host's first ask. *)
   agents : (Naming.Name.t, User_agent.t) Hashtbl.t;
   intern : Naming.Intern.t;
   mutable agents_by_uid : User_agent.t option array;
@@ -142,19 +145,24 @@ let current_location t name =
   | Some h -> h
   | None -> primary_host t name
 
-(* Servers of the user's region ordered by distance from a host —
-   "a user always contacts the nearest active server". *)
-let servers_by_distance t ~from_host ~region =
-  match Hashtbl.find_opt t.region_servers region with
-  | None -> []
-  | Some servers ->
-      let tree = Netsim.Shortest_path.dijkstra t.graph from_host in
-      List.sort
-        (fun a b ->
-          Float.compare
-            (Netsim.Shortest_path.distance tree a)
-            (Netsim.Shortest_path.distance tree b))
-        servers
+(* Servers of the host's region ordered by static graph distance from
+   it — "a user always contacts the nearest active server".  The graph
+   and the region server lists never change after [create], so each
+   host's order is computed once, on its first ask. *)
+let nearest_servers t host =
+  match t.nearest.(host) with
+  | Some servers -> servers
+  | None ->
+      let servers =
+        match Hashtbl.find_opt t.region_servers (region_of_node t.graph host) with
+        | None -> []
+        | Some servers ->
+            Netsim.Shortest_path.by_distance
+              (Netsim.Shortest_path.dijkstra t.graph host)
+              servers
+      in
+      t.nearest.(host) <- Some servers;
+      servers
 
 let rec canonical_uid t uid =
   match Hashtbl.find_opt t.redirects_uid uid with
@@ -175,8 +183,7 @@ let view t = Replica_group.view t.storage
    and imposes large overhead"). *)
 let record_retrieval_cost t a (stats : User_agent.check_stats) =
   let host = User_agent.host a in
-  let region = region_of_node t.graph host in
-  match servers_by_distance t ~from_host:host ~region with
+  match nearest_servers t host with
   | [] -> ()
   | relay :: _ ->
       let d_host_relay = Netsim.Net.distance (net t) host relay in
@@ -249,9 +256,7 @@ let login t name ~host =
   count t "logins";
   (* Inform the nearest active server; it gossips the new location to
      its regional peers so any of them can route the alert signal. *)
-  (match List.find_opt (fun s -> Netsim.Net.is_up (net t) s)
-           (servers_by_distance t ~from_host:host ~region)
-   with
+  (match List.find_opt (fun s -> Netsim.Net.is_up (net t) s) (nearest_servers t host) with
   | None -> count t "login_unserved"
   | Some nearest ->
       ignore
@@ -425,12 +430,7 @@ let create ?(config = default_config) ?(design_label = "location")
           match agent_by_uid t uid with
           | Some a -> Some (current_location t (User_agent.name a))
           | None -> None);
-      submit_servers =
-        (fun a ->
-          let t = the_t () in
-          let host = User_agent.host a in
-          servers_by_distance t ~from_host:host
-            ~region:(region_of_node t.graph host));
+      submit_servers = (fun a -> nearest_servers (the_t ()) (User_agent.host a));
       on_deposit = (fun _ ~on:_ ~ack:_ -> ());
       cached_authority = (fun ~at:_ _ -> None);
       on_forward_resolved = (fun ~at:_ _ _ -> ());
@@ -489,6 +489,7 @@ let create ?(config = default_config) ?(design_label = "location")
       graph = site.graph;
       storage;
       region_servers;
+      nearest = Array.make (Netsim.Graph.node_count site.graph) None;
       agents;
       intern;
       agents_by_uid = Array.make 256 None;

@@ -90,6 +90,15 @@ val current_location : t -> Naming.Name.t -> Netsim.Graph.node
 
 val primary_host : t -> Naming.Name.t -> Netsim.Graph.node
 
+val nearest_servers : t -> Netsim.Graph.node -> Netsim.Graph.node list
+(** The servers of the host's region, nearest first by static graph
+    distance (ties keep the region's server order) — the order in
+    which submits try servers and logins look for the nearest active
+    one.  Computed with one Dijkstra on the host's first ask and
+    cached: the graph and server lists never change after {!create},
+    so the order ignores link cuts and crashes, and callers filter on
+    liveness themselves. *)
+
 (** {1 Operation} *)
 
 val login : t -> Naming.Name.t -> host:Netsim.Graph.node -> User_agent.check_stats

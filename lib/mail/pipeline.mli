@@ -95,7 +95,8 @@ type 'ctrl callbacks = {
   submit_servers : User_agent.t -> Netsim.Graph.node list;
       (** servers the sender's agent tries for connection setup, in
           order (design 1: the agent's authority list; design 2: the
-          region's servers nearest the current host). *)
+          region's servers nearest the current host, an order cached
+          per host — see {!Location_system.nearest_servers}). *)
   on_deposit : Message.t -> on:Netsim.Graph.node -> ack:ack -> unit;
       (** extra system hook, called once per finished replication
           round with the coordinator node and the typed ack. *)

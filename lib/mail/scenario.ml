@@ -325,13 +325,14 @@ let roaming_hook sys graph roam_probability =
         Hashtbl.replace hosts_by_region r (v :: cur)
       end)
     (Netsim.Graph.nodes graph);
+  let host_arrays = Hashtbl.create 4 in
+  Hashtbl.iter (fun r l -> Hashtbl.replace host_arrays r (Array.of_list l)) hosts_by_region;
   fun ~rng name ->
     if Dsim.Rng.bernoulli rng roam_probability then begin
-      match Hashtbl.find_opt hosts_by_region (Naming.Name.region name) with
-      | Some (_ :: _ as hosts) ->
-          let arr = Array.of_list hosts in
-          ignore (Location_system.login sys name ~host:(Dsim.Rng.choice rng arr))
-      | Some [] | None -> ()
+      match Hashtbl.find_opt host_arrays (Naming.Name.region name) with
+      | Some hosts ->
+          ignore (Location_system.login sys name ~host:(Dsim.Rng.choice rng hosts))
+      | None -> ()
     end
 
 let run_syntax ?config site spec =

@@ -270,12 +270,8 @@ let schedule_cleanup t ~period ~until ~max_age =
 (* --- reconfiguration (§3.1.3a) ------------------------------------------ *)
 
 let nearest_servers t ~host ~n =
-  let tree = Netsim.Shortest_path.dijkstra t.graph host in
-  server_nodes t
-  |> List.sort (fun a b ->
-         Float.compare
-           (Netsim.Shortest_path.distance tree a)
-           (Netsim.Shortest_path.distance tree b))
+  Netsim.Shortest_path.by_distance (Netsim.Shortest_path.dijkstra t.graph host)
+    (server_nodes t)
   |> List.filteri (fun i _ -> i < n)
 
 let add_user t ~host ~user =

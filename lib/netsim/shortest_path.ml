@@ -45,6 +45,9 @@ let dijkstra ?usable g source =
 
 let distance t v = t.dist.(v)
 
+let by_distance t nodes =
+  List.stable_sort (fun a b -> Float.compare t.dist.(a) t.dist.(b)) nodes
+
 let path t target =
   if target = t.source then Some [ t.source ]
   else if Float.is_finite t.dist.(target) then begin

@@ -18,6 +18,12 @@ val dijkstra : ?usable:(Graph.node -> Graph.node -> bool) -> Graph.t -> Graph.no
 
 val distance : tree -> Graph.node -> float
 
+val by_distance : tree -> Graph.node list -> Graph.node list
+(** [by_distance tree nodes] sorts [nodes] by their distance from the
+    tree's source, nearest first.  The sort is stable: nodes at equal
+    distance (unreachable ones included, at [infinity]) keep their
+    order in [nodes]. *)
+
 val path : tree -> Graph.node -> Graph.node list option
 (** Node sequence from the tree's source to the target, inclusive;
     [None] if unreachable. *)

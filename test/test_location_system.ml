@@ -192,6 +192,103 @@ let test_retrieval_cost_grows_when_roaming () =
   Alcotest.(check bool) "many samples" true (Dsim.Stats.Summary.count overall >= 10);
   Alcotest.(check bool) "positive costs" true (Dsim.Stats.Summary.max overall > 0.)
 
+(* A 3-region site from the scale generator: 6 hosts and 3 servers per
+   region, so every host has a full nearest-first order to check. *)
+let scale_site () =
+  Netsim.Topology.scale_site ~rng:(Dsim.Rng.create 21) ~users_per_host:2
+    (Netsim.Topology.sized_hierarchy ~regions:3 ~hosts_per_region:6
+       ~servers_per_region:3 ~gateways_per_region:1 ())
+
+(* The order computed from scratch: a fresh Dijkstra over the static
+   graph, the host's region servers sorted stably by its distances. *)
+let oracle_order (site : Netsim.Topology.mail_site) host =
+  let g = site.graph in
+  let tree = Netsim.Shortest_path.dijkstra g host in
+  List.filter
+    (fun s -> String.equal (Netsim.Graph.region g s) (Netsim.Graph.region g host))
+    site.servers
+  |> List.stable_sort (fun a b ->
+         Float.compare
+           (Netsim.Shortest_path.distance tree a)
+           (Netsim.Shortest_path.distance tree b))
+
+let check_orders sys (site : Netsim.Topology.mail_site) what =
+  List.iter
+    (fun (h, _) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: host %d" what h)
+        (oracle_order site h)
+        (Mail.Location_system.nearest_servers sys h))
+    site.hosts
+
+(* Cut the first link of every host's shortest path to its nearest
+   server; returns each host with that server and its pre-cut distance. *)
+let cut_nearest_links sys (site : Netsim.Topology.mail_site) =
+  let net = Mail.Location_system.net sys in
+  List.map
+    (fun (h, _) ->
+      let nearest = List.hd (oracle_order site h) in
+      let tree = Netsim.Shortest_path.dijkstra site.graph h in
+      (match Netsim.Shortest_path.path tree nearest with
+      | Some (_ :: next :: _) -> Netsim.Net.set_link_down net h next
+      | Some _ | None -> Alcotest.fail "host has no path to its nearest server");
+      (h, nearest, Netsim.Shortest_path.distance tree nearest))
+    site.hosts
+
+let test_nearest_servers_oracle () =
+  let site = scale_site () in
+  let sys = Mail.Location_system.create site in
+  Alcotest.(check int) "9 servers" 9 (List.length site.servers);
+  check_orders sys site "fresh";
+  List.iter
+    (fun (h, _) ->
+      Alcotest.(check int) "3 region servers" 3
+        (List.length (Mail.Location_system.nearest_servers sys h)))
+    site.hosts;
+  let cuts = cut_nearest_links sys site in
+  (* The cuts are real: the transport now routes every host to its
+     nearest server the long way round (or not at all)... *)
+  let net = Mail.Location_system.net sys in
+  List.iter
+    (fun (h, nearest, before) ->
+      Alcotest.(check bool) "cut lengthens the route" true
+        (Netsim.Net.distance net h nearest > before))
+    cuts;
+  (* ...yet the order is by static graph distance, by design: cached
+     answers and answers first computed after the cuts both ignore
+     them. *)
+  check_orders sys site "after cuts, cached";
+  let site' = scale_site () in
+  let sys' = Mail.Location_system.create site' in
+  ignore (cut_nearest_links sys' site');
+  check_orders sys' site' "after cuts, first ask"
+
+(* Login with the nearest server crashed informs the next server of
+   the cached order: that server records the update and gossips it to
+   the one other live peer.  A second run crashes that next server
+   while the update is in flight and sees no update land, so it was
+   the login's only target. *)
+let test_login_skips_crashed_nearest () =
+  let login_updates ~crash_next =
+    let site = scale_site () in
+    let sys = Mail.Location_system.create site in
+    let net = Mail.Location_system.net sys in
+    let u = List.hd (Mail.Location_system.users sys) in
+    let host = Mail.Location_system.primary_host sys u in
+    let order = Mail.Location_system.nearest_servers sys host in
+    Netsim.Net.set_down net (List.nth order 0);
+    ignore (Mail.Location_system.login sys u ~host);
+    if crash_next then Netsim.Net.set_down net (List.nth order 1);
+    Mail.Location_system.run_until sys (Mail.Location_system.now sys +. 500.);
+    let c = Mail.Location_system.counters sys in
+    Alcotest.(check int) "login served" 0 (Dsim.Stats.Counter.get c "login_unserved");
+    Dsim.Stats.Counter.get c "location_updates"
+  in
+  Alcotest.(check int) "next server and its live peer updated" 2
+    (login_updates ~crash_next:false);
+  Alcotest.(check int) "the update went to the next server" 0
+    (login_updates ~crash_next:true)
+
 let test_config_hash_groups () =
   let config = { Mail.Location_system.default_config with hash_groups = 2 } in
   let sys = make ~config 10 in
@@ -222,5 +319,9 @@ let suite =
         Alcotest.test_case "retrieval cost accounting" `Quick
           test_retrieval_cost_grows_when_roaming;
         Alcotest.test_case "custom hash groups" `Quick test_config_hash_groups;
+        Alcotest.test_case "nearest servers match a fresh Dijkstra" `Quick
+          test_nearest_servers_oracle;
+        Alcotest.test_case "login skips a crashed nearest server" `Quick
+          test_login_skips_crashed_nearest;
       ] );
   ]
