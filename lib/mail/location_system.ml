@@ -203,15 +203,8 @@ let record_retrieval_cost t a (stats : User_agent.check_stats) =
 
 let check_mail t name =
   let a = agent t name in
-  let tracer =
-    (* Span sampling: trace the retrieval rounds of 1-in-N users,
-       selected by interned id so the choice is deterministic. *)
-    if t.config.span_sample <= 1 || User_agent.uid a mod t.config.span_sample = 0
-    then Some t.tracer
-    else None
-  in
   let stats =
-    User_agent.get_mail ?tracer ~ledger:t.ledger a ~view:(view t) ~now:(now t)
+    User_agent.get_mail ~tracer:t.tracer ~ledger:t.ledger a ~view:(view t) ~now:(now t)
   in
   count t "checks";
   count ~by:stats.User_agent.polls t "polls";
@@ -380,7 +373,7 @@ let create ?(config = default_config) ?(design_label = "location")
   let engine = Dsim.Engine.create () in
   let trace = Dsim.Trace.create () in
   let counters = Dsim.Stats.Counter.create () in
-  let tracer = Telemetry.Tracer.create () in
+  let tracer = Telemetry.Tracer.create ~sample:config.span_sample () in
   let metrics = Telemetry.Registry.create ~labels:[ ("design", design_label) ] () in
   let ledger = Ledger.create () in
   Telemetry.Probe.attach_engine metrics engine;
@@ -477,7 +470,6 @@ let create ?(config = default_config) ?(design_label = "location")
         max_retries = config.max_retries;
         service_rate = config.service_rate;
         service_seed = 0;
-        span_sample = config.span_sample;
       }
       callbacks
   in

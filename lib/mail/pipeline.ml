@@ -23,9 +23,6 @@ type config = {
   max_replicate_rounds : int;
   service_rate : float option;
   service_seed : int;
-  span_sample : int;
-      (* trace 1-in-N message lifecycles (by id, deterministic);
-         <= 1 traces every message *)
 }
 
 let default_pipeline_config =
@@ -37,7 +34,6 @@ let default_pipeline_config =
     max_replicate_rounds = 3;
     service_rate = None;
     service_seed = 0;
-    span_sample = 1;
   }
 
 (* Counter handles resolved once at wiring time ({!Dsim.Stats.Counter.cell}):
@@ -675,9 +671,7 @@ and arm_submit_timer t msg sender_agent ~delay ~resubmission =
 let submit t ~sender_agent ~msg =
   (match t.tracer with
   | Some tracer
-    when Message.span msg = None
-         && (t.config.span_sample <= 1
-            || msg.Message.id mod t.config.span_sample = 0) ->
+    when Message.span msg = None && Telemetry.Tracer.sampled tracer msg.Message.id ->
       Message.set_span msg
         (Telemetry.Tracer.span tracer ~name:"message"
            ~start:msg.Message.submitted_at

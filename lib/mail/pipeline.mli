@@ -60,17 +60,11 @@ type config = {
           the processing/queueing delay the paper's cost model charges
           as [Q(ρ) + z].  [None] (default) makes processing free. *)
   service_seed : int;  (** seed of the service-time stream. *)
-  span_sample : int;
-      (** trace one message lifecycle in [span_sample] (selected by
-          [id mod span_sample = 0], so the choice is deterministic and
-          scale-independent).  [<= 1] (default) traces every message;
-          large scale runs sample to keep span allocation off the hot
-          path. *)
 }
 
 val default_pipeline_config : config
 (** retry 50, resubmit 400, max_retries 50, replicate 25 × 3 rounds,
-    no service model, span_sample 1. *)
+    no service model. *)
 
 type 'ctrl callbacks = {
   region_servers : string -> Netsim.Graph.node list;
@@ -150,8 +144,10 @@ val create :
     observed live into its ["queue_wait"] histogram (registered
     eagerly, so the metric exists even with the service model off).
     When [tracer] is given, {!submit} opens a per-message root span
-    (["message"]) and the pipeline hangs lifecycle child spans off
-    it: ["submit"] (submission → first server acceptance),
+    (["message"]) for every message id the tracer samples
+    ({!Telemetry.Tracer.sampled}: 1-in-[span_sample] by id, see
+    {!Syntax_system.config}) and the pipeline hangs lifecycle child
+    spans off it: ["submit"] (submission → first server acceptance),
     ["queue_wait"] (arrival → service start at each server;
     zero-length when the service model is off), ["forward.hop"] /
     ["deposit.hop"] (server→server transit), the instant ["deposit"]

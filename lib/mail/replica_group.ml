@@ -180,7 +180,7 @@ let fetch t ~on ~uid name ~at =
   | primary :: _ when primary <> on && (not (t.is_up primary)) && msgs <> [] ->
       count t "replica_failovers";
       (match t.tracer with
-      | Some tracer ->
+      | Some tracer when Telemetry.Tracer.sampled tracer uid ->
           ignore
             (Telemetry.Tracer.span tracer ~name:"getmail.failover" ~start:at
                ~finish:at
@@ -192,7 +192,7 @@ let fetch t ~on ~uid name ~at =
                    ("retrieved", string_of_int (List.length msgs));
                  ]
                ())
-      | None -> ())
+      | Some _ | None -> ())
   | _ -> ());
   List.iter
     (fun (m : Message.t) ->

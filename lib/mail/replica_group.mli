@@ -25,7 +25,8 @@
     Counters written: [replica_copy_writes], [replica_purges],
     [replica_resyncs], [replica_failovers].  With a tracer, a fetch
     served by a lower-priority holder while the primary is down emits
-    an instant ["getmail.failover"] root span. *)
+    an instant ["getmail.failover"] root span when the tracer samples
+    the user's uid ({!Telemetry.Tracer.sampled}). *)
 
 type write_status =
   | Stored  (** new copy written to the holder. *)
@@ -89,7 +90,8 @@ val fetch :
     served message is marked retrieved group-wide; its copies on live
     other chain members are purged now, down members at resync.
     Serving while the chain's primary is down counts a
-    [replica_failovers] and emits the failover span. *)
+    [replica_failovers] and, for a sampled uid, emits the failover
+    span. *)
 
 val note_recovery : t -> node:Netsim.Graph.node -> at:float -> unit
 (** The holder rejoined: bump its [LastStartTime] and purge every copy

@@ -79,6 +79,10 @@ let record_check counters (stats : User_agent.check_stats) =
   Dsim.Stats.Counter.incr ~by:stats.User_agent.failed_polls counters "failed_polls";
   Dsim.Stats.Counter.incr ~by:stats.User_agent.retrieved counters "retrieved"
 
+let fault_target = function
+  | Netsim.Fault.Node v -> Printf.sprintf "node:%d" v
+  | Netsim.Fault.Link (u, v) -> Printf.sprintf "link:%d-%d" u v
+
 (* The one driver body, shared by all designs through System.S.  Only
    [on_check_tick] (design 2/3 roaming) is design-specific. *)
 let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
@@ -147,6 +151,19 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
             if not status then
               Dsim.Stats.Counter.incr counters ("fault_" ^ w.Netsim.Fault.kind))
           (M.net sys) sched;
+        (* Fault windows become spans so trace timelines show the
+           outages next to the message lifecycles they disturbed.  They
+           are written before the run, so on a long campaign they age
+           out of the tracer's ring first instead of overwriting the
+           run's own traces. *)
+        List.iter
+          (fun (w : Netsim.Fault.window) ->
+            ignore
+              (Telemetry.Tracer.span (M.tracer sys) ~name:"fault" ~start:w.start
+                 ~finish:(w.start +. w.duration)
+                 ~attrs:[ ("kind", w.kind); ("target", fault_target w.target) ]
+                 ()))
+          sched.Netsim.Fault.windows;
         Some sched
   in
   (* Periodic compaction keeps dedup/bookkeeping tables bounded on
@@ -244,24 +261,6 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
           (0., 0) users
         |> fun (sum, repl) -> (sum /. float_of_int (List.length users), repl)
   in
-  (* Fault windows become spans so trace timelines show the outages
-     next to the message lifecycles they disturbed. *)
-  (match fault_schedule with
-  | None -> ()
-  | Some sched ->
-      let tracer = M.tracer sys in
-      let target_string = function
-        | Netsim.Fault.Node v -> Printf.sprintf "node:%d" v
-        | Netsim.Fault.Link (u, v) -> Printf.sprintf "link:%d-%d" u v
-      in
-      List.iter
-        (fun (w : Netsim.Fault.window) ->
-          ignore
-            (Telemetry.Tracer.span tracer ~name:"fault" ~start:w.start
-               ~finish:(w.start +. w.duration)
-               ~attrs:[ ("kind", w.kind); ("target", target_string w.target) ]
-               ()))
-        sched.Netsim.Fault.windows);
   let ledger_verdict = Ledger.check (M.ledger sys) in
   let inbox_total =
     List.fold_left (fun acc name -> acc + User_agent.inbox_size (M.agent sys name)) 0 users

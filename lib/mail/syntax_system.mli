@@ -49,9 +49,13 @@ type config = {
           0): the random message loss the acknowledgement/retry
           machinery absorbs. *)
   span_sample : int;
-      (** trace one message lifecycle (and one user's retrieval
-          rounds) in [span_sample]; [<= 1] (default) traces
-          everything.  See {!Pipeline.config}. *)
+      (** head-sampling rate of the system's tracer
+          ({!Telemetry.Tracer.create}'s [?sample]): trace the lifecycle
+          of messages with [id mod span_sample = 0], and the retrieval
+          rounds and failovers of users with interned id
+          [uid mod span_sample = 0].  A sampled message's trace is
+          completed by whichever round fetches it.  [<= 1] (default)
+          traces everything. *)
 }
 
 val default_config : config

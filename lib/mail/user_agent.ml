@@ -81,15 +81,43 @@ let fresh_only ?ledger t ~now msgs =
       end)
     msgs
 
-(* Tracing: one "getmail.check" trace per retrieval round with an
-   instant "getmail.poll" child per server contact — their count
-   matches [check_stats.polls] exactly.  Each fresh message fetched
-   also completes its own trace: a "mailbox.wait" span (deposit →
-   retrieval), a poll marker, and the root span is finished. *)
+(* Each fresh message fetched completes its own trace, if it has one: a
+   "mailbox.wait" span (deposit → retrieval), a poll marker, and the
+   root span is finished. *)
+let complete_traces tracer ~server ~now fetched =
+  List.iter
+    (fun (m : Message.t) ->
+      match Message.span m with
+      | Some mroot ->
+          (match m.Message.deposited_at with
+          | Some dep ->
+              ignore
+                (Telemetry.Tracer.span tracer ~parent:mroot ~name:"mailbox.wait"
+                   ~start:dep ~finish:now
+                   ~attrs:[ ("server", string_of_int server) ] ())
+          | None -> ());
+          ignore
+            (Telemetry.Tracer.span tracer ~parent:mroot ~name:"getmail.poll"
+               ~start:now ~finish:now
+               ~attrs:[ ("server", string_of_int server) ] ());
+          Telemetry.Span.finish mroot ~at:now
+      | None -> ())
+    fetched
+
+let close_nothing (_ : check_stats) = ()
+
+(* Tracing: a round of a sampled agent ([Tracer.sampled] on its uid) is
+   one "getmail.check" trace with an instant "getmail.poll" child per
+   server contact — their count matches [check_stats.polls] exactly.
+   Every round, sampled or not, completes the traces of the sampled
+   messages it fetches, so a message's trace never depends on whether
+   its recipient's rounds are traced. *)
 let instrument tracer t ~mode ~now =
   match tracer with
-  | None ->
-      ((fun ~server:_ ~alive:_ ~fetched:_ -> ()), fun (_ : check_stats) -> ())
+  | None -> ((fun ~server:_ ~alive:_ ~fetched:_ -> ()), close_nothing)
+  | Some tracer when not (Telemetry.Tracer.sampled tracer t.uid) ->
+      ( (fun ~server ~alive:_ ~fetched -> complete_traces tracer ~server ~now fetched),
+        close_nothing )
   | Some tracer ->
       let root =
         Telemetry.Tracer.span tracer ~name:"getmail.check" ~start:now
@@ -107,24 +135,7 @@ let instrument tracer t ~mode ~now =
                  ("retrieved", string_of_int (List.length fetched));
                ]
              ());
-        List.iter
-          (fun (m : Message.t) ->
-            match Message.span m with
-            | Some mroot ->
-                (match m.Message.deposited_at with
-                | Some dep ->
-                    ignore
-                      (Telemetry.Tracer.span tracer ~parent:mroot
-                         ~name:"mailbox.wait" ~start:dep ~finish:now
-                         ~attrs:[ ("server", string_of_int server) ] ())
-                | None -> ());
-                ignore
-                  (Telemetry.Tracer.span tracer ~parent:mroot
-                     ~name:"getmail.poll" ~start:now ~finish:now
-                     ~attrs:[ ("server", string_of_int server) ] ());
-                Telemetry.Span.finish mroot ~at:now
-            | None -> ())
-          fetched
+        complete_traces tracer ~server ~now fetched
       in
       let close (stats : check_stats) =
         Telemetry.Span.set_attr root "polls" (string_of_int stats.polls);

@@ -75,12 +75,14 @@ val get_mail :
   view:server_view ->
   now:float ->
   check_stats
-(** The paper's GetMail procedure.  With [?tracer], the round opens a
-    ["getmail.check"] trace whose instant ["getmail.poll"] children
-    correspond one-to-one with [check_stats.polls] (failed polls
-    carry [alive=false]); every fresh message fetched also gets a
+(** The paper's GetMail procedure.  With [?tracer], a round of an
+    agent whose uid the tracer samples ({!Telemetry.Tracer.sampled})
+    opens a ["getmail.check"] trace whose instant ["getmail.poll"]
+    children correspond one-to-one with [check_stats.polls] (failed
+    polls carry [alive=false]).  Every round, sampled or not, completes
+    the trace of each fresh message fetched that has one: a
     ["mailbox.wait"] span (deposit → retrieval) and a poll marker in
-    its own message trace, whose root span is then finished.
+    the message trace, whose root span is then finished.
     With [?ledger], every fetched mailbox copy is recorded
     ({!Ledger.record_fetch}) and every accepted fresh message counted
     as the retrieval ({!Ledger.record_retrieve}). *)

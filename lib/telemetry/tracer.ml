@@ -1,5 +1,6 @@
 type t = {
   buffer : Span.t option array;
+  sample : int;
   mutable next : int;
   mutable stored : int;
   mutable total : int;
@@ -7,16 +8,19 @@ type t = {
   mutable next_trace_id : int;
 }
 
-let create ?(capacity = 65536) () =
+let create ?(capacity = 65536) ?(sample = 1) () =
   if capacity <= 0 then invalid_arg "Tracer.create: capacity must be positive";
   {
     buffer = Array.make capacity None;
+    sample;
     next = 0;
     stored = 0;
     total = 0;
     next_span_id = 0;
     next_trace_id = 0;
   }
+
+let sampled t key = t.sample <= 1 || key mod t.sample = 0
 
 let add t span =
   t.buffer.(t.next) <- Some span;

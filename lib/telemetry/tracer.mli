@@ -13,9 +13,18 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> ?sample:int -> unit -> t
 (** Bounded collector retaining the most recent [capacity] spans
-    (default 65536).  @raise Invalid_argument when [capacity <= 0]. *)
+    (default 65536), head-sampling 1-in-[sample] keys (default 1: every
+    key; see {!sampled}).  @raise Invalid_argument when [capacity <= 0]. *)
+
+val sampled : t -> int -> bool
+(** [sampled t key] is the one head-sampling rule callers apply before
+    opening a trace: [sample <= 1 || key mod sample = 0].  Keys are
+    deterministic ids (a message id, an interned user id), so the same
+    run traces the same work every time.  {!span} itself never
+    samples: a caller holding a span of a sampled trace always
+    records. *)
 
 val span :
   t ->

@@ -281,6 +281,125 @@ let test_getmail_one_poll_per_check () =
   Alcotest.(check bool) "~1 poll per check" true
     (per_check >= 1.0 && per_check < 1.15)
 
+(* --- head sampling -------------------------------------------------------- *)
+
+let test_sampled_rule () =
+  List.iter
+    (fun sample ->
+      let tr = Tracer.create ~sample () in
+      for key = -3 to 20 do
+        Alcotest.(check bool)
+          (Printf.sprintf "sample %d keeps every key (%d)" sample key)
+          true (Tracer.sampled tr key)
+      done)
+    [ -1; 0; 1 ];
+  let tr = Tracer.create ~sample:4 () in
+  for key = -3 to 20 do
+    Alcotest.(check bool)
+      (Printf.sprintf "sample 4, key %d" key)
+      (key mod 4 = 0) (Tracer.sampled tr key)
+  done;
+  Alcotest.(check bool) "default keeps everything" true
+    (Tracer.sampled (Tracer.create ()) 7)
+
+let roots name spans =
+  List.filter (fun (s : Span.t) -> s.Span.parent = None && s.Span.name = name) spans
+
+(* One faulted design-1 run at [span_sample = 4], shared by the sampled
+   round, message-completion and fault-ordering tests.  It is
+   [Scenario.run_syntax]'s body, keeping the system so that the tests
+   can look agents' uids up. *)
+let sampled_run =
+  lazy
+    (let config = { Mail.Syntax_system.default_config with span_sample = 4 } in
+     let spec =
+       {
+         small_spec with
+         seed = 5;
+         mail_count = 200;
+         faults = Some Netsim.Fault.standard;
+       }
+     in
+     let site = hier_site 5 in
+     let sys = Mail.Syntax_system.create ~config site in
+     let o = Mail.Scenario.drive (module Mail.System.Syntax) sys spec in
+     (sys, o))
+
+let test_sampled_check_rounds () =
+  let sys, o = Lazy.force sampled_run in
+  let spans = Tracer.spans o.Mail.Scenario.tracer in
+  Alcotest.(check bool) "some rounds traced" true (roots "getmail.check" spans <> []);
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (s : Span.t) ->
+          let user = Naming.Name.of_string_exn (Option.get (Span.attr s "user")) in
+          let uid = Mail.User_agent.uid (Mail.Syntax_system.agent sys user) in
+          Alcotest.(check int) (name ^ " of a sampled uid") 0 (uid mod 4))
+        (roots name spans))
+    [ "getmail.check"; "getmail.failover" ]
+
+let test_sampled_messages_complete () =
+  (* A sampled message's trace is finished by whichever round fetches
+     it; before the sampling rule moved into the tracer, a recipient
+     whose rounds were unsampled left it open. *)
+  let sys, o = Lazy.force sampled_run in
+  let tracer = o.Mail.Scenario.tracer in
+  Alcotest.(check int) "ring held the whole run" 0 (Tracer.dropped tracer);
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun (_, spans) ->
+      match roots "message" spans with
+      | [ root ] -> Hashtbl.replace by_id (Option.get (Span.attr root "id")) (root, spans)
+      | _ -> ())
+    (Tracer.traces tracer);
+  let unsampled_recipients = ref 0 and checked = ref 0 in
+  List.iter
+    (fun (m : Mail.Message.t) ->
+      if m.Mail.Message.id mod 4 = 0 && Mail.Message.is_retrieved m then begin
+        incr checked;
+        match Hashtbl.find_opt by_id (string_of_int m.Mail.Message.id) with
+        | None -> Alcotest.failf "message %d has no trace" m.Mail.Message.id
+        | Some (root, spans) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "message %d root finished" m.Mail.Message.id)
+              true (Span.is_finished root);
+            Alcotest.(check bool)
+              (Printf.sprintf "message %d has mailbox.wait" m.Mail.Message.id)
+              true
+              (List.exists (fun (s : Span.t) -> s.Span.name = "mailbox.wait") spans);
+            let r = Mail.Syntax_system.agent sys m.Mail.Message.recipient in
+            if Mail.User_agent.uid r mod 4 <> 0 then incr unsampled_recipients
+      end)
+    (Mail.Syntax_system.submitted sys);
+  Alcotest.(check bool) "sampled messages retrieved" true (!checked > 0);
+  Alcotest.(check bool) "some recipient's rounds unsampled" true
+    (!unsampled_recipients > 0)
+
+let test_fault_spans_first () =
+  let _, o = Lazy.force sampled_run in
+  let spans = Tracer.spans o.Mail.Scenario.tracer in
+  let ids name =
+    List.filter_map
+      (fun (s : Span.t) -> if s.Span.name = name then Some s.Span.span_id else None)
+      spans
+  in
+  let faults = ids "fault" and messages = ids "message" in
+  Alcotest.(check bool) "fault windows traced" true (faults <> []);
+  Alcotest.(check bool) "messages traced" true (messages <> []);
+  Alcotest.(check bool) "every fault span precedes every message span" true
+    (List.fold_left max min_int faults < List.fold_left min max_int messages)
+
+let test_unsampled_checks_match_counter () =
+  (* With [span_sample = 1] every round is traced, faults or not. *)
+  let spec = { small_spec with seed = 5; faults = Some Netsim.Fault.standard } in
+  let o = Mail.Scenario.run_syntax (hier_site 5) spec in
+  Alcotest.(check int) "ring held the whole run" 0
+    (Tracer.dropped o.Mail.Scenario.tracer);
+  Alcotest.(check int) "check roots = checks counter"
+    (Telemetry.Registry.get_counter o.Mail.Scenario.metrics "checks")
+    (List.length (roots "getmail.check" (Tracer.spans o.Mail.Scenario.tracer)))
+
 let suite =
   [
     ( "tracing",
@@ -297,5 +416,14 @@ let suite =
           test_all_designs_trace;
         Alcotest.test_case "3.1.2c: one poll span per check" `Slow
           test_getmail_one_poll_per_check;
+        Alcotest.test_case "Tracer.sampled rule" `Quick test_sampled_rule;
+        Alcotest.test_case "sampled rounds belong to sampled uids" `Slow
+          test_sampled_check_rounds;
+        Alcotest.test_case "sampled messages complete whoever fetches" `Slow
+          test_sampled_messages_complete;
+        Alcotest.test_case "fault windows traced before the run" `Slow
+          test_fault_spans_first;
+        Alcotest.test_case "span_sample 1: check roots = checks" `Slow
+          test_unsampled_checks_match_counter;
       ] );
   ]
