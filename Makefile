@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-scale bench-scale-quick examples clean doc lint analyze analyze-baseline determinism
+.PHONY: all build test bench bench-scale bench-scale-quick examples clean doc lint analyze analyze-baseline determinism equivalence
 
 all: build
 
@@ -47,6 +47,12 @@ analyze-baseline:
 
 determinism:
 	scripts/check_determinism.sh
+
+# Behaviour-preservation gate for refactors: every --stable artifact
+# of the working tree must be byte-identical to git revision BASE's.
+equivalence:
+	@test -n "$(BASE)" || { echo "usage: make equivalence BASE=<git ref>" >&2; exit 2; }
+	scripts/check_determinism.sh --against "$(BASE)"
 
 examples:
 	dune exec examples/quickstart.exe

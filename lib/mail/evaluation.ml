@@ -25,9 +25,10 @@ type report = {
   resubmissions : int;
 }
 
-let of_run ~messages ~counters ~messages_sent ~messages_delivered ~messages_dropped
-    ~link_hops ~storage_bytes =
-  let get k = Dsim.Stats.Counter.get counters k in
+let of_system (type a) (module M : System_intf.S with type t = a) (sys : a) =
+  let net = M.net sys in
+  let messages = M.submitted sys in
+  let get k = Dsim.Stats.Counter.get (M.counters sys) k in
   let submitted = List.length messages in
   let deposited = List.length (List.filter Message.is_deposited messages) in
   let retrieved = List.length (List.filter Message.is_retrieved messages) in
@@ -64,11 +65,11 @@ let of_run ~messages ~counters ~messages_sent ~messages_delivered ~messages_drop
     polls;
     failed_polls = get "failed_polls";
     polls_per_check = (if checks = 0 then nan else float_of_int polls /. float_of_int checks);
-    messages_sent;
-    messages_delivered;
-    messages_dropped;
-    link_hops;
-    storage_bytes;
+    messages_sent = Netsim.Net.messages_sent net;
+    messages_delivered = Netsim.Net.messages_delivered net;
+    messages_dropped = Netsim.Net.messages_dropped net;
+    link_hops = Netsim.Net.hops_traversed net;
+    storage_bytes = Replica_group.storage_bytes (M.storage sys);
     notifications = get "notifications";
     migrations = get "migrations";
     redirects = get "redirects";
@@ -76,21 +77,8 @@ let of_run ~messages ~counters ~messages_sent ~messages_delivered ~messages_drop
     resubmissions = get "resubmissions";
   }
 
-let of_system (type a) (module M : System_intf.S with type t = a) (sys : a) =
-  let net = M.net sys in
-  let storage = Replica_group.storage_bytes (M.storage sys) in
-  of_run
-    ~messages:(M.submitted sys)
-    ~counters:(M.counters sys)
-    ~messages_sent:(Netsim.Net.messages_sent net)
-    ~messages_delivered:(Netsim.Net.messages_delivered net)
-    ~messages_dropped:(Netsim.Net.messages_dropped net)
-    ~link_hops:(Netsim.Net.hops_traversed net)
-    ~storage_bytes:storage
-
 let of_syntax sys = of_system (module System.Syntax) sys
 let of_location sys = of_system (module System.Location) sys
-let of_packed (System.Packed ((module M), sys)) = of_system (module M) sys
 
 let pp ppf r =
   Format.fprintf ppf

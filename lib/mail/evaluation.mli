@@ -38,17 +38,6 @@ type report = {
   resubmissions : int;
 }
 
-val of_run :
-  messages:Message.t list ->
-  counters:Dsim.Stats.Counter.t ->
-  messages_sent:int ->
-  messages_delivered:int ->
-  messages_dropped:int ->
-  link_hops:int ->
-  storage_bytes:int ->
-  report
-(** Assemble a report from a finished run's raw artefacts. *)
-
 val of_system : (module System_intf.S with type t = 'a) -> 'a -> report
 (** Assemble the report from any design through the shared
     {!System_intf.S} surface — the single implementation behind the
@@ -56,7 +45,5 @@ val of_system : (module System_intf.S with type t = 'a) -> 'a -> report
 
 val of_syntax : Syntax_system.t -> report
 val of_location : Location_system.t -> report
-
-val of_packed : System.t -> report
 
 val pp : Format.formatter -> report -> unit

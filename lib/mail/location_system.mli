@@ -17,7 +17,14 @@
     server reassignment}; across regions the system falls back to the
     §3.1.4-style rename with redirection. *)
 
-type t
+type ctrl
+(** Location-gossip control messages. *)
+
+type state
+(** What only design 2 keeps: its config, the primary-host and
+    current-location tables, the hash range and the retrieval costs. *)
+
+type t = (ctrl, state) Core.t
 
 type config = {
   replication : int;  (** authority servers per hash group. *)
@@ -42,64 +49,19 @@ val create : ?config:config -> ?design_label:string -> Netsim.Topology.mail_site
     of the metrics registry — {!Attribute_system} passes
     ["attribute"] for the runs it drives through this base. *)
 
-(** {1 Access} *)
-
-type ctrl
-(** Location-gossip control messages. *)
+(** {1 Access and operation} *)
 
 type wire = ctrl Pipeline.wire
 
-val engine : t -> Dsim.Engine.t
-val net : t -> wire Netsim.Net.t
-val graph : t -> Netsim.Graph.t
-val now : t -> float
-val users : t -> Naming.Name.t list
-val agent : t -> Naming.Name.t -> User_agent.t
-val server_nodes : t -> Netsim.Graph.node list
-
-val storage : t -> Replica_group.t
-(** The replicated mailbox storage: every server node is a holder in
-    this group and all mailbox access goes through it. *)
-
-val space : t -> string -> Naming.Name_space.t option
-val counters : t -> Dsim.Stats.Counter.t
-
-val metrics : t -> Telemetry.Registry.t
-(** The run's typed metric registry (base label
-    [design=<design_label>]). *)
-
-val tracer : t -> Telemetry.Tracer.t
-(** The run's span collector (per-message lifecycle + retrieval
-    rounds; see {!Pipeline.create} and {!User_agent.get_mail}). *)
-
-val trace : t -> Dsim.Trace.t
-
-val ledger : t -> Ledger.t
-(** The run's delivery-invariant ledger (§3.1.2c); see
-    {!Syntax_system.ledger}. *)
-
-val submitted : t -> Message.t list
-
-val authority_of : t -> Naming.Name.t -> Netsim.Graph.node list
-(** The hash-group authority list — identical for all users of one
-    group, independent of any host. *)
+include module type of Core.Ops
+(** The shared machine's access and operations ({!Core.Ops});
+    {!check_mail} also records the round's {!retrieval_cost_stats}. *)
 
 val current_location : t -> Naming.Name.t -> Netsim.Graph.node
 (** Where the system believes the user is (primary host until the
     first login elsewhere). *)
 
 val primary_host : t -> Naming.Name.t -> Netsim.Graph.node
-
-val nearest_servers : t -> Netsim.Graph.node -> Netsim.Graph.node list
-(** The servers of the host's region, nearest first by static graph
-    distance (ties keep the region's server order) — the order in
-    which submits try servers and logins look for the nearest active
-    one.  Computed with one Dijkstra on the host's first ask and
-    cached: the graph and server lists never change after {!create},
-    so the order ignores link cuts and crashes, and callers filter on
-    liveness themselves. *)
-
-(** {1 Operation} *)
 
 val login : t -> Naming.Name.t -> host:Netsim.Graph.node -> User_agent.check_stats
 (** Connect from [host] (must be in the user's region): informs the
@@ -108,45 +70,12 @@ val login : t -> Naming.Name.t -> host:Netsim.Graph.node -> User_agent.check_sta
     behalf (§3.2.2c) — returned as the check stats.
     @raise Invalid_argument if [host] is outside the user's region. *)
 
-val submit :
-  t ->
-  sender:Naming.Name.t ->
-  recipient:Naming.Name.t ->
-  ?subject:string ->
-  ?body:string ->
-  unit ->
-  Message.t
-
-val submit_at :
-  t ->
-  at:float ->
-  sender:Naming.Name.t ->
-  recipient:Naming.Name.t ->
-  ?subject:string ->
-  ?body:string ->
-  unit ->
-  Message.t
-
-val check_mail : t -> Naming.Name.t -> User_agent.check_stats
-val check_mail_at : t -> at:float -> Naming.Name.t -> unit
-val view : t -> User_agent.server_view
-
 val retrieval_cost_stats : t -> Dsim.Stats.Summary.t
 (** §3.2.2c communication cost of retrievals: host ↔ nearest-server
     round trip plus the relay's round trips to the polled authority
     servers.  Grows when users roam far from their hash group —
     "remote access is usually slow and imposes large overhead"
     (§3.2.4). *)
-
-val run_until : t -> float -> unit
-val quiesce : ?step:float -> ?max_steps:int -> t -> unit
-
-val compact : t -> int
-(** Prune settled-message bookkeeping; see {!Syntax_system.compact}. *)
-
-val publish_health : t -> unit
-(** Publish pipeline and chain-health gauges; see
-    {!Syntax_system.publish_health}. *)
 
 (** {1 Reconfiguration and migration} *)
 
@@ -162,5 +91,3 @@ val migrate_region :
     "obtaining a new name for a user who plans to move for a long
     time").  @raise Invalid_argument if [new_host] is in the user's
     own region (use {!login} instead — that move is free). *)
-
-val redirect_target : t -> Naming.Name.t -> Naming.Name.t option

@@ -8,13 +8,6 @@ type 'ctrl wire =
   | Notify of Naming.Name.t * Message.id
   | Ctrl of 'ctrl
 
-type ack = Quorum | Degraded | Unavailable
-
-let ack_to_string = function
-  | Quorum -> "quorum"
-  | Degraded -> "degraded"
-  | Unavailable -> "unavailable"
-
 type config = {
   retry_timeout : float;
   resubmit_timeout : float;
@@ -65,7 +58,6 @@ type 'ctrl callbacks = {
   authority_of_uid : int -> Netsim.Graph.node list;
   notify_target_uid : int -> Netsim.Graph.node option;
   submit_servers : User_agent.t -> Netsim.Graph.node list;
-  on_deposit : Message.t -> on:Netsim.Graph.node -> ack:ack -> unit;
   cached_authority :
     at:Netsim.Graph.node -> Naming.Name.t -> Netsim.Graph.node list option;
   on_forward_resolved :
@@ -378,17 +370,15 @@ let finish_round t (r : round) ~degraded =
     let id = r.r_msg.Message.id in
     Hashtbl.remove t.rounds (nkey t r.coordinator id);
     Hashtbl.replace t.completed (nkey t r.coordinator id) ();
-    let ack = if degraded then Degraded else Quorum in
     incr (if degraded then t.cells.c_degraded_acks else t.cells.c_quorum_acks);
     Option.iter (fun l -> Ledger.record_ack l r.r_msg ~degraded ~at:(now t)) t.ledger;
     emit_span t r.r_msg ~name:"deposit.replicate" ~start:r.started ~finish:(now t)
       [
         ("server", node_label t r.coordinator);
-        ("ack", ack_to_string ack);
+        ("ack", if degraded then "degraded" else "quorum");
         ("copies", string_of_int (List.length r.stored));
         ("chain", string_of_int (List.length r.chain));
       ];
-    t.callbacks.on_deposit r.r_msg ~on:r.coordinator ~ack;
     (match t.callbacks.notify_target_uid (ruid t r.r_msg) with
     | Some host ->
         ignore

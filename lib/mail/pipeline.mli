@@ -33,16 +33,6 @@ type 'ctrl wire =
       (** system-specific control-plane traffic (e.g. design 2's
           location gossip), dispatched to [on_ctrl]. *)
 
-type ack = Quorum | Degraded | Unavailable
-    (** Typed deposit acknowledgement: [Quorum] — a write quorum of
-        the recipient's chain holds the copy; [Degraded] — the
-        replication round exhausted its budget below quorum (at least
-        the coordinator's copy is stored); [Unavailable] — no chain
-        member is reachable at all, the deposit stays pending and
-        retries (reported via the ["replica_unavailable_acks"]
-        counter, not via [on_deposit]). *)
-
-val ack_to_string : ack -> string
 
 type config = {
   retry_timeout : float;
@@ -91,9 +81,6 @@ type 'ctrl callbacks = {
           order (design 1: the agent's authority list; design 2: the
           region's servers nearest the current host, an order cached
           per host — see {!Location_system.nearest_servers}). *)
-  on_deposit : Message.t -> on:Netsim.Graph.node -> ack:ack -> unit;
-      (** extra system hook, called once per finished replication
-          round with the coordinator node and the typed ack. *)
   cached_authority :
     at:Netsim.Graph.node -> Naming.Name.t -> Netsim.Graph.node list option;
       (** §4.1 caching: a resolving server may remember a foreign
@@ -152,7 +139,9 @@ val create :
     zero-length when the service model is off), ["forward.hop"] /
     ["deposit.hop"] (server→server transit), the instant ["deposit"]
     (coordinator's local copy), and ["deposit.replicate"] (round
-    start → ack, with [ack]/[copies]/[chain] attributes).
+    start → ack, with [ack]/[copies]/[chain] attributes; [ack] is
+    ["quorum"] when a write quorum of the chain holds the copy,
+    ["degraded"] when the round exhausted its budget below quorum).
     Counter keys written: ["submitted"], ["submit_attempts"],
     ["submit_attempt_failures"], ["submit_deferred"],
     ["submits_received"], ["deposits"], ["redirect... "] (via the

@@ -45,27 +45,16 @@ type outcome = {
   monitor : Telemetry.Monitor.t option;
 }
 
-let pick_pair rng users =
+(* Zipf-weighted sender (uniform when [skew <= 0]), uniform distinct
+   recipient. *)
+let pick_pair_skewed rng users skew =
   let n = Array.length users in
-  let s = Dsim.Rng.int rng n in
+  let s = if skew <= 0. then Dsim.Rng.int rng n else Dsim.Rng.zipf rng ~n ~s:skew - 1 in
   let rec other () =
     let r = Dsim.Rng.int rng n in
     if r = s then other () else r
   in
   (users.(s), users.(other ()))
-
-(* Zipf-weighted sender, uniform distinct recipient. *)
-let pick_pair_skewed rng users skew =
-  let n = Array.length users in
-  if skew <= 0. then pick_pair rng users
-  else begin
-    let s = Dsim.Rng.zipf rng ~n ~s:skew - 1 in
-    let rec other () =
-      let r = Dsim.Rng.int rng n in
-      if r = s then other () else r
-    in
-    (users.(s), users.(other ()))
-  end
 
 let check_with ?tracer ?ledger mode view sys_agent now =
   match mode with
@@ -73,11 +62,6 @@ let check_with ?tracer ?ledger mode view sys_agent now =
   | Poll_all -> User_agent.poll_all ?tracer ?ledger sys_agent ~view ~now
   | Naive -> User_agent.naive_check ?tracer ?ledger sys_agent ~view ~now
 
-let record_check counters (stats : User_agent.check_stats) =
-  Dsim.Stats.Counter.incr counters "checks";
-  Dsim.Stats.Counter.incr ~by:stats.User_agent.polls counters "polls";
-  Dsim.Stats.Counter.incr ~by:stats.User_agent.failed_polls counters "failed_polls";
-  Dsim.Stats.Counter.incr ~by:stats.User_agent.retrieved counters "retrieved"
 
 let fault_target = function
   | Netsim.Fault.Node v -> Printf.sprintf "node:%d" v
@@ -99,7 +83,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
       check_with ~tracer:(M.tracer sys) ~ledger:(M.ledger sys) spec.retrieval
         (M.view sys) (M.agent sys name) (M.now sys)
     in
-    record_check (M.counters sys) stats;
+    Core.record_check (M.counters sys) stats;
     stats
   in
   (* Mail injection at uniform times. *)
@@ -347,7 +331,7 @@ let run_attribute ?config ?(roam_probability = 0.) site spec =
   let sys = Attribute_system.create ?config site in
   let base = Attribute_system.base sys in
   let on_check_tick = roaming_hook base (Location_system.graph base) roam_probability in
-  drive ~on_check_tick (module System.Attribute) sys spec
+  drive ~on_check_tick (module System.Location) base spec
 
 type estimate = { mean : float; stddev : float; runs : int }
 

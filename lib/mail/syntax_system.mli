@@ -18,7 +18,11 @@
     deposit); user agents deduplicate by message id, so user-visible
     semantics are exactly-once. *)
 
-type t
+type state
+(** What only design 1 keeps: its config, the §4.1 resolution caches
+    and the §4.2 bounce record. *)
+
+type t = (unit, state) Core.t
 
 (** Construction parameters. *)
 type config = {
@@ -68,111 +72,14 @@ val create : ?config:config -> Netsim.Topology.mail_site -> t
     @raise Invalid_argument on an unusable site (no hosts/servers,
     disconnected). *)
 
-(** {1 Access} *)
+(** {1 Access and operation} *)
 
 type wire = unit Pipeline.wire
 (** The network payload type (submits, forwards, deposits, acks,
     notifications). *)
 
-val engine : t -> Dsim.Engine.t
-val net : t -> wire Netsim.Net.t
-val graph : t -> Netsim.Graph.t
-val now : t -> float
-val users : t -> Naming.Name.t list
-val agent : t -> Naming.Name.t -> User_agent.t
-val server_nodes : t -> Netsim.Graph.node list
-
-val storage : t -> Replica_group.t
-(** The replicated mailbox storage: every server node is a holder in
-    this group and all mailbox access goes through it. *)
-
-val authority_of : t -> Naming.Name.t -> Netsim.Graph.node list
-(** The user's ordered authority chain (primary first; [] for unknown
-    names) — the replication set of the quorum deposit. *)
-
-val space : t -> string -> Naming.Name_space.t option
-val counters : t -> Dsim.Stats.Counter.t
-
-val metrics : t -> Telemetry.Registry.t
-(** The run's typed metric registry (base label [design="syntax"]),
-    live-fed by the engine probe and the pipeline's queue-wait
-    histogram; {!Scenario.drive} / {!System.snapshot_metrics} fill in
-    the rest. *)
-
-val tracer : t -> Telemetry.Tracer.t
-(** The run's span collector: the pipeline traces every submitted
-    message's lifecycle into it and {!check_mail} traces every
-    retrieval round (see {!Pipeline.create} and
-    {!User_agent.get_mail}). *)
-
-val trace : t -> Dsim.Trace.t
-
-val ledger : t -> Ledger.t
-(** The run's delivery-invariant ledger (§3.1.2c): the pipeline
-    records submits/deposits/bounces, {!check_mail} records
-    fetches/retrievals.  {!Ledger.check} it after quiescing. *)
-
-val submitted : t -> Message.t list
-(** Every message ever submitted, newest first. *)
-
-(** {1 Operation} *)
-
-val submit :
-  t ->
-  sender:Naming.Name.t ->
-  recipient:Naming.Name.t ->
-  ?subject:string ->
-  ?body:string ->
-  ?parts:Content.part list ->
-  unit ->
-  Message.t
-(** Submit at the current virtual time (the pipeline then runs as
-    engine events).  @raise Invalid_argument on unknown users. *)
-
-val submit_at :
-  t ->
-  at:float ->
-  sender:Naming.Name.t ->
-  recipient:Naming.Name.t ->
-  ?subject:string ->
-  ?body:string ->
-  ?parts:Content.part list ->
-  unit ->
-  Message.t
-
-val check_mail : t -> Naming.Name.t -> User_agent.check_stats
-(** Run GetMail for the user now; polls are counted in [counters]
-    (keys ["checks"], ["polls"], ["failed_polls"], ["retrieved"]). *)
-
-val check_mail_at : t -> at:float -> Naming.Name.t -> unit
-
-val view : t -> User_agent.server_view
-(** The server view backing {!check_mail} — exposed so baselines
-    ({!User_agent.poll_all}, {!User_agent.naive_check}) run against
-    the same system. *)
-
-val run_until : t -> float -> unit
-(** Advance the engine. *)
-
-val quiesce : ?step:float -> ?max_steps:int -> t -> unit
-(** Keep running in [step]-sized slices (default 1000) until no events
-    remain — lets retry timers resolve after outages end. *)
-
-val compact : t -> int
-(** Prune pipeline dedup tables and agent seen-sets for messages the
-    ledger confirms settled (counter ["compacted"]); returns entries
-    dropped.  Bounds bookkeeping memory on long runs. *)
-
-val publish_health : t -> unit
-(** Publish the instantaneous health gauges the per-window monitors
-    read ({!Pipeline.publish_gauges},
-    {!Replica_group.publish_gauges}) into the metric registry. *)
-
-val schedule_cleanup : t -> period:float -> until:float -> max_age:float -> unit
-(** §3.1.2c archiving policy: every [period] time units (until
-    [until]), every server drops archived copies older than [max_age];
-    dropped counts accumulate under counter ["archive_dropped"].
-    Only meaningful with the [Archive] mailbox policy. *)
+include module type of Core.Ops
+(** The shared machine's access and operations ({!Core.Ops}). *)
 
 (** {1 Reconfiguration and migration} *)
 
@@ -195,15 +102,6 @@ val migrate_user :
     (counter ["redirects"]).  Returns the new name.
     @raise Invalid_argument if the user or host is unknown. *)
 
-val redirect_target : t -> Naming.Name.t -> Naming.Name.t option
-(** Where a migrated name currently redirects, if anywhere. *)
-
 val resolution_cache_stats : t -> int * int
 (** Total (hits, misses) over all servers' resolution caches —
     (0, 0) when caching is disabled. *)
-
-val queue_wait_stats : t -> Dsim.Stats.Summary.t
-(** Server-queue waiting times when [service_rate] is set. *)
-
-val server_utilisation : t -> Netsim.Graph.node -> float
-(** Measured busy fraction of one server under the service model. *)

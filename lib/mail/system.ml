@@ -1,86 +1,22 @@
 module type S = System_intf.S
 
+(* Optional arguments do not erase during signature inclusion, so the
+   designs' richer shared submit functions are shadowed with these
+   exact-arity wrappers. *)
+module Exact_submit = struct
+  let submit t ~sender ~recipient () = Core.Ops.submit t ~sender ~recipient ()
+  let submit_at t ~at ~sender ~recipient () = Core.Ops.submit_at t ~at ~sender ~recipient ()
+end
+
 module Syntax : S with type t = Syntax_system.t = struct
   include Syntax_system
-
-  let design = "syntax"
-
-  (* Optional arguments do not erase during signature inclusion, so the
-     richer submit functions are shadowed with exact-arity wrappers. *)
-  let submit t ~sender ~recipient () = Syntax_system.submit t ~sender ~recipient ()
-
-  let submit_at t ~at ~sender ~recipient () =
-    Syntax_system.submit_at t ~at ~sender ~recipient ()
+  include Exact_submit
 end
 
 module Location : S with type t = Location_system.t = struct
   include Location_system
-
-  let design = "location"
-
-  let submit t ~sender ~recipient () =
-    Location_system.submit t ~sender ~recipient ()
-
-  let submit_at t ~at ~sender ~recipient () =
-    Location_system.submit_at t ~at ~sender ~recipient ()
+  include Exact_submit
 end
-
-module Attribute : S with type t = Attribute_system.t = struct
-  type t = Attribute_system.t
-  type wire = Location_system.wire
-
-  let design = "attribute"
-  let base = Attribute_system.base
-  let engine t = Location_system.engine (base t)
-  let net t = Location_system.net (base t)
-  let graph t = Location_system.graph (base t)
-  let now t = Location_system.now (base t)
-  let users t = Location_system.users (base t)
-  let agent t name = Location_system.agent (base t) name
-  let server_nodes t = Location_system.server_nodes (base t)
-  let storage t = Location_system.storage (base t)
-  let authority_of t name = Location_system.authority_of (base t) name
-  let counters t = Location_system.counters (base t)
-  let metrics t = Attribute_system.metrics t
-  let tracer t = Location_system.tracer (base t)
-  let trace t = Location_system.trace (base t)
-  let ledger t = Location_system.ledger (base t)
-  let submitted t = Location_system.submitted (base t)
-  let view t = Location_system.view (base t)
-
-  let submit t ~sender ~recipient () =
-    Location_system.submit (base t) ~sender ~recipient ()
-
-  let submit_at t ~at ~sender ~recipient () =
-    Location_system.submit_at (base t) ~at ~sender ~recipient ()
-
-  let check_mail t name = Location_system.check_mail (base t) name
-  let run_until t horizon = Location_system.run_until (base t) horizon
-  let quiesce ?step ?max_steps t = Location_system.quiesce ?step ?max_steps (base t)
-  let compact t = Location_system.compact (base t)
-
-  (* Safe to delegate: the attribute registry IS the base registry
-     (Attribute_system.metrics reads through [base]). *)
-  let publish_health t = Location_system.publish_health (base t)
-end
-
-(* --- packing ------------------------------------------------------------ *)
-
-type t = Packed : (module S with type t = 'a) * 'a -> t
-
-let pack_syntax sys = Packed ((module Syntax), sys)
-let pack_location sys = Packed ((module Location), sys)
-let pack_attribute sys = Packed ((module Attribute), sys)
-
-let design (Packed ((module M), _)) = M.design
-let metrics (Packed ((module M), sys)) = M.metrics sys
-let tracer (Packed ((module M), sys)) = M.tracer sys
-let counters (Packed ((module M), sys)) = M.counters sys
-let now (Packed ((module M), sys)) = M.now sys
-let users (Packed ((module M), sys)) = M.users sys
-let submitted (Packed ((module M), sys)) = M.submitted sys
-let ledger (Packed ((module M), sys)) = M.ledger sys
-let compact (Packed ((module M), sys)) = M.compact sys
 
 (* --- metric snapshotting ------------------------------------------------ *)
 
@@ -149,5 +85,3 @@ let snapshot_metrics (type a) (module M : S with type t = a) (sys : a) =
   Telemetry.Registry.set_counter reg "trace_dropped"
     (Telemetry.Tracer.dropped (M.tracer sys));
   Telemetry.Probe.sync_engine_profile reg (M.engine sys)
-
-let snapshot (Packed ((module M), sys)) = snapshot_metrics (module M) sys

@@ -1,45 +1,14 @@
-(** The three designs behind one interface.
+(** The designs behind one driving interface.
 
-    {!S} (= {!System_intf.S}) is the shared surface; [Syntax],
-    [Location] and [Attribute] are its instances, and {!t} packs an
-    instance with a value of its type so heterogeneous code (drivers,
-    report tables) can hold "some mail system" without a type
-    parameter. *)
+    {!S} (= {!System_intf.S}) is the shared surface; [Syntax] and
+    [Location] are its instances.  Design 3 drives through [Location]
+    on {!Attribute_system.base}, whose registry carries
+    [design="attribute"]. *)
 
 module type S = System_intf.S
 
 module Syntax : S with type t = Syntax_system.t
 module Location : S with type t = Location_system.t
-
-module Attribute : S with type t = Attribute_system.t
-(** Delegates mail operations to {!Attribute_system.base}; its metrics
-    registry carries [design="attribute"]. *)
-
-(** {1 Packed systems} *)
-
-type t = Packed : (module S with type t = 'a) * 'a -> t
-
-val pack_syntax : Syntax_system.t -> t
-val pack_location : Location_system.t -> t
-val pack_attribute : Attribute_system.t -> t
-
-val design : t -> string
-val metrics : t -> Telemetry.Registry.t
-
-val tracer : t -> Telemetry.Tracer.t
-(** The packed system's span collector (see {!System_intf.S.tracer}). *)
-
-val counters : t -> Dsim.Stats.Counter.t
-val now : t -> float
-val users : t -> Naming.Name.t list
-val submitted : t -> Message.t list
-
-val ledger : t -> Ledger.t
-(** The packed system's delivery-invariant ledger
-    (see {!System_intf.S.ledger}). *)
-
-val compact : t -> int
-(** Prune settled-message bookkeeping (see {!System_intf.S.compact}). *)
 
 (** {1 Metric snapshotting} *)
 
@@ -65,6 +34,3 @@ val snapshot_metrics : (module S with type t = 'a) -> 'a -> unit
     engine profile.  Idempotent — safe to call repeatedly as a run
     progresses, which is exactly what the per-window timeseries
     sampler does. *)
-
-val snapshot : t -> unit
-(** {!snapshot_metrics} on a packed system. *)

@@ -5,8 +5,9 @@
     a network, named users with agents, servers, submission, mailbox
     checks and quiescing.  [S] captures that surface once so scenario
     drivers and evaluation exist once instead of per-design
-    ({!Scenario.drive}, {!Evaluation.of_system}); packing lives in
-    {!System}. *)
+    ({!Scenario.drive}, {!Evaluation.of_system}).  Its values are the
+    designs' shared {!Core.Ops} operations, documented there; [submit]
+    and [submit_at] take no optional arguments. *)
 
 (* lint: allow missing-mli — interface-only module: it declares module types, and an .mli would have to repeat it verbatim *)
 
@@ -14,11 +15,7 @@ module type S = sig
   type t
 
   type wire
-  (** The design's network payload type (kept abstract by packing). *)
-
-  val design : string
-  (** Short label for metrics and reports: ["syntax"], ["location"],
-      ["attribute"]. *)
+  (** The design's network payload type. *)
 
   (** {1 Access} *)
 
@@ -31,34 +28,26 @@ module type S = sig
   val server_nodes : t -> Netsim.Graph.node list
 
   val storage : t -> Replica_group.t
-  (** The system's replicated mailbox storage: every server node is a
-      holder inside this group, and all mailbox access (deposit
-      copies, GetMail drains, recovery resync) goes through it. *)
+  (** {!Core.Ops.storage}. *)
 
   val authority_of : t -> Naming.Name.t -> Netsim.Graph.node list
-  (** A user's current ordered authority chain (primary first) — the
-      replication set of the quorum deposit. *)
+  (** {!Core.Ops.authority_of}. *)
 
   val counters : t -> Dsim.Stats.Counter.t
-  (** Raw internal tallies; prefer {!metrics} for anything public. *)
+  (** {!Core.Ops.counters}. *)
 
   val metrics : t -> Telemetry.Registry.t
-  (** The run's typed metric registry (base label
-      [design=<design>]). *)
+  (** {!Core.Ops.metrics}. *)
 
   val tracer : t -> Telemetry.Tracer.t
-  (** The run's span collector: per-message lifecycle traces from the
-      pipeline plus per-check retrieval traces (root spans ["message"]
-      and ["getmail.check"]). *)
+  (** {!Core.Ops.tracer}. *)
 
   val trace : t -> Dsim.Trace.t
   val submitted : t -> Message.t list
   val view : t -> User_agent.server_view
 
   val ledger : t -> Ledger.t
-  (** The run's delivery-invariant ledger (§3.1.2c): the pipeline
-      records submits/deposits/bounces into it, the agents record
-      fetches/retrievals.  Check it after quiescing. *)
+  (** {!Core.Ops.ledger}. *)
 
   (** {1 Operation} *)
 
@@ -78,15 +67,8 @@ module type S = sig
   val quiesce : ?step:float -> ?max_steps:int -> t -> unit
 
   val compact : t -> int
-  (** Prune dedup/bookkeeping state (pipeline tables, agent seen-sets)
-      for messages the ledger has confirmed settled; returns the
-      number of entries dropped.  Keeps long-running simulations
-      memory-bounded; safe to call at any time. *)
+  (** {!Core.Ops.compact}. *)
 
   val publish_health : t -> unit
-  (** Publish the instantaneous health gauges the per-window monitors
-      read — pipeline backlog ({!Pipeline.publish_gauges}) and replica
-      chain health ({!Replica_group.publish_gauges}) — into
-      {!metrics}.  Called by [System.snapshot_metrics], so every
-      timeseries window carries a fresh reading. *)
+  (** {!Core.Ops.publish_health}. *)
 end

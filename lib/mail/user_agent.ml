@@ -146,99 +146,72 @@ let instrument tracer t ~mode ~now =
       in
       (record_poll, close)
 
-let get_mail ?tracer ?ledger t ~view ~now =
-  let current_checking_time = now in
+(* One retrieval round: [strategy] drives [contact], which polls one
+   server — fetching and keeping its fresh mail when it is alive — and
+   returns whether it was. *)
+let round ?tracer ?ledger t ~view ~now ~mode strategy =
   let polls = ref 0 and failed = ref 0 and retrieved = ref 0 in
-  let record_poll, close = instrument tracer t ~mode:"getmail" ~now in
-  let take msgs =
-    let msgs = fresh_only ?ledger t ~now msgs in
-    retrieved := !retrieved + List.length msgs;
-    t.inbox <- List.rev_append msgs t.inbox;
-    msgs
+  let record_poll, close = instrument tracer t ~mode ~now in
+  let contact s =
+    incr polls;
+    if view.is_alive s then begin
+      let fetched = fresh_only ?ledger t ~now (view.fetch s ~uid:t.uid t.name ~at:now) in
+      retrieved := !retrieved + List.length fetched;
+      t.inbox <- List.rev_append fetched t.inbox;
+      record_poll ~server:s ~alive:true ~fetched;
+      true
+    end
+    else begin
+      incr failed;
+      record_poll ~server:s ~alive:false ~fetched:[];
+      false
+    end
   in
-  (* Phase 1: scan the authority list until a stable server proves no
-     later server can hold fresh mail. *)
-  let rec scan = function
-    | [] -> ()
-    | s :: rest ->
-        incr polls;
-        if view.is_alive s then begin
-          let fetched = take (view.fetch s ~uid:t.uid t.name ~at:now) in
-          record_poll ~server:s ~alive:true ~fetched;
-          remove_pus t s;
-          if t.last_checking > view.last_start s then () else scan rest
-        end
-        else begin
-          incr failed;
-          record_poll ~server:s ~alive:false ~fetched:[];
-          add_pus t s;
-          scan rest
-        end
-  in
-  scan t.authority;
-  (* Phase 2: drain servers that were unavailable at some earlier
-     check and are alive again — they may hold old mail.  Snapshot
-     first (in insertion order): [remove_pus] mutates the table. *)
-  List.iter
-    (fun s ->
-      if view.is_alive s then begin
-        incr polls;
-        let fetched = take (view.fetch s ~uid:t.uid t.name ~at:now) in
-        record_poll ~server:s ~alive:true ~fetched;
-        remove_pus t s
-      end)
-    (previously_unavailable t);
-  t.last_checking <- current_checking_time;
+  strategy contact;
+  t.last_checking <- now;
   let stats = { polls = !polls; failed_polls = !failed; retrieved = !retrieved } in
   close stats;
   stats
+
+let get_mail ?tracer ?ledger t ~view ~now =
+  round ?tracer ?ledger t ~view ~now ~mode:"getmail" (fun contact ->
+      (* Phase 1: scan the authority list until a stable server proves
+         no later server can hold fresh mail. *)
+      let rec scan = function
+        | [] -> ()
+        | s :: rest ->
+            if contact s then begin
+              remove_pus t s;
+              if t.last_checking > view.last_start s then () else scan rest
+            end
+            else begin
+              add_pus t s;
+              scan rest
+            end
+      in
+      scan t.authority;
+      (* Phase 2: drain servers that were unavailable at some earlier
+         check and are alive again — they may hold old mail.  Snapshot
+         first (in insertion order): [remove_pus] mutates the table. *)
+      List.iter
+        (fun s ->
+          if view.is_alive s then begin
+            ignore (contact s);
+            remove_pus t s
+          end)
+        (previously_unavailable t))
 
 let poll_all ?tracer ?ledger t ~view ~now =
-  let polls = ref 0 and failed = ref 0 and retrieved = ref 0 in
-  let record_poll, close = instrument tracer t ~mode:"poll_all" ~now in
-  List.iter
-    (fun s ->
-      incr polls;
-      if view.is_alive s then begin
-        let msgs = fresh_only ?ledger t ~now (view.fetch s ~uid:t.uid t.name ~at:now) in
-        retrieved := !retrieved + List.length msgs;
-        t.inbox <- List.rev_append msgs t.inbox;
-        record_poll ~server:s ~alive:true ~fetched:msgs
-      end
-      else begin
-        incr failed;
-        record_poll ~server:s ~alive:false ~fetched:[]
-      end)
-    t.authority;
-  t.last_checking <- now;
-  let stats = { polls = !polls; failed_polls = !failed; retrieved = !retrieved } in
-  close stats;
-  stats
+  round ?tracer ?ledger t ~view ~now ~mode:"poll_all" (fun contact ->
+      List.iter (fun s -> ignore (contact s)) t.authority)
 
 let naive_check ?tracer ?ledger t ~view ~now =
-  let polls = ref 0 and failed = ref 0 and retrieved = ref 0 in
-  let record_poll, close = instrument tracer t ~mode:"naive" ~now in
-  let rec first_alive = function
-    | [] -> ()
-    | s :: rest ->
-        incr polls;
-        if view.is_alive s then begin
-          let msgs = fresh_only ?ledger t ~now (view.fetch s ~uid:t.uid t.name ~at:now) in
-          retrieved := !retrieved + List.length msgs;
-          t.inbox <- List.rev_append msgs t.inbox;
-          record_poll ~server:s ~alive:true ~fetched:msgs
-        end
-        else begin
-          incr failed;
-          record_poll ~server:s ~alive:false ~fetched:[];
-          first_alive rest
-        end
-  in
-  first_alive t.authority;
-  t.last_checking <- now;
-  let stats = { polls = !polls; failed_polls = !failed; retrieved = !retrieved } in
-  close stats;
-  stats
+  round ?tracer ?ledger t ~view ~now ~mode:"naive" (fun contact ->
+      let rec first_alive = function
+        | [] -> ()
+        | s :: rest -> if not (contact s) then first_alive rest
+      in
+      first_alive t.authority)
 
 let seen_size t = Hashtbl.length t.seen
 

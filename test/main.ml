@@ -15,7 +15,7 @@ let () =
    @ Test_pipeline.suite @ Test_dlist.suite @ Test_cache.suite
    @ Test_billing.suite @ Test_content.suite @ Test_rfc_text.suite
    @ Test_name_store.suite @ Test_service_queue.suite @ Test_session.suite @ Test_loss.suite
-   @ Test_syntax_system.suite
+   @ Test_core.suite @ Test_syntax_system.suite
    @ Test_location_system.suite @ Test_attribute_system.suite
    @ Test_telemetry.suite @ Test_tracing.suite @ Test_scenario.suite
    @ Test_fault.suite @ Test_misc_coverage.suite @ Test_observability.suite

@@ -215,7 +215,6 @@ let tiny_world ?(config = Mail.Pipeline.default_pipeline_config) () =
       authority_of_uid = (fun _ -> [ s2 ]);
       notify_target_uid = (fun _ -> None);
       submit_servers = (fun _ -> [ s1; s2 ]);
-      on_deposit = (fun _ ~on:_ ~ack:_ -> ());
       cached_authority = (fun ~at:_ _ -> None);
       on_forward_resolved = (fun ~at:_ _ _ -> ());
       on_undeliverable = (fun _ ~reason:_ -> ());

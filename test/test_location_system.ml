@@ -263,6 +263,32 @@ let test_nearest_servers_oracle () =
   ignore (cut_nearest_links sys' site');
   check_orders sys' site' "after cuts, first ask"
 
+(* The same oracle for design 1: a runtime user's authority list is the
+   [replication] servers nearest its host over all servers.  Two users
+   per host: the first ask fills the per-host order, the second reads
+   it from the cache. *)
+let test_add_user_nearest_oracle () =
+  let site = scale_site () in
+  let sys = Mail.Syntax_system.create site in
+  let replication = Mail.Syntax_system.default_config.replication in
+  List.iter
+    (fun (h, _) ->
+      let fresh =
+        Netsim.Shortest_path.by_distance
+          (Netsim.Shortest_path.dijkstra site.graph h)
+          (Mail.Syntax_system.server_nodes sys)
+        |> List.filteri (fun i _ -> i < replication)
+      in
+      List.iter
+        (fun user ->
+          let u = Mail.Syntax_system.add_user sys ~host:h ~user in
+          Alcotest.(check (list int))
+            (Printf.sprintf "host %d, %s" h user)
+            fresh
+            (Mail.User_agent.authority (Mail.Syntax_system.agent sys u)))
+        [ "first"; "cached" ])
+    site.hosts
+
 (* Login with the nearest server crashed informs the next server of
    the cached order: that server records the update and gossips it to
    the one other live peer.  A second run crashes that next server
@@ -321,6 +347,8 @@ let suite =
         Alcotest.test_case "custom hash groups" `Quick test_config_hash_groups;
         Alcotest.test_case "nearest servers match a fresh Dijkstra" `Quick
           test_nearest_servers_oracle;
+        Alcotest.test_case "add_user authority matches a fresh Dijkstra" `Quick
+          test_add_user_nearest_oracle;
         Alcotest.test_case "login skips a crashed nearest server" `Quick
           test_login_skips_crashed_nearest;
       ] );

@@ -27,8 +27,6 @@ let tiny_world () =
   in
   Mail.Replica_group.add_holder storage ~node:s1 ~region:"r0";
   Mail.Replica_group.add_holder storage ~node:s2 ~region:"r0";
-  let deposits = ref [] in
-  let acks = ref [] in
   let intern = Naming.Intern.create () in
   let callbacks =
     {
@@ -39,10 +37,6 @@ let tiny_world () =
       authority_of_uid = (fun _ -> [ s2; s1 ]);
       notify_target_uid = (fun _ -> Some h2);
       submit_servers = (fun _ -> [ s1; s2 ]);
-      on_deposit =
-        (fun m ~on ~ack ->
-          deposits := (m.Mail.Message.id, on) :: !deposits;
-          acks := (m.Mail.Message.id, ack) :: !acks);
       cached_authority = (fun ~at:_ _ -> None);
       on_forward_resolved = (fun ~at:_ _ _ -> ());
       on_undeliverable = (fun _ ~reason:_ -> ());
@@ -61,42 +55,46 @@ let tiny_world () =
       callbacks
   in
   pipeline_ref := Some pipeline;
-  (engine, pipeline, counters, deposits, acks, (h1, s1, s2, h2))
+  (engine, pipeline, counters, (h1, s1, s2, h2))
 
 let agent h1 =
   Mail.User_agent.create ~name:(nm "alice") ~host:h1 ~authority:[ 1; 2 ] ()
 
 let msg id = Mail.Message.create ~id ~sender:(nm "alice") ~recipient:(nm "bob") ~submitted_at:0. ()
 
+(* Finished replication rounds, as (quorum, degraded) ack counts. *)
+let acks counters =
+  ( Dsim.Stats.Counter.get counters "replica_quorum_acks",
+    Dsim.Stats.Counter.get counters "replica_degraded_acks" )
+
 let test_deposit_on_first_active () =
-  let engine, pipeline, counters, deposits, acks, (h1, _, s2, _) = tiny_world () in
+  let engine, pipeline, counters, (h1, _, s2, _) = tiny_world () in
   let m = msg 1 in
   Mail.Pipeline.submit pipeline ~sender_agent:(agent h1) ~msg:m;
   Dsim.Engine.run engine;
   Alcotest.(check bool) "deposited" true (Mail.Message.is_deposited m);
-  Alcotest.(check (list (pair int int))) "on the authority head" [ (1, s2) ] !deposits;
-  Alcotest.(check bool) "acked at quorum" true
-    (!acks = [ (1, Mail.Pipeline.Quorum) ]);
+  Alcotest.(check (option int)) "on the authority head" (Some s2) m.Mail.Message.deposited_on;
+  Alcotest.(check (pair int int)) "acked at quorum" (1, 0) (acks counters);
   Alcotest.(check int) "both chain members hold a copy" 2
     (Dsim.Stats.Counter.get counters "replica_copy_writes");
   Alcotest.(check int) "notified" 1 (Dsim.Stats.Counter.get counters "notifications");
   Alcotest.(check int) "no pendings left" 0 (Mail.Pipeline.pending_count pipeline)
 
 let test_deposit_falls_back () =
-  let engine, pipeline, _, deposits, acks, (h1, s1, s2, _) = tiny_world () in
+  let engine, pipeline, counters, (h1, s1, s2, _) = tiny_world () in
   Netsim.Net.set_down (Mail.Pipeline.net pipeline) s2;
   let m = msg 2 in
   Mail.Pipeline.submit pipeline ~sender_agent:(agent h1) ~msg:m;
   Dsim.Engine.run engine;
   Alcotest.(check bool) "deposited" true (Mail.Message.is_deposited m);
-  Alcotest.(check (list (pair int int))) "on the live secondary" [ (2, s1) ] !deposits;
+  Alcotest.(check (option int)) "on the live secondary" (Some s1) m.Mail.Message.deposited_on;
   (* The quorum of the 2-chain is 2 and the primary stayed down, so
      the round exhausts its budget and acks degraded — the mail is
      stored, just under-replicated. *)
-  Alcotest.(check bool) "acked degraded" true (!acks = [ (2, Mail.Pipeline.Degraded) ])
+  Alcotest.(check (pair int int)) "acked degraded" (0, 1) (acks counters)
 
 let test_retry_after_recovery () =
-  let engine, pipeline, counters, _, _, (h1, s1, s2, _) = tiny_world () in
+  let engine, pipeline, counters, (h1, s1, s2, _) = tiny_world () in
   (* Both servers down at submit: the submit is deferred; recovery at
      t=100 lets the deferred submission complete. *)
   Netsim.Net.set_down (Mail.Pipeline.net pipeline) s1;
@@ -113,7 +111,7 @@ let test_retry_after_recovery () =
     (Dsim.Stats.Counter.get counters "submit_deferred" > 0)
 
 let test_unresolvable_region_counted () =
-  let engine, pipeline, counters, _, _, (h1, _, _, _) = tiny_world () in
+  let engine, pipeline, counters, (h1, _, _, _) = tiny_world () in
   let m =
     Mail.Message.create ~id:4 ~sender:(nm "alice")
       ~recipient:(Naming.Name.make ~region:"mars" ~host:"x" ~user:"marvin")
@@ -128,7 +126,7 @@ let test_unresolvable_region_counted () =
 let test_retransmitted_deposit_reacked () =
   (* A finished round must re-acknowledge retransmitted Deposits from
      the completed table instead of reopening replication. *)
-  let engine, pipeline, counters, deposits, _, (h1, s1, s2, _) = tiny_world () in
+  let engine, pipeline, counters, (h1, s1, s2, _) = tiny_world () in
   let m = msg 5 in
   Mail.Pipeline.submit pipeline ~sender_agent:(agent h1) ~msg:m;
   Dsim.Engine.run engine;
@@ -139,7 +137,7 @@ let test_retransmitted_deposit_reacked () =
   Dsim.Engine.run engine;
   Alcotest.(check int) "round not reopened" sends_before
     (Dsim.Stats.Counter.get counters "replica_replicate_sends");
-  Alcotest.(check int) "on_deposit fired once" 1 (List.length !deposits)
+  Alcotest.(check (pair int int)) "one round finished" (1, 0) (acks counters)
 
 let test_ctrl_dispatch () =
   let g = Netsim.Graph.create () in
@@ -167,7 +165,6 @@ let test_ctrl_dispatch () =
       authority_of_uid = (fun _ -> [ a ]);
       notify_target_uid = (fun _ -> None);
       submit_servers = (fun _ -> [ a ]);
-      on_deposit = (fun _ ~on:_ ~ack:_ -> ());
       cached_authority = (fun ~at:_ _ -> None);
       on_forward_resolved = (fun ~at:_ _ _ -> ());
       on_undeliverable = (fun _ ~reason:_ -> ());
