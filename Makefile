@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-scale bench-scale-quick examples clean doc lint analyze analyze-baseline determinism equivalence
+.PHONY: all build test bench bench-scale bench-scale-quick examples clean doc analyze analyze-baseline determinism equivalence
 
 all: build
 
@@ -26,23 +26,22 @@ bench-scale:
 bench-scale-quick:
 	dune exec bench/main.exe -- --scale-only --scale-quick
 
-lint:
-	dune build bin/lint
-	dune exec bin/lint/main.exe -- lib bin
-
-# Type-aware analysis over the .cmt typed ASTs: the hot-path
-# allocation ratchet (vs analysis_baseline.json), metric-name and
-# span/stage doc parity, and typed polymorphic-compare checks.  Needs
-# a full build first — .cmt files are a build artifact (docs/LINT.md).
+# The static gate over the .cmt typed ASTs: determinism rules R1-R5
+# (hash-order escapes, Hashtbl.hash, wall clock and global entropy,
+# stdout/exit in lib/, missing .mli), the hot-path allocation ratchet
+# (vs analysis_baseline.json), metric-name and span/stage doc parity,
+# and typed polymorphic-compare checks.  .cmt files are a build
+# artifact; @check emits them for executables' main modules too
+# (docs/LINT.md).
 analyze:
-	dune build @all
+	dune build @all @check
 	dune exec bin/analyze/main.exe -- --json ANALYSIS.json lib bin
 
 # Conscious re-ratchet: rewrite analysis_baseline.json from the
 # current tree.  Review the diff — a count going up is a regression
 # you are choosing to accept.
 analyze-baseline:
-	dune build @all
+	dune build @all @check
 	dune exec bin/analyze/main.exe -- --write-baseline lib bin
 
 determinism:

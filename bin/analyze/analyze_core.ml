@@ -1,8 +1,27 @@
-(* mailsys.analyze: type-aware static analysis over the .cmt typed
-   ASTs dune emits ([-bin-annot]).  Where mailsys.lint (bin/lint)
-   pattern-matches source syntax, this pass reads the Typedtree — so
-   it can see through local helper functions, resolve identifier paths
-   and ask what type a comparison was instantiated at.  Four rules:
+(* mailsys.analyze: the repository's static gate.  It reads the .cmt
+   typed ASTs dune emits ([-bin-annot]) — so it can see through local
+   helper functions, resolve identifier paths through [open]s and
+   module aliases, and ask what type a comparison was instantiated at.
+   Nine rules.  R1–R5 guard determinism: every artifact the repo
+   compares across runs and PRs (BENCH.json, TRACE.jsonl, LEDGER.json,
+   outcome.metrics) depends on a seeded simulation being
+   bit-deterministic.
+
+   R1 [unsorted-fold]   a Hashtbl fold/iter (including module aliases
+                        of Hashtbl and Hashtbl.Make instances) whose
+                        callback builds a list (contains a cons),
+                        inside a top-level binding with no List/Array
+                        sort — hash order escapes.
+   R2 [poly-compare]    [Hashtbl.hash]/[Hashtbl.seeded_hash] — require
+                        typed hash mixes.  Bare [compare] and the
+                        comparison operators are A4's job.
+   R3 [wall-clock]      wall-clock or ambient entropy ([Sys.time],
+                        [Unix.gettimeofday]/[time]/[gmtime]/
+                        [localtime], global [Random.*]) in sim code;
+                        use [Dsim.Rng] or the telemetry probe.
+   R4 [stdout]          [print_*]/[Printf.printf]/[Format.printf]/
+                        [exit]/[Printexc.print_backtrace] in [lib/].
+   R5 [missing-mli]     a [lib/] module without an .mli.
 
    A1 [hot-path-alloc]  for a declared hot-function set (engine step,
                         heap push/pop, Net.send, pipeline handlers,
@@ -27,7 +46,7 @@
                         (the stage list Critical_path reports on), and
                         a compilation unit that opens spans without
                         [~finish] must also contain a [Span.finish].
-   A4 [poly-compare]    type-directed upgrade of lint R2: bare
+   A4 [poly-compare]    type-directed companion of R2: bare
                         [compare] and the =/<>/</>/<=/>= operators are
                         flagged only when instantiated at a type where
                         polymorphic comparison is actually unsafe —
@@ -35,21 +54,272 @@
                         variants, lazy values, first-class modules, or
                         an unresolved type variable.
 
-   Findings print in the linter's [file:line rule message] format and
-   honour the same audited [(* lint: allow <rule> — reason *)]
-   suppressions (markdown docs use [<!-- lint: allow ... -->]).  The
-   machine-readable report (ANALYSIS.json) carries schema
-   [mailsys.analysis/1]. *)
+   Findings print as [file:line rule message].  A finding can be
+   suppressed with an audited comment on the same or the preceding
+   line (markdown docs use [<!-- lint: allow ... -->]):
+
+     (* lint: allow <rule> — reason *)
+
+   The annotation may live inside a multi-line comment block; the
+   justification may continue over following lines, and the block
+   suppresses matching findings on any line it touches plus the line
+   directly after it.  A suppression without a reason, or naming no
+   rule of this gate, is itself reported [bad-suppression] in every
+   source file the gate reads.  [missing-mli] is suppressed by an
+   allow comment anywhere in the .ml.  The machine-readable report
+   (ANALYSIS.json) carries schema [mailsys.analysis/1]. *)
 
 open Typedtree
 open Asttypes
 
-type violation = Lint_core.violation = {
-  file : string;
-  line : int;
-  rule : string;
-  message : string;
+type violation = { file : string; line : int; rule : string; message : string }
+
+let compare_violation a b =
+  match String.compare a.file b.file with
+  | 0 -> (
+      match Int.compare a.line b.line with
+      | 0 -> String.compare a.rule b.rule
+      | c -> c)
+  | c -> c
+
+let pp_violation ppf v =
+  Format.fprintf ppf "%s:%d %s %s" v.file v.line v.rule v.message
+
+(* --- suppression comments ---------------------------------------------- *)
+
+type allow = {
+  a_line : int;  (* line carrying the "lint: allow" marker *)
+  a_until : int;  (* last line the suppression covers (comment block
+                     end + 1, so an annotation above a construct works
+                     even when the justification spans lines) *)
+  a_rule : string;
+  a_reason : bool;
 }
+
+(* The rules an allow comment may name: R1–R5, then A1–A3 (A4 reports
+   under R2's name). *)
+let all_rules =
+  [ "unsorted-fold"; "poly-compare"; "wall-clock"; "stdout"; "missing-mli";
+    "hot-path-alloc"; "metric-name"; "span-drift" ]
+
+(* Comment blocks [(start_offset, end_offset_exclusive, end_line)] of
+   the source, honouring nesting and string literals (both outside and
+   inside comments — OCaml lexes strings within comments).  Best
+   effort: a miss only costs a (visible) finding. *)
+let comment_blocks source =
+  let n = String.length source in
+  let line = ref 1 in
+  let blocks = ref [] in
+  let i = ref 0 in
+  let bump c = if c = '\n' then incr line in
+  (* skip a string literal starting at [i] (source.[i] = '"') *)
+  let skip_string () =
+    incr i;
+    let rec go () =
+      if !i < n then
+        match source.[!i] with
+        | '"' -> incr i
+        | '\\' when !i + 1 < n ->
+            bump source.[!i + 1];
+            i := !i + 2;
+            go ()
+        | c ->
+            bump c;
+            incr i;
+            go ()
+    in
+    go ()
+  in
+  let rec skip_comment depth start =
+    if !i >= n then blocks := (start, n, !line) :: !blocks
+    else if !i + 1 < n && source.[!i] = '*' && source.[!i + 1] = ')' then begin
+      i := !i + 2;
+      if depth = 1 then blocks := (start, !i, !line) :: !blocks
+      else skip_comment (depth - 1) start
+    end
+    else if !i + 1 < n && source.[!i] = '(' && source.[!i + 1] = '*' then begin
+      i := !i + 2;
+      skip_comment (depth + 1) start
+    end
+    else if source.[!i] = '"' then begin
+      skip_string ();
+      skip_comment depth start
+    end
+    else begin
+      bump source.[!i];
+      incr i;
+      skip_comment depth start
+    end
+  in
+  while !i < n do
+    if !i + 1 < n && source.[!i] = '(' && source.[!i + 1] = '*' then begin
+      let start = !i in
+      i := !i + 2;
+      skip_comment 1 start
+    end
+    else if source.[!i] = '"' then skip_string ()
+    else if
+      (* char literal '"' would otherwise open a bogus string *)
+      !i + 2 < n && source.[!i] = '\'' && source.[!i + 2] = '\''
+      && source.[!i + 1] <> '\\'
+    then begin
+      bump source.[!i + 1];
+      i := !i + 3
+    end
+    else begin
+      bump source.[!i];
+      incr i
+    end
+  done;
+  List.rev !blocks
+
+(* Find "lint: allow <rule>[ — reason]" annotations.  The marker, the
+   rule and the reason may be spread across the lines of one comment
+   block; outside any block (e.g. markdown files, where suppressions
+   ride in "<!-- lint: allow ... -->" comments) the annotation is read
+   to the end of its line. *)
+let scan_allows source =
+  let marker = "lint: allow " in
+  let mlen = String.length marker in
+  let n = String.length source in
+  let blocks = comment_blocks source in
+  (* offset -> line, via a simple forward walk over all marker hits *)
+  let hits = ref [] in
+  let line = ref 1 in
+  for i = 0 to n - 1 do
+    if source.[i] = '\n' then incr line
+    else if i + mlen <= n && String.sub source i mlen = marker then
+      hits := (i, !line) :: !hits
+  done;
+  let line_end_of_offset off =
+    (* line number of the last line touched by [0, off) *)
+    let l = ref 1 in
+    for i = 0 to off - 1 do
+      if source.[i] = '\n' then incr l
+    done;
+    !l
+  in
+  List.rev_map
+    (fun (off, lnum) ->
+      let text_end, until =
+        match
+          List.find_opt (fun (s, e, _) -> off >= s && off < e) blocks
+        with
+        | Some (_, e, _) ->
+            (* strip the closing "*)" so a flush rule name parses *)
+            let e' = if e >= 2 then e - 2 else e in
+            (max (off + mlen) e', line_end_of_offset e + 1)
+        | None ->
+            let eol =
+              match String.index_from_opt source off '\n' with
+              | Some j -> j
+              | None -> n
+            in
+            (eol, lnum + 1)
+      in
+      let text = String.sub source (off + mlen) (text_end - (off + mlen)) in
+      (* collapse the block's newlines: the annotation reads as one line *)
+      let text =
+        String.map (function '\n' | '\r' | '\t' -> ' ' | c -> c) text
+      in
+      let text = String.trim text in
+      let rule =
+        match String.index_opt text ' ' with
+        | Some i -> String.sub text 0 i
+        | None -> text
+      in
+      let after =
+        String.sub text (String.length rule) (String.length text - String.length rule)
+      in
+      (* audited: the comment must carry a reason after a dash *)
+      let has_reason =
+        let dash i =
+          (* "—" (U+2014, 3 bytes) or "-" *)
+          after.[i] = '-'
+          || (i + 2 < String.length after
+             && Char.code after.[i] = 0xE2
+             && Char.code after.[i + 1] = 0x80)
+        in
+        let rec scan i seen_dash =
+          if i >= String.length after then false
+          else if seen_dash then
+            (* any word character after the dash counts as a reason *)
+            match after.[i] with
+            | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> true
+            | _ -> scan (i + 1) true
+          else if dash i then scan (i + 1) true
+          else scan (i + 1) false
+        in
+        scan 0 false
+      in
+      (* Prose merely mentioning the syntax (placeholders like
+         "<rule>") is not an annotation. *)
+      let rule_shaped =
+        String.length rule > 0
+        && String.for_all (function 'a' .. 'z' | '-' -> true | _ -> false) rule
+      in
+      if rule_shaped then
+        Some { a_line = lnum; a_until = until; a_rule = rule; a_reason = has_reason }
+      else None)
+    !hits
+  |> List.filter_map Fun.id
+  |> List.sort (fun a b -> Int.compare a.a_line b.a_line)
+
+let suppressed allows ~rule ~line =
+  List.exists
+    (fun a ->
+      String.equal a.a_rule rule && a.a_reason
+      && line >= a.a_line && line <= a.a_until)
+    allows
+
+let file_suppressed allows ~rule =
+  List.exists (fun a -> String.equal a.a_rule rule && a.a_reason) allows
+
+let allow_violations file allows =
+  List.filter_map
+    (fun a ->
+      if not (List.mem a.a_rule all_rules) then
+        Some
+          {
+            file;
+            line = a.a_line;
+            rule = "bad-suppression";
+            message =
+              Printf.sprintf "unknown rule %S in lint: allow comment" a.a_rule;
+          }
+      else if not a.a_reason then
+        Some
+          {
+            file;
+            line = a.a_line;
+            rule = "bad-suppression";
+            message =
+              Printf.sprintf
+                "suppression of %s must carry a reason: (* lint: allow %s — why *)"
+                a.a_rule a.a_rule;
+          }
+      else None)
+    allows
+
+(* --- the source walk ---------------------------------------------------- *)
+
+(* normalised relative paths: lib/..., ./lib/..., /abs/.../lib/... *)
+let in_lib path = List.mem "lib" (String.split_on_char '/' path)
+
+(* The .ml/.mli files under [path], skipping hidden and _build
+   directories. *)
+let rec collect_sources path acc =
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort String.compare
+    |> List.fold_left
+         (fun acc entry ->
+           if String.length entry > 0 && entry.[0] = '.' then acc
+           else if String.equal entry "_build" then acc
+           else collect_sources (Filename.concat path entry) acc)
+         acc
+  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+  then path :: acc
+  else acc
 
 (* --- the hot-function set (A1) ------------------------------------------ *)
 
@@ -113,6 +383,7 @@ type facts = {
          keep A3 quiet about spans emitted through data structures
          (e.g. hop names stored in a table and closed at the receiving
          node) *)
+  f_lint : violation list;  (* R1–R4 findings, unfiltered *)
 }
 
 (* --- path helpers ------------------------------------------------------- *)
@@ -138,12 +409,7 @@ let norm_path p = norm_name (Path.name p)
 
 let path_has_suffix p suffix =
   let s = norm_path p in
-  String.equal s suffix
-  || (String.length s > String.length suffix
-     && String.equal
-          (String.sub s (String.length s - String.length suffix - 1)
-             (String.length suffix + 1))
-          ("." ^ suffix))
+  String.equal s suffix || String.ends_with ~suffix:("." ^ suffix) s
 
 let drop_stdlib s =
   let pre = "Stdlib." in
@@ -153,7 +419,198 @@ let drop_stdlib s =
 
 let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
-let dotted_modname m = norm_name m
+(* --- R1–R4: determinism rules on resolved paths -------------------------- *)
+
+(* Module bindings of a unit that stand for another module: an alias
+   ([module T = Hashtbl]) maps to its target, a functor application
+   ([module H = Hashtbl.Make (Int)]) to the functor's parent module,
+   whose fold and iter the instance shares. *)
+let module_aliases str =
+  let aliases = ref [] in
+  let rec target me =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Some p
+    | Tmod_constraint (me, _, _, _) -> target me
+    | Tmod_apply (f, _, _) | Tmod_apply_unit f -> (
+        match target f with Some (Path.Pdot (m, _)) -> Some m | _ -> None)
+    | _ -> None
+  in
+  let bind id me =
+    match (id, target me) with
+    | Some id, Some p -> aliases := (id, p) :: !aliases
+    | _ -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          bind mb.mb_id mb.mb_expr;
+          Tast_iterator.default_iterator.module_binding self mb);
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_letmodule (id, _, _, me, _) -> bind id me
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it str;
+  !aliases
+
+(* The global name a value path denotes once the unit's module aliases
+   are expanded ("Hashtbl.fold" for [T.fold] under [module T =
+   Hashtbl]), without the [Stdlib.] prefix.  [None] for a path rooted
+   in a local binding: a module-local [exit] or [Random] is not the
+   stdlib one. *)
+let global_name aliases p =
+  let rec expand p =
+    match p with
+    | Path.Pident id -> (
+        match List.find_opt (fun (a, _) -> Ident.same a id) aliases with
+        | Some (_, target) -> expand target
+        | None -> p)
+    | Path.Pdot (m, s) -> Path.Pdot (expand m, s)
+    | _ -> p
+  in
+  let p = expand p in
+  if Ident.global (Path.head p) then Some (drop_stdlib (norm_path p)) else None
+
+let sort_fns =
+  [ "List.sort"; "List.sort_uniq"; "List.stable_sort"; "List.fast_sort";
+    "Array.sort"; "Array.stable_sort"; "Array.fast_sort" ]
+
+(* R2–R4 for one resolved identifier: [Some (rule, message)]. *)
+let ident_rule ~in_lib name =
+  let stdout message = if in_lib then Some ("stdout", message) else None in
+  match name with
+  | "Hashtbl.hash" | "Hashtbl.seeded_hash" ->
+      Some
+        ( "poly-compare",
+          "polymorphic Hashtbl.hash; derive a typed hash from \
+           String.hash/Int.hash instead" )
+  | "Sys.time" ->
+      Some
+        ( "wall-clock",
+          "Sys.time reads the wall clock; sim code must use virtual time \
+           (Dsim.Engine.now) or go through the telemetry probe" )
+  | "Unix.gettimeofday" | "Unix.time" | "Unix.gmtime" | "Unix.localtime" ->
+      Some
+        ( "wall-clock",
+          Printf.sprintf
+            "%s reads the wall clock; sim code must use virtual time \
+             (Dsim.Engine.now)"
+            name )
+  | "print_endline" | "print_string" | "print_newline" | "print_int"
+  | "print_float" | "print_char" ->
+      stdout
+        (Printf.sprintf
+           "%s writes to stdout from library code; return data or take a \
+            formatter"
+           name)
+  | "exit" -> stdout "exit from library code; raise or return an error instead"
+  | "Printf.printf" ->
+      stdout
+        "Printf.printf writes to stdout from library code; use sprintf or a \
+         formatter argument"
+  | "Format.printf" ->
+      stdout
+        "Format.printf writes to stdout from library code; take a formatter \
+         argument"
+  | "Printexc.print_backtrace" ->
+      stdout
+        "Printexc.print_backtrace writes to an ambient channel from library \
+         code"
+  | _ -> (
+      match String.split_on_char '.' name with
+      | [ "Random"; f ] ->
+          Some
+            ( "wall-clock",
+              Printf.sprintf
+                "Random.%s uses ambient global entropy; use Dsim.Rng with an \
+                 explicit seed"
+                f )
+      | _ -> None)
+
+(* Does an expression tree contain a list cons anywhere?  A fold/iter
+   callback that conses builds an order-dependent list. *)
+let contains_cons expr =
+  let found = ref false in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_construct (_, { Types.cstr_name = "::"; _ }, _) -> found := true
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.expr it expr;
+  !found
+
+(* R1–R4 over one unit.  A top-level binding is R1's "same function"
+   scope: a consing Hashtbl fold/iter in it is reported unless the
+   binding also sorts. *)
+let determinism_findings ~file str =
+  let aliases = module_aliases str in
+  let in_lib = in_lib file in
+  let out = ref [] in
+  let add loc rule message =
+    out := { file; line = line_of loc; rule; message } :: !out
+  in
+  let check_binding expr =
+    let escapes = ref [] and sorts = ref false in
+    let it =
+      {
+        Tast_iterator.default_iterator with
+        expr =
+          (fun self e ->
+            (match e.exp_desc with
+            | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+                match global_name aliases p with
+                | Some ("Hashtbl.fold" | "Hashtbl.iter")
+                  when List.exists
+                         (fun (_, a) -> Option.fold ~none:false ~some:contains_cons a)
+                         args ->
+                    escapes := e.exp_loc :: !escapes
+                | _ -> ())
+            | Texp_ident (p, _, _) -> (
+                match global_name aliases p with
+                | Some name ->
+                    if List.mem name sort_fns then sorts := true;
+                    Option.iter
+                      (fun (rule, message) -> add e.exp_loc rule message)
+                      (ident_rule ~in_lib name)
+                | None -> ())
+            | _ -> ());
+            Tast_iterator.default_iterator.expr self e);
+      }
+    in
+    it.expr it expr;
+    if not !sorts then
+      List.iter
+        (fun loc ->
+          add loc "unsorted-fold"
+            "Hashtbl fold/iter builds a list but the binding never sorts; \
+             hash order escapes — List.sort with a typed comparator before \
+             the result leaves this function")
+        !escapes
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      structure_item =
+        (fun self item ->
+          match item.str_desc with
+          | Tstr_value (_, vbs) -> List.iter (fun vb -> check_binding vb.vb_expr) vbs
+          | Tstr_eval (e, _) -> check_binding e
+          | _ -> Tast_iterator.default_iterator.structure_item self item);
+    }
+  in
+  it.structure it str;
+  List.rev !out
 
 (* --- A1: allocation-site counting --------------------------------------- *)
 
@@ -304,16 +761,17 @@ let rec type_safety env visited ty =
         | exception Not_found -> Unknown
         | decl -> (
             let visited = p :: visited in
-            let subst body =
+            (* safety of a declaration component at this instance *)
+            let sub body =
               match Ctype.apply env decl.Types.type_params body args with
-              | t -> Some t
-              | exception _ -> None
+              | t -> type_safety env visited t
+              | exception _ -> Unknown
+            in
+            let fields lds =
+              join_all (List.map (fun (ld : Types.label_declaration) -> sub ld.ld_type) lds)
             in
             match decl.Types.type_manifest with
-            | Some body -> (
-                match subst body with
-                | Some t -> type_safety env visited t
-                | None -> Unknown)
+            | Some body -> sub body
             | None -> (
                 match decl.Types.type_kind with
                 | Types.Type_abstract ->
@@ -323,35 +781,14 @@ let rec type_safety env visited ty =
                           by contract"
                          (norm_path p))
                 | Types.Type_open -> Unsafe "extensible variant types"
-                | Types.Type_record (lds, _) ->
-                    join_all
-                      (List.map
-                         (fun (ld : Types.label_declaration) ->
-                           match subst ld.ld_type with
-                           | Some t -> type_safety env visited t
-                           | None -> Unknown)
-                         lds)
+                | Types.Type_record (lds, _) -> fields lds
                 | Types.Type_variant (cds, _) ->
                     join_all
                       (List.map
                          (fun (cd : Types.constructor_declaration) ->
                            match cd.cd_args with
-                           | Types.Cstr_tuple ts ->
-                               join_all
-                                 (List.map
-                                    (fun t ->
-                                      match subst t with
-                                      | Some t -> type_safety env visited t
-                                      | None -> Unknown)
-                                    ts)
-                           | Types.Cstr_record lds ->
-                               join_all
-                                 (List.map
-                                    (fun (ld : Types.label_declaration) ->
-                                      match subst ld.ld_type with
-                                      | Some t -> type_safety env visited t
-                                      | None -> Unknown)
-                                    lds))
+                           | Types.Cstr_tuple ts -> join_all (List.map sub ts)
+                           | Types.Cstr_record lds -> fields lds)
                          cds))))
   | _ -> Unknown
 
@@ -563,21 +1000,17 @@ let scan_structure ~file str =
           | [ (_, Some f); (_, Some l) ] -> (
               let params = fun_params f in
               if params <> [] && lambda_feeds_metric f params then
+                let named id =
+                  List.find_map
+                    (fun (i, items) -> if Ident.same i id then Some items else None)
+                    !string_lists
+                in
                 let items =
-                  match string_list_of_expr l with
-                  | Some items -> items
-                  | None -> (
-                      match l.exp_desc with
-                      | Texp_ident (Path.Pident id, _, _) -> (
-                          match
-                            List.find_map
-                              (fun (i, items) ->
-                                if Ident.same i id then Some items else None)
-                              !string_lists
-                          with
-                          | Some items -> items
-                          | None -> [])
-                      | _ -> [])
+                  match (string_list_of_expr l, l.exp_desc) with
+                  | Some items, _ -> items
+                  | None, Texp_ident (Path.Pident id, _, _) ->
+                      Option.value (named id) ~default:[]
+                  | None, _ -> []
                 in
                 List.iter add_metric items)
           | _ -> ())
@@ -671,32 +1104,8 @@ let scan_structure ~file str =
 
 (* --- cmt loading -------------------------------------------------------- *)
 
-let scan_cmt ?(hot_set = default_hot_set) path =
-  let cmt = Cmt_format.read_cmt path in
-  match cmt.Cmt_format.cmt_annots with
-  | Cmt_format.Implementation str ->
-      let file =
-        match cmt.Cmt_format.cmt_sourcefile with
-        | Some f -> f
-        | None -> path
-      in
-      let modname = dotted_modname cmt.Cmt_format.cmt_modname in
-      let metrics, spans, finishes, monitor_refs, poly, strings =
-        scan_structure ~file str
-      in
-      Some
-        {
-          f_file = file;
-          f_module = modname;
-          f_hot = hot_fns_of_structure ~hot_set ~modname ~file str;
-          f_metrics = metrics;
-          f_spans = spans;
-          f_finishes = finishes;
-          f_monitor_refs = monitor_refs;
-          f_poly = poly;
-          f_strings = strings;
-        }
-  | _ -> None
+(* One compilation unit's typed tree, keyed by its source file. *)
+type unit_tree = { u_file : string; u_module : string; u_str : structure }
 
 let rec collect_cmts path acc =
   if not (Sys.file_exists path) then acc
@@ -715,6 +1124,43 @@ let init_load_path cmt_paths =
   Load_path.init ~auto_include:Load_path.no_auto_include
     (dirs @ [ Config.standard_library ]);
   Envaux.reset_cache ()
+
+(* Read the implementation trees, one per source file.  Dune may leave
+   a byte and a native .cmt of one unit side by side, and which exist
+   depends on what was built; the first path in the given order wins,
+   so the unit set does not depend on build history. *)
+let load_units cmt_paths =
+  init_load_path cmt_paths;
+  List.fold_left
+    (fun acc path ->
+      let cmt = Cmt_format.read_cmt path in
+      let file = Option.value cmt.Cmt_format.cmt_sourcefile ~default:path in
+      match cmt.Cmt_format.cmt_annots with
+      | Cmt_format.Implementation str
+        when not (List.exists (fun u -> String.equal u.u_file file) acc) ->
+          let u_module = norm_name cmt.Cmt_format.cmt_modname in
+          { u_file = file; u_module; u_str = str } :: acc
+      | _ -> acc)
+    [] cmt_paths
+  |> List.rev
+
+let scan_unit ~hot_set u =
+  let file = u.u_file in
+  let metrics, spans, finishes, monitor_refs, poly, strings =
+    scan_structure ~file u.u_str
+  in
+  {
+    f_file = file;
+    f_module = u.u_module;
+    f_hot = hot_fns_of_structure ~hot_set ~modname:u.u_module ~file u.u_str;
+    f_metrics = metrics;
+    f_spans = spans;
+    f_finishes = finishes;
+    f_monitor_refs = monitor_refs;
+    f_poly = poly;
+    f_strings = strings;
+    f_lint = determinism_findings ~file u.u_str;
+  }
 
 (* --- docs parsing (A2/A3 reference lists) -------------------------------- *)
 
@@ -750,23 +1196,14 @@ let doc_names ~dots content =
            | None -> ());
        (* bold entries anywhere in the line *)
        let rec bold_from i =
-         match
-           if i + 3 > String.length line then None
+         if i + 3 <= String.length line then
+           if not (String.equal (String.sub line i 3) "**`") then bold_from (i + 1)
            else
-             let rec find k =
-               if k + 3 > String.length line then None
-               else if String.sub line k 3 = "**`" then Some k
-               else find (k + 1)
-             in
-             find i
-         with
-         | None -> ()
-         | Some k -> (
-             match String.index_from_opt line (k + 3) '`' with
+             match String.index_from_opt line (i + 3) '`' with
              | Some e ->
-                 add (String.sub line (k + 3) (e - k - 3)) lnum;
+                 add (String.sub line (i + 3) (e - i - 3)) lnum;
                  bold_from (e + 1)
-             | None -> ())
+             | None -> ()
        in
        bold_from 0)
     lines;
@@ -849,29 +1286,43 @@ let a1_ratchet ~baseline_file ~baseline ~hot_set facts_list =
                name)
           :: !findings)
     baseline;
-  let seen_modules = List.map (fun f -> f.f_module) facts_list in
   List.iter
     (fun (m, fns) ->
-      if List.mem m seen_modules then
-        let file =
-          match List.find_opt (fun f -> String.equal f.f_module m) facts_list with
-          | Some f -> f.f_file
-          | None -> baseline_file
-        in
-        List.iter
-          (fun fn ->
-            let full = m ^ "." ^ fn in
-            if not (List.mem full reported) then
-              findings :=
-                v file 1 "hot-path-alloc"
-                  (Printf.sprintf
-                     "declared hot function %s not found in %s — update the \
-                      hot set in bin/analyze/analyze_core.ml"
-                     full file)
-                :: !findings)
-          fns)
+      match List.find_opt (fun f -> String.equal f.f_module m) facts_list with
+      | None -> ()
+      | Some { f_file = file; _ } ->
+          List.iter
+            (fun fn ->
+              let full = m ^ "." ^ fn in
+              if not (List.mem full reported) then
+                findings :=
+                  v file 1 "hot-path-alloc"
+                    (Printf.sprintf
+                       "declared hot function %s not found in %s — update the \
+                        hot set in bin/analyze/analyze_core.ml"
+                       full file)
+                  :: !findings)
+            fns)
     hot_set;
   { a1_findings = List.rev !findings; a1_improvements = List.rev !improvements }
+
+(* Doc-table drift for one family of names: an emitted name missing
+   from the table is reported once, at its first emission site;
+   [stale] decides, per documented name, whether its table row is
+   reported too. *)
+let doc_drift ~rule ~doc_file ~documented ~undocumented ~stale emitted =
+  let names = List.sort_uniq String.compare (List.map (fun (n, _, _) -> n) emitted) in
+  List.filter_map
+    (fun name ->
+      if List.mem_assoc name documented then None
+      else
+        let _, file, line = List.find (fun (n, _, _) -> String.equal n name) emitted in
+        Some (v file line rule (undocumented name)))
+    names
+  @ List.filter_map
+      (fun (name, line) ->
+        Option.map (fun message -> v doc_file line rule message) (stale name))
+      documented
 
 let a2_findings ~doc_file ~documented facts_list =
   let emitted =
@@ -879,115 +1330,80 @@ let a2_findings ~doc_file ~documented facts_list =
       (fun f -> List.map (fun (n, l) -> (n, f.f_file, l)) f.f_metrics)
       facts_list
   in
-  let emitted_names = List.sort_uniq String.compare (List.map (fun (n, _, _) -> n) emitted) in
-  let doc_names = List.map fst documented in
-  let findings = ref [] in
-  (* undocumented emissions: one finding per name, at its first site *)
-  List.iter
-    (fun name ->
-      if not (List.mem name doc_names) then
-        match List.find_opt (fun (n, _, _) -> String.equal n name) emitted with
-        | Some (_, file, line) ->
-            findings :=
-              v file line "metric-name"
-                (Printf.sprintf
-                   "metric %S is emitted but undocumented — add it to the %s \
-                    catalogue"
-                   name doc_file)
-              :: !findings
-        | None -> ())
-    emitted_names;
-  (* documented but never emitted *)
-  List.iter
-    (fun (name, line) ->
-      if not (List.mem name emitted_names) then
-        findings :=
-          v doc_file line "metric-name"
-            (Printf.sprintf
-               "documented metric %S has no emitter under the scanned tree — \
-                stale catalogue entry?"
-               name)
-          :: !findings)
-    documented;
+  let emitted_names = List.map (fun (n, _, _) -> n) emitted in
+  doc_drift ~rule:"metric-name" ~doc_file ~documented emitted
+    ~undocumented:(fun name ->
+      Printf.sprintf
+        "metric %S is emitted but undocumented — add it to the %s catalogue"
+        name doc_file)
+    ~stale:(fun name ->
+      if List.mem name emitted_names then None
+      else
+        Some
+          (Printf.sprintf
+             "documented metric %S has no emitter under the scanned tree — \
+              stale catalogue entry?"
+             name))
   (* monitor rules must reference emitted metrics *)
-  List.iter
-    (fun f ->
-      List.iter
-        (fun (rule, metric, line) ->
-          if not (List.mem metric emitted_names) then
-            findings :=
-              v f.f_file line "metric-name"
-                (Printf.sprintf
-                   "monitor rule %S references metric %S, which nothing emits \
-                    — dangling rule"
-                   rule metric)
-              :: !findings)
-        f.f_monitor_refs)
-    facts_list;
-  List.rev !findings
+  @ List.concat_map
+      (fun f ->
+        List.filter_map
+          (fun (rule, metric, line) ->
+            if List.mem metric emitted_names then None
+            else
+              Some
+                (v f.f_file line "metric-name"
+                   (Printf.sprintf
+                      "monitor rule %S references metric %S, which nothing \
+                       emits — dangling rule"
+                      rule metric)))
+          f.f_monitor_refs)
+      facts_list
 
 let a3_findings ~doc_file ~documented facts_list =
   let emitted =
     List.concat_map
-      (fun f -> List.map (fun (n, l, c) -> (n, f.f_file, l, c)) f.f_spans)
+      (fun f -> List.map (fun (n, l, _) -> (n, f.f_file, l)) f.f_spans)
       facts_list
   in
-  let emitted_names =
-    List.sort_uniq String.compare (List.map (fun (n, _, _, _) -> n) emitted)
-  in
-  let doc_names = List.map fst documented in
-  let findings = ref [] in
-  List.iter
-    (fun name ->
-      if not (List.mem name doc_names) then
-        match
-          List.find_opt (fun (n, _, _, _) -> String.equal n name) emitted
-        with
-        | Some (_, file, line, _) ->
-            findings :=
-              v file line "span-drift"
-                (Printf.sprintf
-                   "span %S is created here but missing from the %s stage \
-                    tables — critical-path stages and docs have drifted"
-                   name doc_file)
-              :: !findings
-        | None -> ())
-    emitted_names;
+  let emitted_names = List.map (fun (n, _, _) -> n) emitted in
   (* A documented stage with no creation site is stale only if its
      name has also vanished from the code: spans emitted through data
      structures (hop names parked in a table, closed at the receiver)
      leave the literal behind as evidence. *)
   let literals = List.concat_map (fun f -> f.f_strings) facts_list in
-  List.iter
-    (fun (name, line) ->
-      if (not (List.mem name emitted_names)) && not (List.mem name literals)
-      then
-        findings :=
-          v doc_file line "span-drift"
-            (Printf.sprintf
-               "documented span stage %S is never created by the scanned tree \
-                — stale stage table entry (the name appears nowhere in the \
-                code)?"
-               name)
-          :: !findings)
-    documented;
+  doc_drift ~rule:"span-drift" ~doc_file ~documented emitted
+    ~undocumented:(fun name ->
+      Printf.sprintf
+        "span %S is created here but missing from the %s stage tables — \
+         critical-path stages and docs have drifted"
+        name doc_file)
+    ~stale:(fun name ->
+      if List.mem name emitted_names || List.mem name literals then None
+      else
+        Some
+          (Printf.sprintf
+             "documented span stage %S is never created by the scanned tree \
+              — stale stage table entry (the name appears nowhere in the \
+              code)?"
+             name))
   (* pairing: a unit opening spans must also close them *)
-  List.iter
-    (fun f ->
-      if f.f_finishes = [] then
-        List.iter
-          (fun (name, line, closed) ->
-            if not closed then
-              findings :=
-                v f.f_file line "span-drift"
-                  (Printf.sprintf
-                     "span %S is opened without ~finish but %s never calls \
-                      Span.finish — the span can leak open"
-                     name f.f_file)
-                :: !findings)
-          f.f_spans)
-    facts_list;
-  List.rev !findings
+  @ List.concat_map
+      (fun f ->
+        if f.f_finishes <> [] then []
+        else
+          List.filter_map
+            (fun (name, line, closed) ->
+              if closed then None
+              else
+                Some
+                  (v f.f_file line "span-drift"
+                     (Printf.sprintf
+                        "span %S is opened without ~finish but %s never calls \
+                         Span.finish — the span can leak open"
+                        name f.f_file)))
+            f.f_spans)
+      facts_list
 
 let a4_findings facts_list =
   List.concat_map
@@ -1002,36 +1418,46 @@ let a4_findings facts_list =
         f.f_poly)
     facts_list
 
+(* [read_source] maps a file to its text (None = unreadable: no
+   allows, so its findings are kept); markdown files carry allows in
+   HTML comments. *)
+let allows_of ~read_source file =
+  match read_source file with Some src -> scan_allows src | None -> []
+
+(* R5: a lib/ .ml among [sources] with no .mli beside it.  An allow
+   anywhere in the file suppresses it. *)
+let missing_mli_findings ~read_source sources =
+  List.filter_map
+    (fun path ->
+      let allowed () =
+        file_suppressed (allows_of ~read_source path) ~rule:"missing-mli"
+      in
+      if
+        Filename.check_suffix path ".ml"
+        && in_lib path
+        && (not (List.mem (path ^ "i") sources))
+        && not (allowed ())
+      then
+        Some
+          (v path 1 "missing-mli"
+             "library module has no .mli; every lib/ module must state its \
+              interface")
+      else None)
+    sources
+
 (* --- suppression filtering ---------------------------------------------- *)
 
-(* [read_source] maps a finding's file to its text (None = unreadable,
-   keep the finding).  Reuses the linter's audited-allow scanner, so
-   the same [(* lint: allow <rule> — reason *)] annotations govern
-   both passes; markdown files carry them in HTML comments. *)
 let filter_suppressed ~read_source violations =
-  let cache = Hashtbl.create 16 in
-  let allows_for file =
-    match Hashtbl.find_opt cache file with
-    | Some allows -> allows
-    | None ->
-        let allows =
-          match read_source file with
-          | Some src -> Lint_core.scan_allows src
-          | None -> []
-        in
-        Hashtbl.replace cache file allows;
-        allows
-  in
   List.filter
     (fun (viol : violation) ->
       not
-        (Lint_core.suppressed (allows_for viol.file) ~rule:viol.rule
+        (suppressed (allows_of ~read_source viol.file) ~rule:viol.rule
            ~line:viol.line))
     violations
 
 let read_source_from_disk file =
   if Sys.file_exists file && not (Sys.is_directory file) then
-    Some (Lint_core.read_file file)
+    Some (In_channel.with_open_bin file In_channel.input_all)
   else None
 
 (* --- ANALYSIS.json ------------------------------------------------------ *)
@@ -1125,10 +1551,15 @@ type analysis = {
   an_baseline : (string * int) list;
 }
 
-let analyze_tree ?(hot_set = default_hot_set) ?(baseline_file = "analysis_baseline.json")
-    ?(read_source = read_source_from_disk) ~metrics_doc ~tracing_doc cmt_paths =
-  init_load_path cmt_paths;
-  let facts_list = List.filter_map (scan_cmt ~hot_set) cmt_paths in
+let baseline_file = "analysis_baseline.json"
+let metrics_doc = "docs/METRICS.md"
+let tracing_doc = "docs/TRACING.md"
+
+(* [sources] are the .ml/.mli files the gate reads besides the typed
+   trees: R5 and the bad-suppression check run over them. *)
+let analyze_tree ?(hot_set = default_hot_set) ?(read_source = read_source_from_disk)
+    ~sources units =
+  let facts_list = List.map (scan_unit ~hot_set) units in
   let baseline =
     match read_source baseline_file with
     | Some src -> (
@@ -1137,28 +1568,29 @@ let analyze_tree ?(hot_set = default_hot_set) ?(baseline_file = "analysis_baseli
         | exception _ -> [])
     | None -> []
   in
-  let documented_metrics =
-    match read_source (fst metrics_doc) with
-    | Some src -> doc_metric_names src
-    | None -> snd metrics_doc
-  in
-  let documented_spans =
-    match read_source (fst tracing_doc) with
-    | Some src -> doc_span_names src
-    | None -> snd tracing_doc
+  let documented doc names =
+    match read_source doc with Some src -> names src | None -> []
   in
   let a1 = a1_ratchet ~baseline_file ~baseline ~hot_set facts_list in
   let findings =
     a1.a1_findings
-    @ a2_findings ~doc_file:(fst metrics_doc) ~documented:documented_metrics
-        facts_list
-    @ a3_findings ~doc_file:(fst tracing_doc) ~documented:documented_spans
-        facts_list
+    @ a2_findings ~doc_file:metrics_doc
+        ~documented:(documented metrics_doc doc_metric_names) facts_list
+    @ a3_findings ~doc_file:tracing_doc
+        ~documented:(documented tracing_doc doc_span_names) facts_list
     @ a4_findings facts_list
+    @ List.concat_map (fun f -> f.f_lint) facts_list
+    @ missing_mli_findings ~read_source sources
+  in
+  (* bad-suppression findings are never themselves suppressible *)
+  let bad_suppressions =
+    List.concat_map
+      (fun file -> allow_violations file (allows_of ~read_source file))
+      (sources @ [ metrics_doc; tracing_doc ])
   in
   let findings =
-    filter_suppressed ~read_source findings
-    |> List.sort Lint_core.compare_violation
+    filter_suppressed ~read_source findings @ bad_suppressions
+    |> List.sort compare_violation
   in
   {
     an_facts = facts_list;

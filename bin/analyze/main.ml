@@ -1,108 +1,95 @@
-(* mailsys.analyze CLI: run the type-aware analyses (A1 hot-path
-   allocation ratchet, A2 metric-name consistency, A3 span drift, A4
-   typed poly-compare) over the .cmt files dune emitted for the given
-   source directories.
+(* mailsys.analyze CLI: run the static gate — determinism rules R1–R5
+   and the type-aware analyses A1–A4 — over the .cmt files dune
+   emitted for the given source directories.
 
      mailsys.analyze [options] [DIR...]        (default: lib bin)
 
    Options:
-     --build DIR          build root holding the .cmt trees
-                          (default _build/default)
-     --baseline FILE      allocation baseline (default
-                          analysis_baseline.json)
-     --write-baseline     rewrite the baseline from the current tree
-                          and exit 0 (the conscious-re-ratchet path)
+     --write-baseline     rewrite analysis_baseline.json from the
+                          current tree and exit 0 (the
+                          conscious-re-ratchet path)
      --json FILE          write the ANALYSIS.json report here
-     --docs-metrics FILE  metric catalogue (default docs/METRICS.md)
-     --docs-tracing FILE  span stage tables (default docs/TRACING.md)
 
-   Requires a completed [dune build @check] (or full build): .cmt
-   files are a build artifact.  Exits 1 when findings survive
-   suppression, 2 on usage errors. *)
+   Run from the repository root after [dune build @all @check]: .cmt
+   files are a build artifact, and @check is what emits them for
+   executables' main modules.  Every .ml under the DIRs must have one.
+   Exits 1 when findings survive suppression, 2 on usage errors or
+   missing typed trees. *)
 
-let usage () =
-  prerr_endline
-    "usage: mailsys.analyze [--build DIR] [--baseline FILE] \
-     [--write-baseline] [--json FILE] [--docs-metrics FILE] \
-     [--docs-tracing FILE] [DIR...]";
-  exit 2
+let build = "_build/default"
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("mailsys.analyze: " ^ msg);
+      exit 2)
+    fmt
+
+let write_json path json =
+  let oc = open_out path in
+  output_string oc (Telemetry.Json.to_string ~indent:2 json);
+  output_string oc "\n";
+  close_out oc
 
 let () =
-  let build = ref "_build/default" in
-  let baseline_file = ref "analysis_baseline.json" in
   let write_baseline = ref false in
   let json_out = ref None in
-  let metrics_doc = ref "docs/METRICS.md" in
-  let tracing_doc = ref "docs/TRACING.md" in
   let dirs = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--build" :: v :: rest -> build := v; parse rest
-    | "--baseline" :: v :: rest -> baseline_file := v; parse rest
     | "--write-baseline" :: rest -> write_baseline := true; parse rest
     | "--json" :: v :: rest -> json_out := Some v; parse rest
-    | "--docs-metrics" :: v :: rest -> metrics_doc := v; parse rest
-    | "--docs-tracing" :: v :: rest -> tracing_doc := v; parse rest
     | s :: _ when String.length s > 1 && s.[0] = '-' ->
-        Printf.eprintf "mailsys.analyze: unknown option %s\n" s;
-        usage ()
+        fail "unknown option %s\nusage: mailsys.analyze [--write-baseline] \
+              [--json FILE] [DIR...]" s
     | d :: rest -> dirs := d :: !dirs; parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
   let dirs = match List.rev !dirs with [] -> [ "lib"; "bin" ] | ds -> ds in
-  if not (Sys.file_exists !build) then begin
-    Printf.eprintf
-      "mailsys.analyze: build root %s not found — run `dune build` first \
-       (.cmt files are a build artifact)\n"
-      !build;
-    exit 2
-  end;
-  let roots = List.map (Filename.concat !build) dirs in
-  let missing = List.filter (fun p -> not (Sys.file_exists p)) roots in
-  if missing <> [] then begin
-    List.iter
-      (Printf.eprintf
-         "mailsys.analyze: no build tree at %s — run `dune build` first\n")
-      missing;
-    exit 2
-  end;
-  let cmts =
-    List.fold_left (fun acc r -> Analyze_core.collect_cmts r acc) [] roots
-    |> List.sort String.compare
+  List.iter
+    (fun d ->
+      if not (Sys.file_exists d) then fail "no such path %s" d;
+      if not (Sys.file_exists (Filename.concat build d)) then
+        fail "no build tree at %s — run `dune build @all @check` first"
+          (Filename.concat build d))
+    dirs;
+  let sources =
+    List.fold_left (fun acc d -> Analyze_core.collect_sources d acc) [] dirs
+    |> List.sort_uniq String.compare
   in
-  if cmts = [] then begin
-    Printf.eprintf "mailsys.analyze: no .cmt files under %s\n"
-      (String.concat " " roots);
-    exit 2
-  end;
-  let analysis =
-    Analyze_core.analyze_tree ~baseline_file:!baseline_file
-      ~metrics_doc:(!metrics_doc, []) ~tracing_doc:(!tracing_doc, []) cmts
+  let units =
+    List.fold_left
+      (fun acc d -> Analyze_core.collect_cmts (Filename.concat build d) acc)
+      [] dirs
+    |> List.sort String.compare |> Analyze_core.load_units
   in
+  let untyped =
+    List.filter
+      (fun s ->
+        Filename.check_suffix s ".ml"
+        && not (List.exists (fun u -> String.equal u.Analyze_core.u_file s) units))
+      sources
+  in
+  if untyped <> [] then
+    fail "no .cmt for %s — run `dune build @all @check` first (.cmt files \
+          are a build artifact)"
+      (String.concat " " untyped);
+  let analysis = Analyze_core.analyze_tree ~sources units in
   if !write_baseline then begin
     let counts = Analyze_core.current_counts analysis.Analyze_core.an_facts in
-    let oc = open_out !baseline_file in
-    output_string oc
-      (Telemetry.Json.to_string ~indent:2 (Analyze_core.baseline_to_json counts));
-    output_string oc "\n";
-    close_out oc;
+    write_json Analyze_core.baseline_file (Analyze_core.baseline_to_json counts);
     Printf.printf "mailsys.analyze: baseline written to %s (%d hot function(s))\n"
-      !baseline_file (List.length counts);
+      Analyze_core.baseline_file (List.length counts);
     exit 0
   end;
-  (match !json_out with
-  | None -> ()
-  | Some path ->
-      let json =
-        Analyze_core.report_to_json
-          ~baseline:analysis.Analyze_core.an_baseline
-          ~findings:analysis.Analyze_core.an_findings
-          ~facts_list:analysis.Analyze_core.an_facts
-      in
-      let oc = open_out path in
-      output_string oc (Telemetry.Json.to_string ~indent:2 json);
-      output_string oc "\n";
-      close_out oc);
+  Option.iter
+    (fun path ->
+      write_json path
+        (Analyze_core.report_to_json
+           ~baseline:analysis.Analyze_core.an_baseline
+           ~findings:analysis.Analyze_core.an_findings
+           ~facts_list:analysis.Analyze_core.an_facts))
+    !json_out;
   List.iter
     (fun (name, now, base) ->
       Printf.printf
@@ -118,7 +105,7 @@ let () =
       exit 0
   | findings ->
       List.iter
-        (fun v -> Format.printf "%a@." Lint_core.pp_violation v)
+        (fun v -> Format.printf "%a@." Analyze_core.pp_violation v)
         findings;
       Printf.eprintf "mailsys.analyze: %d finding(s)\n" (List.length findings);
       exit 1

@@ -1,7 +1,5 @@
 type 'msg handler = time:float -> src:Graph.node -> 'msg -> unit
 
-type invalidation = Full | Scoped
-
 (* One cached routing state per source: the Dijkstra tree, a derived
    next-hop table for O(1) first-hop queries, and the exact set of
    links the tree routes over — what lets a link flip touch only the
@@ -57,7 +55,7 @@ type 'msg t = {
   handlers : 'msg handler array;
   mutable listeners : (time:float -> Graph.node -> bool -> unit) list;
   routes : route option array;  (* Dijkstra cache per source *)
-  (* Lazy-repair flip log: every scoped link flip appends one entry
+  (* Lazy-repair flip log: every link flip appends one entry
      ([edge id * 2], low bit 1 = restore) and each cached tree carries
      a cursor into the log.  Trees catch up at query time — a flip
      that cannot touch a canonical tree (a cut of an edge it does not
@@ -67,7 +65,6 @@ type 'msg t = {
   edge_weight : float array;  (* id -> link weight; restore checks *)
   mutable flip_log : int array;
   mutable flip_len : int;
-  invalidation : invalidation;
   (* Repair workspace, shared by every tree: per-node mark bytes
      (0 untouched / 1 detached-unsettled / 2 settled), a scratch heap,
      and the list of marked nodes to clear afterwards. *)
@@ -95,7 +92,7 @@ type 'msg t = {
 let default_handler ~time:_ ~src:_ _ = ()
 
 let create ~engine ?trace ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed = 0)
-    ?(invalidation = Scoped) graph =
+    graph =
   if bandwidth <= 0. then invalid_arg "Net.create: bandwidth must be positive";
   if loss_rate < 0. || loss_rate >= 1. then
     invalid_arg "Net.create: loss_rate outside [0, 1)";
@@ -127,7 +124,6 @@ let create ~engine ?trace ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed 
     edge_weight;
     flip_log = [||];
     flip_len = 0;
-    invalidation;
     mark = Bytes.make (max 1 n) '\000';
     repair_heap = Dsim.Heap.Arena.create ~capacity:64 ~dummy:() ();
     touched = Array.make 64 0;
@@ -574,9 +570,7 @@ let set_link_down t u v =
     Bytes.set t.edge_down (e lsr 3)
       (Char.chr (Char.code (Bytes.get t.edge_down (e lsr 3)) lor (1 lsl (e land 7))));
     t.edges_down <- t.edges_down + 1;
-    (match t.invalidation with
-    | Full -> invalidate_all t
-    | Scoped -> log_flip t (e lsl 1));
+    log_flip t (e lsl 1);
     notify_link t u v false
   end
 
@@ -588,9 +582,7 @@ let set_link_up t u v =
       (Char.chr
          (Char.code (Bytes.get t.edge_down (e lsr 3)) land lnot (1 lsl (e land 7))));
     t.edges_down <- t.edges_down - 1;
-    (match t.invalidation with
-    | Full -> invalidate_all t
-    | Scoped -> log_flip t ((e lsl 1) lor 1));
+    log_flip t ((e lsl 1) lor 1);
     notify_link t u v true
   end
 

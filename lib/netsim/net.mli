@@ -20,26 +20,12 @@ type 'msg t
 
 type 'msg handler = time:float -> src:Graph.node -> 'msg -> unit
 
-type invalidation =
-  | Full  (** Any link flip drops every cached shortest-path tree. *)
-  | Scoped
-      (** A link flip only appends to a flip log; each cached tree
-          reconciles the flips it has not seen on its next query.  A
-          cut touches only the trees that route over the link, a
-          restore only the trees the restored edge could shorten (or
-          re-tie-break) — every other flip is a cursor bump, so trees
-          nobody queries between flips cost nothing to keep.  Produces
-          byte-identical routing answers to [Full] — the choice only
-          changes how much Dijkstra work is redone, which the route
-          counters below expose. *)
-
 val create :
   engine:Dsim.Engine.t ->
   ?trace:Dsim.Trace.t ->
   ?bandwidth:float ->
   ?loss_rate:float ->
   ?loss_seed:int ->
-  ?invalidation:invalidation ->
   Graph.t ->
   'msg t
 (** All nodes start up.  [bandwidth] is the uniform link capacity in
@@ -48,8 +34,7 @@ val create :
     makes each transmission vanish in flight with that probability,
     drawn from a deterministic stream seeded by [loss_seed] — the
     random message loss the mail pipeline's acknowledgements and
-    retries must absorb.  [invalidation] (default [Scoped]) selects the
-    route-cache invalidation policy on link flips.
+    retries must absorb.
     @raise Invalid_argument if [bandwidth <= 0.] or [loss_rate]
     is outside [0, 1). *)
 
@@ -78,9 +63,15 @@ val set_link_down : 'msg t -> Graph.node -> Graph.node -> unit
 val set_link_up : 'msg t -> Graph.node -> Graph.node -> unit
 (** Cut / restore a single link.  Down links are invisible to routing
     ({!send} finds a detour or drops when none exists) and refuse
-    {!send_neighbor} one-hop transmissions.  Flips invalidate the
-    shortest-path cache per the network's {!invalidation} policy;
-    messages already in flight across the link are not recalled.
+    {!send_neighbor} one-hop transmissions.  A flip only appends to a
+    flip log; each cached shortest-path tree reconciles the flips it
+    has not seen on its next query.  A cut touches only the trees that
+    route over the link, a restore only the trees the restored edge
+    could shorten (or re-tie-break) — every other flip is a cursor
+    bump, so trees nobody queries between flips cost nothing to keep.
+    Routing answers are those of a fresh Dijkstra over the current
+    links.  Messages already in flight across the link are not
+    recalled.
     Idempotent.
     @raise Invalid_argument if the nodes are not adjacent. *)
 
@@ -114,12 +105,12 @@ val set_route_anchors : 'msg t -> Graph.node list -> unit
     shared trees instead of one per host.  Drops all cached routes;
     call before traffic starts. *)
 
-(** Route-cache accounting since creation — the observables behind the
-    invalidation policies.  A recompute is one full Dijkstra run; a
+(** Route-cache accounting since creation — the observables behind
+    lazy route repair.  A recompute is one full Dijkstra run; a
     cache hit is a routing query answered from a cached tree; an
     invalidation is one cached tree repaired in place or dropped
-    because of a link flip (under [Scoped], counted lazily, when the
-    tree next answers a query).  Not reset by {!reset_counters}: they
+    because of a link flip (counted lazily, when the tree next answers
+    a query).  Not reset by {!reset_counters}: they
     describe cache behaviour over the network's whole life, not
     per-experiment traffic. *)
 

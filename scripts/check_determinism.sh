@@ -9,7 +9,7 @@
 #
 # Default: run the working tree twice.  Randomized hashing makes any
 # Hashtbl-iteration-order leak visible immediately; the companion
-# static pass is `dune exec mailsys.lint -- lib bin`.
+# static gate is `make analyze` (rules R1-R5, docs/LINT.md).
 #
 # --against REF: run the working tree once and git revision REF once
 # (built from a temporary `git archive` checkout of REF), so a change
@@ -31,7 +31,7 @@ case "${1:-}" in
   *) echo "usage: $0 [--against REF]" >&2; exit 2 ;;
 esac
 
-dune build @all bin/lint >/dev/null
+dune build @all >/dev/null
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/mailsys-determinism.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT

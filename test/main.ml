@@ -19,4 +19,4 @@ let () =
    @ Test_location_system.suite @ Test_attribute_system.suite
    @ Test_telemetry.suite @ Test_tracing.suite @ Test_scenario.suite
    @ Test_fault.suite @ Test_misc_coverage.suite @ Test_observability.suite
-   @ Test_lint.suite @ Test_analyze.suite)
+   @ Test_analyze.suite)

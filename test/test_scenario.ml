@@ -167,6 +167,30 @@ let test_arpanet_mail () =
   Alcotest.(check bool) "coast-to-coast traffic forwarded" true
     (r.Mail.Evaluation.mean_forward_hops > 0.1)
 
+(* --- determinism regression: seeded runs are byte-identical ------------ *)
+
+let test_double_run_identical () =
+  let spec =
+    {
+      Mail.Scenario.default_spec with
+      duration = 1500.;
+      mail_count = 100;
+      check_period = 80.;
+      failure_rate = 0.002;
+    }
+  in
+  let run () = Mail.Scenario.run_syntax (Netsim.Topology.paper_fig1 ()) spec in
+  let o1 = run () and o2 = run () in
+  let metrics o =
+    Telemetry.Json.to_string
+      (Telemetry.Registry.to_json o.Mail.Scenario.metrics)
+  in
+  let ledger o =
+    Telemetry.Json.to_string (Mail.Ledger.verdict_to_json o.Mail.Scenario.ledger)
+  in
+  Alcotest.(check string) "metrics export byte-identical" (metrics o1) (metrics o2);
+  Alcotest.(check string) "ledger verdict byte-identical" (ledger o1) (ledger o2)
+
 let suite =
   [
     ( "scenario",
@@ -186,5 +210,7 @@ let suite =
           test_metric_name_parity;
         Alcotest.test_case "large hierarchy stress" `Slow test_large_hierarchy_stress;
         Alcotest.test_case "mail over the 1977 ARPANET" `Slow test_arpanet_mail;
+        Alcotest.test_case "double-run: metrics and ledger identical" `Slow
+          test_double_run_identical;
       ] );
   ]
