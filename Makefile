@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-scale bench-scale-quick examples clean doc analyze analyze-baseline determinism equivalence
+.PHONY: all build test test-verbose bench bench-quick bench-scale bench-scale-quick examples clean doc analyze analyze-baseline determinism equivalence
 
 all: build
 
@@ -17,14 +17,16 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --skip-micro
 
-# Large-scale throughput benchmark: >= 50k messages through the syntax
-# system under the standard fault campaign; writes the `scale` section
-# of BENCH.json (see docs/PERF.md).
+# Scale throughput benchmark (Mail.Scale): the full size pushes 1M
+# messages between 1M users through the syntax system under the
+# standard fault campaign; the quick size is 5k messages.  Writes
+# SCALE.json (with wall-clock and GC fields) and TIMESERIES-scale.json,
+# and exits 1 when the throughput ratchet fails (see docs/PERF.md).
 bench-scale:
-	dune exec bench/main.exe -- --scale-only
+	dune exec bench/main.exe -- --scale full
 
 bench-scale-quick:
-	dune exec bench/main.exe -- --scale-only --scale-quick
+	dune exec bench/main.exe -- --scale quick
 
 # The static gate over the .cmt typed ASTs: determinism rules R1-R5
 # (hash-order escapes, Hashtbl.hash, wall clock and global entropy,

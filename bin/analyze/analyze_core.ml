@@ -65,9 +65,11 @@
    suppresses matching findings on any line it touches plus the line
    directly after it.  A suppression without a reason, or naming no
    rule of this gate, is itself reported [bad-suppression] in every
-   source file the gate reads.  [missing-mli] is suppressed by an
-   allow comment anywhere in the .ml.  The machine-readable report
-   (ANALYSIS.json) carries schema [mailsys.analysis/1]. *)
+   source file the gate reads; an audited one that silences no finding
+   is reported [unused-suppression].  Neither can be suppressed.
+   [missing-mli] is suppressed by an allow comment anywhere in the
+   .ml.  The machine-readable report (ANALYSIS.json) carries schema
+   [mailsys.analysis/1]. *)
 
 open Typedtree
 open Asttypes
@@ -265,17 +267,19 @@ let scan_allows source =
   |> List.filter_map Fun.id
   |> List.sort (fun a b -> Int.compare a.a_line b.a_line)
 
-let suppressed allows ~rule ~line =
-  List.exists
-    (fun a ->
-      String.equal a.a_rule rule && a.a_reason
-      && line >= a.a_line && line <= a.a_until)
-    allows
+(* Does the audited allow [a] silence a finding of [rule] at [line]?
+   [missing-mli] is file-level: an allow anywhere in the .ml covers it. *)
+let covers a ~rule ~line =
+  String.equal a.a_rule rule && a.a_reason
+  && (String.equal rule "missing-mli" || (line >= a.a_line && line <= a.a_until))
 
-let file_suppressed allows ~rule =
-  List.exists (fun a -> String.equal a.a_rule rule && a.a_reason) allows
+let suppressed allows ~rule ~line = List.exists (covers ~rule ~line) allows
 
-let allow_violations file allows =
+(* Allow comments that are malformed ([bad-suppression]) or, given the
+   unsuppressed findings [raw] of the whole tree, silence nothing in
+   [file] ([unused-suppression]).  Neither finding is itself
+   suppressible. *)
+let allow_violations file allows raw =
   List.filter_map
     (fun a ->
       if not (List.mem a.a_rule all_rules) then
@@ -297,6 +301,22 @@ let allow_violations file allows =
               Printf.sprintf
                 "suppression of %s must carry a reason: (* lint: allow %s — why *)"
                 a.a_rule a.a_rule;
+          }
+      else if
+        not
+          (List.exists
+             (fun (viol : violation) ->
+               String.equal viol.file file
+               && covers a ~rule:viol.rule ~line:viol.line)
+             raw)
+      then
+        Some
+          {
+            file;
+            line = a.a_line;
+            rule = "unused-suppression";
+            message =
+              Printf.sprintf "allow of %s suppresses no finding; delete it" a.a_rule;
           }
       else None)
     allows
@@ -1425,18 +1445,14 @@ let allows_of ~read_source file =
   match read_source file with Some src -> scan_allows src | None -> []
 
 (* R5: a lib/ .ml among [sources] with no .mli beside it.  An allow
-   anywhere in the file suppresses it. *)
-let missing_mli_findings ~read_source sources =
+   anywhere in the file suppresses it (see [covers]). *)
+let missing_mli_findings sources =
   List.filter_map
     (fun path ->
-      let allowed () =
-        file_suppressed (allows_of ~read_source path) ~rule:"missing-mli"
-      in
       if
         Filename.check_suffix path ".ml"
         && in_lib path
-        && (not (List.mem (path ^ "i") sources))
-        && not (allowed ())
+        && not (List.mem (path ^ "i") sources)
       then
         Some
           (v path 1 "missing-mli"
@@ -1580,16 +1596,15 @@ let analyze_tree ?(hot_set = default_hot_set) ?(read_source = read_source_from_d
         ~documented:(documented tracing_doc doc_span_names) facts_list
     @ a4_findings facts_list
     @ List.concat_map (fun f -> f.f_lint) facts_list
-    @ missing_mli_findings ~read_source sources
+    @ missing_mli_findings sources
   in
-  (* bad-suppression findings are never themselves suppressible *)
-  let bad_suppressions =
+  let allow_findings =
     List.concat_map
-      (fun file -> allow_violations file (allows_of ~read_source file))
+      (fun file -> allow_violations file (allows_of ~read_source file) findings)
       (sources @ [ metrics_doc; tracing_doc ])
   in
   let findings =
-    filter_suppressed ~read_source findings @ bad_suppressions
+    filter_suppressed ~read_source findings @ allow_findings
     |> List.sort compare_violation
   in
   {

@@ -15,10 +15,8 @@ let duration =
   Arg.(
     value & opt float 5000. & info [ "duration" ] ~docv:"TIME" ~doc:"Virtual time.")
 
-(* Mail volume; subcommands differ only in the default (300 for the
-   scenario drivers, 50k for the scale benchmark). *)
-let messages ~default =
-  Arg.(value & opt int default & info [ "messages" ] ~docv:"N" ~doc:"Mail volume.")
+let messages =
+  Arg.(value & opt int 300 & info [ "messages" ] ~docv:"N" ~doc:"Mail volume.")
 
 let regions ~default =
   Arg.(value & opt int default & info [ "regions" ] ~docv:"N" ~doc:"Region count.")
@@ -61,10 +59,10 @@ let write_json ~what file json =
       output_string oc (Telemetry.Json.to_string ~indent:2 json);
       output_char oc '\n')
 
-(* The byte-stability convention shared with the bench harness: JSON
-   artifacts normally embed the full registry including volatile
-   (wall-clock-derived) metrics; [--stable] excludes them so the
-   double-run determinism harness can byte-compare the files. *)
+(* The byte-stability convention: JSON artifacts normally embed the
+   full registry including volatile (wall-clock-derived) metrics;
+   [--stable] excludes them so the double-run determinism harness can
+   byte-compare the files. *)
 let stable =
   Arg.(
     value
@@ -75,7 +73,7 @@ let stable =
            metrics from JSON output so identical seeded runs compare \
            byte-for-byte.")
 
-(* Observability sampling, shared by getmail/scale/monitor: how often
+(* Observability sampling, shared by getmail/monitor: how often
    (in virtual time) the timeseries sampler and monitors run, and
    where the TIMESERIES.json document goes. *)
 let resolution =

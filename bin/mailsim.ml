@@ -137,7 +137,7 @@ let getmail_cmd =
     Arg.(value & opt float 0. & info [ "failure-rate" ] ~doc:"Server outage rate.")
   in
   let duration = Cmdline.duration in
-  let count = Cmdline.messages ~default:300 in
+  let count = Cmdline.messages in
   let policy =
     Arg.(
       value
@@ -258,7 +258,7 @@ let faults_cmd =
           ~doc:"Fault campaign to run (same syntax as $(b,getmail --faults)).")
   in
   let duration = Cmdline.duration in
-  let count = Cmdline.messages ~default:300 in
+  let count = Cmdline.messages in
   let ledger_file =
     Cmdline.output_file ~flag:"ledger-out"
       ~doc:"Write per-design availability and ledger verdicts to $(docv) as JSON."
@@ -275,143 +275,55 @@ let faults_cmd =
 (* --- scale ------------------------------------------------------------- *)
 
 let scale_cmd =
-  let run seed messages regions hosts_per_region servers_per_region degree
-      replication json_file resolution timeseries_file stable =
-    let site =
-      let rng = Dsim.Rng.create seed in
-      Netsim.Topology.scale_site ~rng
-        (Netsim.Topology.sized_hierarchy ~regions ~hosts_per_region
-           ~servers_per_region ~degree ())
-    in
-    let g = site.Netsim.Topology.graph in
-    let spec =
-      {
-        Mail.Scenario.default_spec with
-        seed;
-        duration = 5000.;
-        mail_count = messages;
-        check_period = 250.;
-        faults = Some Netsim.Fault.standard;
-        (* Observability is always on for the scale run: the JSON
-           report carries an SLO section, so the monitors must have
-           been evaluated. *)
-        sampling = Some (Option.value resolution ~default:50.);
-        monitors = Telemetry.Monitor.standard;
-      }
-    in
-    let config =
-      let n_servers = List.length site.Netsim.Topology.servers in
-      { Mail.Syntax_system.default_config with
-        replication = min replication n_servers
-      }
-    in
-    let o = Mail.Scenario.run_syntax ~config site spec in
-    let counter = Telemetry.Registry.get_counter o.Mail.Scenario.metrics in
-    let recomputes = counter "route_tree_recompute" in
-    let hits = counter "route_cache_hit" in
-    let invalidations = counter "route_invalidation" in
-    let hit_rate =
-      if hits + recomputes = 0 then 0.
-      else float_of_int hits /. float_of_int (hits + recomputes)
-    in
-    (* Throughput in virtual time only: wall-clock numbers live in the
-       bench harness, keeping this driver deterministic end to end. *)
-    let events_per_vt =
-      float_of_int o.Mail.Scenario.engine_events /. spec.Mail.Scenario.duration
-    in
-    Printf.printf "topology          %d nodes, %d edges, %d regions\n"
-      (Netsim.Graph.node_count g) (Netsim.Graph.edge_count g) regions;
-    Printf.printf "campaign          %s\n" (Netsim.Fault.to_string Netsim.Fault.standard);
-    Printf.printf "messages          %d\n" messages;
-    Printf.printf "engine events     %d (%.1f per virtual-time unit)\n"
-      o.Mail.Scenario.engine_events events_per_vt;
-    Printf.printf "route recomputes  %d\n" recomputes;
-    Printf.printf "route cache hits  %d (%.4f hit rate)\n" hits hit_rate;
-    Printf.printf "invalidations     %d\n" invalidations;
-    Printf.printf "availability      %.4f (server uptime %.4f, replication %d)\n"
-      o.Mail.Scenario.availability o.Mail.Scenario.server_uptime
-      o.Mail.Scenario.replication_factor;
-    Printf.printf "failovers         %d\n" (counter "replica_failovers");
-    Format.printf "ledger            %a@." Mail.Ledger.pp_verdict
-      o.Mail.Scenario.ledger;
-    let monitor =
-      match o.Mail.Scenario.monitor with Some m -> m | None -> assert false
-    in
-    Format.printf "@[<v>monitors          %a@]@." Telemetry.Monitor.pp_summary
-      monitor;
-    (match json_file with
-    | None -> ()
-    | Some file ->
-        let json =
-          Telemetry.Json.Obj
-            [
-              ("schema", Telemetry.Json.String "mailsys.scale/3");
-              ("seed", Telemetry.Json.Int seed);
-              ("messages", Telemetry.Json.Int messages);
-              ("engine_events", Telemetry.Json.Int o.Mail.Scenario.engine_events);
-              ("events_per_virtual_time", Telemetry.Json.Float events_per_vt);
-              ( "route",
-                Telemetry.Json.Obj
-                  [
-                    ("recomputes", Telemetry.Json.Int recomputes);
-                    ("cache_hits", Telemetry.Json.Int hits);
-                    ("invalidations", Telemetry.Json.Int invalidations);
-                    ("hit_rate", Telemetry.Json.Float hit_rate);
-                  ] );
-              ("availability", Telemetry.Json.Float o.Mail.Scenario.availability);
-              ("server_uptime", Telemetry.Json.Float o.Mail.Scenario.server_uptime);
-              ( "replication_factor",
-                Telemetry.Json.Int o.Mail.Scenario.replication_factor );
-              ("failovers", Telemetry.Json.Int (counter "replica_failovers"));
-              ("ledger", Mail.Ledger.verdict_to_json o.Mail.Scenario.ledger);
-              ("slo", Telemetry.Monitor.summary_to_json monitor);
-              ( "metrics",
-                Telemetry.Registry.to_json ~include_volatile:(not stable)
-                  o.Mail.Scenario.metrics );
-            ]
-        in
-        Cmdline.write_json ~what:"scale report" file json);
-    (match (timeseries_file, o.Mail.Scenario.timeseries) with
+  let run spec replication json_file timeseries_file stable =
+    let r = Mail.Scale.run { spec with Mail.Scale.replication } in
+    Format.printf "%a@." Mail.Scale.pp r;
+    Option.iter
+      (fun file ->
+        Cmdline.write_json ~what:"scale report" file
+          (Mail.Scale.to_json ~include_volatile:(not stable) r))
+      json_file;
+    (match (timeseries_file, r.Mail.Scale.outcome.Mail.Scenario.timeseries) with
     | Some file, Some ts ->
-        Cmdline.write_json ~what:"timeseries" file
-          (Telemetry.Timeseries.to_json ts)
+        Cmdline.write_json ~what:"timeseries" file (Telemetry.Timeseries.to_json ts)
     | _ -> ());
-    if not o.Mail.Scenario.ledger.Mail.Ledger.ok then begin
+    if not r.Mail.Scale.outcome.Mail.Scenario.ledger.Mail.Ledger.ok then begin
       Printf.eprintf "mailsim: delivery invariant violated\n";
       exit 1
     end
   in
-  let messages = Cmdline.messages ~default:50_000 in
-  let regions = Cmdline.regions ~default:6 in
-  let hosts =
-    Arg.(value & opt int 8 & info [ "hosts-per-region" ] ~doc:"Hosts per region.")
-  in
-  let servers =
-    Arg.(value & opt int 3 & info [ "servers-per-region" ] ~doc:"Servers per region.")
-  in
-  let degree =
-    Arg.(value & opt float 10. & info [ "degree" ] ~doc:"Target average node degree.")
+  let size =
+    let sizes = List.map (fun s -> (s.Mail.Scale.size, s)) Mail.Scale.sizes in
+    Arg.(
+      value
+      & opt (enum sizes) Mail.Scale.quick
+      & info [ "size" ] ~docv:"SIZE"
+          ~doc:
+            "Named scale: $(b,quick) (240 users, 5k messages), $(b,mid) (200k \
+             users and messages) or $(b,full) (a million of each).")
   in
   let replication =
     Arg.(
       value
-      & opt int 4
-      & info [ "replication" ]
-          ~doc:"Authority-chain length (capped at the server count).")
+      & opt int Mail.Scale.quick.Mail.Scale.replication
+      & info [ "replication" ] ~docv:"N"
+          ~doc:
+            "Authority-chain length, capped at the server count — the \
+             availability dial of EXPERIMENTS.md S2.")
   in
   let json_file =
     Cmdline.output_file ~flag:"json-out"
-      ~doc:"Write the throughput and route-cache counters to $(docv) as JSON."
+      ~doc:"Write the scale report (mailsys.scale/4) to $(docv) as JSON."
   in
   Cmd.v
     (Cmd.info "scale"
        ~doc:
-         "Drive a large synthetic internetwork under the standard fault \
-          campaign and report virtual-time throughput plus route-cache \
-          counters (wall-clock numbers live in the bench harness).")
+         "Run the scale experiment (Mail.Scale) under the standard fault \
+          campaign and report virtual-time throughput, route-cache, \
+          replication, ledger and SLO results (wall-clock numbers live in \
+          the bench harness).")
     Term.(
-      const run $ seed_arg $ messages $ regions $ hosts $ servers $ degree
-      $ replication $ json_file $ Cmdline.resolution $ Cmdline.timeseries_file
+      const run $ size $ replication $ json_file $ Cmdline.timeseries_file
       $ Cmdline.stable)
 
 (* --- monitor ------------------------------------------------------------ *)
@@ -512,7 +424,7 @@ let monitor_cmd =
           delivery-invariant failure.")
     Term.(
       const run $ seed_arg $ Cmdline.duration
-      $ Cmdline.messages ~default:300
+      $ Cmdline.messages
       $ campaign $ rules $ Cmdline.resolution $ Cmdline.timeseries_file
       $ Cmdline.stable)
 

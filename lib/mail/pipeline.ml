@@ -685,7 +685,6 @@ let pending_count t = Hashtbl.length t.pendings
    a server is mid-service, the job in flight). *)
 let publish_gauges t reg =
   let depth, deepest =
-    (* lint: allow unsorted-fold — sum and max are order-independent *)
     Hashtbl.fold
       (fun _ q (sum, worst) ->
         let d = Queue.length q.jobs + if q.busy then 1 else 0 in
@@ -726,7 +725,6 @@ let compact t keep_out =
      the send they covered has landed (or vanished) by now. *)
   let horizon = now t in
   let expired =
-    (* lint: allow unsorted-fold — collects ids only; sorted before removal *)
     Hashtbl.fold
       (fun id until acc -> if until < horizon then id :: acc else acc)
       t.fences []
@@ -735,7 +733,6 @@ let compact t keep_out =
   List.iter (Hashtbl.remove t.fences) expired;
   let prune tbl id_of =
     let doomed =
-      (* lint: allow unsorted-fold — pure removal set over heterogeneous key types; deletion order cannot reach any observable state *)
       Hashtbl.fold (fun k _ acc -> if keep_out (id_of k) then k :: acc else acc) tbl []
     in
     List.iter

@@ -297,7 +297,6 @@ let publish_gauges t ~users reg =
       else if up < total then incr degraded)
     distinct;
   let holders_up =
-    (* lint: allow unsorted-fold — order-independent count *)
     Hashtbl.fold
       (fun node _ acc -> if t.is_up node then acc + 1 else acc)
       t.holders 0
@@ -320,7 +319,6 @@ let tracked_ids t = Hashtbl.length t.retrieved + Hashtbl.length t.copies
 
 let compact t keep_out =
   let doomed =
-    (* lint: allow unsorted-fold — collects ids only; sorted before removal *)
     Hashtbl.fold (fun id () acc -> if keep_out id then id :: acc else acc) t.retrieved []
     |> List.sort Int.compare
   in

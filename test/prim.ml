@@ -1,6 +1,6 @@
 let run ?(root = 0) g =
   let n = Netsim.Graph.node_count g in
-  if n = 0 then { Kruskal.edges = []; total_weight = 0.; components = 0 }
+  if n = 0 then { Mst.Kruskal.edges = []; total_weight = 0.; components = 0 }
   else begin
     if not (Netsim.Graph.mem_node g root) then invalid_arg "Prim.run: unknown root";
     let in_tree = Array.make n false in
@@ -12,7 +12,7 @@ let run ?(root = 0) g =
       List.iter
         (fun (v, w) ->
           if not in_tree.(v) then
-            Dsim.Heap.push queue w (Edge_id.make u v w))
+            Dsim.Heap.push queue w (Mst.Edge_id.make u v w))
         (Netsim.Graph.neighbors g u)
     in
     in_tree.(root) <- true;
@@ -35,12 +35,12 @@ let run ?(root = 0) g =
           gather ();
           let best =
             List.fold_left
-              (fun acc e -> if Edge_id.compare e acc < 0 then e else acc)
+              (fun acc e -> if Mst.Edge_id.compare e acc < 0 then e else acc)
               e !collected
           in
           List.iter
             (fun e' ->
-              if not (Edge_id.equal e' best) then Dsim.Heap.push queue e'.Edge_id.w e')
+              if not (Mst.Edge_id.equal e' best) then Dsim.Heap.push queue e'.Mst.Edge_id.w e')
             !collected;
           Some best
     in
@@ -48,7 +48,7 @@ let run ?(root = 0) g =
       match pop_best () with
       | None -> ()
       | Some e ->
-          let { Edge_id.lo; hi; w } = e in
+          let { Mst.Edge_id.lo; hi; w } = e in
           let fresh =
             if in_tree.(lo) && not in_tree.(hi) then Some hi
             else if in_tree.(hi) && not in_tree.(lo) then Some lo
@@ -66,12 +66,12 @@ let run ?(root = 0) g =
     let edges =
       List.sort
         (fun (u1, v1, w1) (u2, v2, w2) ->
-          Edge_id.compare (Edge_id.make u1 v1 w1) (Edge_id.make u2 v2 w2))
+          Mst.Edge_id.compare (Mst.Edge_id.make u1 v1 w1) (Mst.Edge_id.make u2 v2 w2))
         !edges
     in
     let unreached = Array.to_list in_tree |> List.filter not |> List.length in
     {
-      Kruskal.edges;
+      Mst.Kruskal.edges;
       total_weight = List.fold_left (fun acc (_, _, w) -> acc +. w) 0. edges;
       components = 1 + unreached;
     }

@@ -356,6 +356,13 @@ let test_bad_suppression_alone () =
     [ (4, "bad-suppression") ]
     (lint "bare_allow")
 
+let test_unused_suppression () =
+  (* The first allow covers nothing; the second tries to silence the
+     meta-finding and is itself malformed; the third is used. *)
+  check_rules "an allow that silences nothing is reported"
+    [ (4, "unused-suppression"); (7, "bad-suppression") ]
+    (lint "allow_unused")
+
 let test_stdout_in_lib () =
   check_rules "print/printf/exit under a lib/ path are flagged"
     [ (4, "stdout"); (6, "stdout"); (8, "stdout") ]
@@ -419,7 +426,8 @@ let test_whole_corpus () =
   Alcotest.(check int) "wall-clock count" 5 (count "wall-clock");
   Alcotest.(check int) "stdout count" 4 (count "stdout");
   Alcotest.(check int) "missing-mli count" 1 (count "missing-mli");
-  Alcotest.(check int) "bad-suppression count" 3 (count "bad-suppression");
+  Alcotest.(check int) "bad-suppression count" 4 (count "bad-suppression");
+  Alcotest.(check int) "unused-suppression count" 1 (count "unused-suppression");
   let sorted = List.sort Analyze_core.compare_violation vs in
   Alcotest.(check bool) "output is canonically sorted" true (vs = sorted)
 
@@ -473,6 +481,8 @@ let suite =
           test_bad_suppression;
         Alcotest.test_case "suppression: reported in a clean file" `Quick
           test_bad_suppression_alone;
+        Alcotest.test_case "suppression: unused allows reported" `Quick
+          test_unused_suppression;
         Alcotest.test_case "R4: stdout in lib flagged" `Quick test_stdout_in_lib;
         Alcotest.test_case "R4: stdout outside lib passes" `Quick
           test_stdout_outside_lib_ok;

@@ -63,7 +63,7 @@ let test_kruskal_empty_and_single () =
   Alcotest.(check int) "no edges" 0 (List.length single.Mst.Kruskal.edges)
 
 let test_prim_known () =
-  let r = Mst.Prim.run (known_graph ()) in
+  let r = Prim.run (known_graph ()) in
   Alcotest.(check (float 1e-9)) "weight" 8. r.Mst.Kruskal.total_weight;
   Alcotest.(check int) "edges" 4 (List.length r.Mst.Kruskal.edges)
 
@@ -76,7 +76,7 @@ let prop_prim_equals_kruskal =
         Netsim.Topology.random_connected ~rng ~n ~extra_edges:n ~min_weight:1.
           ~max_weight:10.
       in
-      let k = Mst.Kruskal.run g and p = Mst.Prim.run g in
+      let k = Mst.Kruskal.run g and p = Prim.run g in
       k.Mst.Kruskal.edges = p.Mst.Kruskal.edges)
 
 let prop_mst_edge_count =
