@@ -152,6 +152,7 @@ let to_json ?include_volatile r =
             ("recomputes", int "route_tree_recompute");
             ("cache_hits", int "route_cache_hit");
             ("invalidations", int "route_invalidation");
+            ("repair_nodes", int "route_repair_node");
             ("hit_rate", Float (hit_rate r));
           ] );
       ("availability", Float o.Scenario.availability);
@@ -176,7 +177,8 @@ let pp ppf r =
      campaign          %s@,\
      messages          %d@,\
      engine events     %d (%.1f per virtual-time unit over %.0f)@,\
-     route cache       %d recomputes, %d hits (%.4f hit rate), %d invalidations@,\
+     route cache       %d recomputes, %d hits (%.4f hit rate), %d invalidations \
+     (%d nodes re-settled)@,\
      availability      %.4f (server uptime %.4f, replication %d)@,\
      undelivered       %d  unretrieved %d@,\
      replication       %d quorum acks, %d degraded acks, %d copy writes, \
@@ -186,7 +188,8 @@ let pp ppf r =
     s.size (Netsim.Graph.node_count g) (Netsim.Graph.edge_count g) s.regions s.degree
     (users s) (Netsim.Fault.to_string Netsim.Fault.standard) s.messages events
     (float_of_int events /. s.duration) s.duration (c "route_tree_recompute")
-    (c "route_cache_hit") (hit_rate r) (c "route_invalidation") o.Scenario.availability
+    (c "route_cache_hit") (hit_rate r) (c "route_invalidation") (c "route_repair_node")
+    o.Scenario.availability
     o.Scenario.server_uptime o.Scenario.replication_factor
     o.Scenario.report.Evaluation.undelivered o.Scenario.report.Evaluation.unretrieved
     (c "replica_quorum_acks") (c "replica_degraded_acks") (c "replica_copy_writes")

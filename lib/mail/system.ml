@@ -69,14 +69,18 @@ let snapshot_metrics (type a) (module M : S with type t = a) (sys : a) =
   set "messages_dropped" (float_of_int (Netsim.Net.messages_dropped net));
   set "link_hops" (float_of_int (Netsim.Net.hops_traversed net));
   (* Route-cache observables: each recompute is one full Dijkstra run,
-     each hit a query the cache absorbed — the pair quantifies what
-     scoped invalidation saves under a fault campaign. *)
+     each hit a query the cache absorbed, each invalidation one lazy
+     repair pass over a cached tree, and the repair nodes the nodes
+     those passes re-settled — what route upkeep costs under a fault
+     campaign. *)
   Telemetry.Registry.set_counter reg "route_tree_recompute"
     (Netsim.Net.route_recomputes net);
   Telemetry.Registry.set_counter reg "route_cache_hit"
     (Netsim.Net.route_cache_hits net);
   Telemetry.Registry.set_counter reg "route_invalidation"
     (Netsim.Net.route_invalidations net);
+  Telemetry.Registry.set_counter reg "route_repair_node"
+    (Netsim.Net.route_repair_nodes net);
   set "storage_bytes" (float_of_int (Replica_group.storage_bytes (M.storage sys)));
   (* Instantaneous health gauges (pipeline backlog, chain health) and
      the span-loss signal: sampled here so every timeseries window —

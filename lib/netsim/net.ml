@@ -1,20 +1,21 @@
 type 'msg handler = time:float -> src:Graph.node -> 'msg -> unit
 
-(* One cached routing state per source: the Dijkstra tree, a derived
-   next-hop table for O(1) first-hop queries, and the exact set of
-   links the tree routes over — what lets a link flip touch only the
-   trees it can actually affect. *)
+(* One cached routing state per source: the Dijkstra tree and the
+   tree edge reaching each node (see the route-cache section). *)
 type route = {
   tree : Shortest_path.tree;
-  next_hop : Graph.node array;
   via : int array;
       (* per-node id of the tree edge reaching it (-1 for the source
-         and unreachable nodes) — both the dependency record and the
-         edge set incremental repair patches in place *)
+         and unreachable nodes) *)
   mutable flip_cursor : int;
-      (* index into the net's flip log this tree is synced to; the
-         gap to [flip_len] is the set of link flips the tree has not
-         yet observed (settled lazily, at query time) *)
+      (* the tree is canonical for the links up after the first
+         [flip_cursor] log entries plus its own tree edges; the suffix
+         is pending *)
+  mutable ghosts : bool;  (* the last repair pass kept a down tree edge *)
+  mutable scan : int;  (* pending entries folded into [restore_bound] *)
+  mutable restore_bound : float;
+      (* min of [min (D a) (D b) + w] over the pending restores that
+         could shorten or re-tie-break the stale tree ([path_current]) *)
 }
 
 (* Pooled in-flight delivery slots: the per-send (src, dst, hops,
@@ -49,28 +50,26 @@ type 'msg t = {
   edge_ends : (Graph.node * Graph.node) array;  (* id -> (u, v), u < v *)
   edge_ids : (int, int) Hashtbl.t;  (* u * n + v (u < v) -> id; cold paths *)
   edge_down : Bytes.t;
+  ghost : Bytes.t;  (* per repair pass: the down tree edges it keeps *)
   mutable edges_down : int;
   adj : Shortest_path.adjacency;
   scratch : Shortest_path.scratch;
   handlers : 'msg handler array;
   mutable listeners : (time:float -> Graph.node -> bool -> unit) list;
   routes : route option array;  (* Dijkstra cache per source *)
-  (* Lazy-repair flip log: every link flip appends one entry
-     ([edge id * 2], low bit 1 = restore) and each cached tree carries
-     a cursor into the log.  Trees catch up at query time — a flip
-     that cannot touch a canonical tree (a cut of an edge it does not
-     route over, a restore that cannot shorten or re-tie-break any
-     path) just advances the cursor, so trees nobody queries between
-     flips never pay for repairs at all. *)
-  edge_weight : float array;  (* id -> link weight; restore checks *)
+  (* Flip log: every link flip appends one entry ([edge id * 2], low
+     bit 1 = restore); each cached tree keeps a cursor into it. *)
+  edge_weight : float array;  (* id -> link weight *)
   mutable flip_log : int array;
   mutable flip_len : int;
   (* Repair workspace, shared by every tree: per-node mark bytes
-     (0 untouched / 1 detached-unsettled / 2 settled), a scratch heap,
+     (0 untouched / 1 detached or queued / 2 settled), the repair heap,
      and the list of marked nodes to clear afterwards. *)
   mark : Bytes.t;
-  repair_heap : unit Dsim.Heap.Arena.t;
-  mutable touched : int array;
+  mutable heap_prio : float array;
+  mutable heap_node : int array;
+  mutable heap_len : int;
+  touched : int array;
   mutable ntouched : int;
   (* Route-anchor bitset: when set, only these nodes keep cached
      Dijkstra trees warm — a (src, dst) query is answered from the
@@ -82,6 +81,7 @@ type 'msg t = {
   mutable route_recomputes : int;
   mutable route_cache_hits : int;
   mutable route_invalidations : int;
+  mutable route_repair_nodes : int;
   mutable slots : 'msg slots option;
   mutable sent : int;
   mutable delivered : int;
@@ -115,6 +115,7 @@ let create ~engine ?trace ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed 
     edge_ends;
     edge_ids;
     edge_down = Bytes.make ((Array.length edge_ends + 7) / 8 |> max 1) '\000';
+    ghost = Bytes.make ((Array.length edge_ends + 7) / 8 |> max 1) '\000';
     edges_down = 0;
     adj = Shortest_path.compile graph;
     scratch = Shortest_path.scratch n;
@@ -125,13 +126,16 @@ let create ~engine ?trace ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed 
     flip_log = [||];
     flip_len = 0;
     mark = Bytes.make (max 1 n) '\000';
-    repair_heap = Dsim.Heap.Arena.create ~capacity:64 ~dummy:() ();
-    touched = Array.make 64 0;
+    heap_prio = Array.make 64 0.;
+    heap_node = Array.make 64 0;
+    heap_len = 0;
+    touched = Array.make (max 1 n) 0;
     ntouched = 0;
     anchors = None;
     route_recomputes = 0;
     route_cache_hits = 0;
     route_invalidations = 0;
+    route_repair_nodes = 0;
     slots = None;
     sent = 0;
     delivered = 0;
@@ -192,30 +196,30 @@ let edge_id t u v =
   let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
   Hashtbl.find t.edge_ids key
 
-let edge_is_down t e =
-  Char.code (Bytes.unsafe_get t.edge_down (e lsr 3)) land (1 lsl (e land 7)) <> 0
+let bit b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set_bit b i =
+  Bytes.set b (i lsr 3) (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
+
+let edge_is_down t e = bit t.edge_down e
 
 let link_is_up t u v = not (edge_is_down t (edge_id t u v))
 
-(* --- Route cache with lazy incremental repair.
+(* --- Route cache: stale trees, path-scoped checks, batched repair.
 
-   A cut of a tree edge does not discard the tree: it detaches exactly
-   the subtree hanging below the cut edge and re-routes those nodes
-   with a Dijkstra confined to the detached set, seeded from its
-   boundary; a link restore runs the standard decrease-propagation
-   from the restored edge.  Both repairs re-establish the canonical
-   tree a fresh full Dijkstra computes — exact distances, and every
-   node's predecessor is its smallest-id neighbour achieving that
-   distance (the explicit tie-break in [Shortest_path]) — so repaired
-   answers stay byte-identical (distances, predecessors, first hops)
-   to recomputation against the current outage set; the oracle
-   property test in test/oracle asserts exactly that after every flip.
-
-   Repairs run lazily: a flip only appends to the flip log, and each
-   tree reconciles the log suffix it has not seen on its next query
-   ([catch_up] below).  Under a fault campaign most flips touch trees
-   that are never consulted before the link comes back, and those now
-   cost one cursor comparison instead of a subtree repair. --- *)
+   A link flip only appends to the flip log.  Each cached tree is
+   canonical (exact distances; every node's predecessor is its
+   smallest-id neighbour achieving its distance, the tie-break
+   [Shortest_path] applies) for the links up at its cursor plus its own
+   tree edges: a tree edge that is down, a ghost, stays in the tree
+   until a repair pass detaches it.  Whole-tree readers ([tree],
+   [distance], [hops], [first_hop]) run a full pass first.  A routed
+   send reads a single root path, so it repairs only when a pending
+   flip can change that path ([path_current]), and then only the
+   restores and the ghosts on that path ([repair_path]).  Under a fault
+   campaign most sends pay for no repair at all.  Either way the
+   answers are those of a fresh Dijkstra over the current links;
+   test/oracle asserts it for trees and for sends. --- *)
 
 let log_flip t code =
   if t.flip_len = Array.length t.flip_log then begin
@@ -236,12 +240,30 @@ let drop_route t src =
 let invalidate_all t =
   Array.iteri (fun src _ -> drop_route t src) t.routes
 
-(* --- The repair pass itself. --- *)
+(* The repair queue is a binary min-heap of (distance, node) in two
+   flat arrays, pushed by [relax]: no boxed priorities, no payloads.
+   Settle order among equal distances does not matter. *)
+let heap_pop t =
+  let top = t.heap_node.(0) and n = t.heap_len - 1 in
+  t.heap_len <- n;
+  let prio = t.heap_prio.(n) and i = ref 0 and c = ref 1 in
+  while !c < n do
+    if !c + 1 < n && t.heap_prio.(!c + 1) < t.heap_prio.(!c) then incr c;
+    if t.heap_prio.(!c) < prio then begin
+      t.heap_prio.(!i) <- t.heap_prio.(!c);
+      t.heap_node.(!i) <- t.heap_node.(!c);
+      i := !c;
+      c := (2 * !c) + 1
+    end
+    else c := n
+  done;
+  t.heap_prio.(!i) <- prio;
+  t.heap_node.(!i) <- t.heap_node.(n);
+  top
 
+(* A pass touches a node at most once, so [touched] never overflows. *)
 let touch t v c =
   Bytes.unsafe_set t.mark v c;
-  if t.ntouched = Array.length t.touched then
-    t.touched <- Array.append t.touched (Array.make t.ntouched 0);
   t.touched.(t.ntouched) <- v;
   t.ntouched <- t.ntouched + 1
 
@@ -251,259 +273,222 @@ let clear_marks t =
   done;
   t.ntouched <- 0
 
-(* Replace [v]'s tree edge with [e] ([-1] = no edge). *)
-let reseat_via r v e = if r.via.(v) <> e then r.via.(v) <- e
+(* Edges a repair pass may use: the links up now and the ghosts it
+   keeps. *)
+let usable t e = (not (edge_is_down t e)) || bit t.ghost e
 
-(* After [x]'s first hop changed, walk its tree descendants (the
-   adjacency is the child index: [w] is a child of [x] iff
-   [prev.(w) = x]) refreshing theirs, pruning where the value is
-   already right.  Transient values written over nodes still awaiting
-   their own repair pop are overwritten when they settle. *)
-let rec push_hops t r src x =
-  let adj = t.adj in
-  let prev = r.tree.Shortest_path.prev in
-  for i = adj.Shortest_path.adj_index.(x) to adj.Shortest_path.adj_index.(x + 1) - 1 do
-    let c = adj.Shortest_path.adj_dst.(i) in
-    if prev.(c) = x then begin
-      let nh = if x = src then c else r.next_hop.(x) in
-      if r.next_hop.(c) <> nh then begin
-        r.next_hop.(c) <- nh;
-        push_hops t r src c
-      end
+(* Lower [y]'s distance through [x] over usable edge [e] and queue it.
+   An untouched [y] whose distance ties through a smaller id than its
+   predecessor is queued too: settling it re-picks its canonical
+   predecessor.  (Takes the edge id, not its weight, and pushes inline:
+   a float crossing a call would be boxed.) *)
+let relax t r x y e =
+  let dist = r.tree.Shortest_path.dist in
+  let m = Bytes.unsafe_get t.mark y in
+  if m <> '\002' then begin
+    let nd = dist.(x) +. t.edge_weight.(e) in
+    if nd < dist.(y) || (nd = dist.(y) && m = '\000' && x < r.tree.Shortest_path.prev.(y))
+    then begin
+      dist.(y) <- nd;
+      if m = '\000' then touch t y '\001';
+      if t.heap_len = Array.length t.heap_node then begin
+        t.heap_prio <- Array.append t.heap_prio t.heap_prio;
+        t.heap_node <- Array.append t.heap_node t.heap_node
+      end;
+      let i = ref t.heap_len in
+      t.heap_len <- t.heap_len + 1;
+      while !i > 0 && nd < t.heap_prio.((!i - 1) / 2) do
+        t.heap_prio.(!i) <- t.heap_prio.((!i - 1) / 2);
+        t.heap_node.(!i) <- t.heap_node.((!i - 1) / 2);
+        i := (!i - 1) / 2
+      done;
+      t.heap_prio.(!i) <- nd;
+      t.heap_node.(!i) <- y
     end
-  done
+  end
 
-(* A cut of tree edge [e]: detach the subtree below it, then re-route
-   only the detached nodes.  Everything outside the detached set keeps
-   its exact distance, predecessor and first hop (its root path avoids
-   [e] by definition), so the confined Dijkstra — seeded by relaxing
-   every up boundary edge into the set — rebuilds the canonical tree
-   restricted to the detached nodes. *)
-let repair_cut t src r e =
-  t.route_invalidations <- t.route_invalidations + 1;
-  let adj = t.adj in
-  let dist = r.tree.Shortest_path.dist
-  and prev = r.tree.Shortest_path.prev in
-  let a, b = t.edge_ends.(e) in
-  let child = if r.via.(b) = e then b else a in
-  (* Collect the detached subtree ([touched] doubles as BFS queue). *)
+(* Detach the subtree below [child], whose tree edge is down: its
+   nodes lose distance, predecessor and tree edge.  [touched] doubles
+   as the BFS queue; a child [w] of [v] is a neighbour with
+   [prev.(w) = v]. *)
+let detach t r child =
+  let adj = t.adj and tr = r.tree in
+  let head = ref t.ntouched in
   touch t child '\001';
-  let head = ref (t.ntouched - 1) in
   while !head < t.ntouched do
     let v = t.touched.(!head) in
     incr head;
     for i = adj.Shortest_path.adj_index.(v) to adj.Shortest_path.adj_index.(v + 1) - 1 do
       let w = adj.Shortest_path.adj_dst.(i) in
-      if prev.(w) = v then touch t w '\001'
-    done
+      if tr.Shortest_path.prev.(w) = v then touch t w '\001'
+    done;
+    tr.Shortest_path.dist.(v) <- infinity;
+    tr.Shortest_path.prev.(v) <- -1;
+    r.via.(v) <- -1
+  done
+
+(* Settle the pending flips in one pass — the batch-update view of
+   dynamic shortest paths (Ramalingam & Reps, J. Algorithms 1996).
+
+   Cuts since the cursor need no log scan: a non-tree edge going down
+   leaves a canonical tree canonical, and a tree edge going down is a
+   ghost.  A full pass ([full]) detaches the union of the subtrees
+   below every ghost; otherwise a pass detaches the subtree below
+   [child] (none if [-1]) and keeps the other ghosts as usable edges.
+   Detached nodes start at infinity; every other node keeps its root
+   path, which is usable, so its distance is an upper bound.  Seeds are the usable edges from outside into the detached
+   set and every edge up now that has a log entry since the cursor (an
+   edge the tree was already canonical over seeds nothing).  One
+   Dijkstra then settles the queued nodes in distance order.  At each
+   settle a single scan over the adjacency picks the canonical
+   predecessor — the smallest-id usable neighbour [u] with
+   [dist u + w = dist x], whose distance is final because it is
+   smaller — and relaxes the other neighbours.  A node is queued when
+   its distance drops or when a smaller-id neighbour starts to tie,
+   the only ways its answer can change outside the detached set.  The
+   result is canonical for the links up now plus the ghosts kept; a
+   kept ghost the new tree no longer uses is a down non-tree edge,
+   which a canonical tree ignores. *)
+let catch_up t r full child =
+  let adj = t.adj and tr = r.tree in
+  let dist = tr.Shortest_path.dist in
+  Bytes.fill t.ghost 0 (Bytes.length t.ghost) '\000';
+  r.ghosts <- false;
+  for v = 0 to t.n - 1 do
+    let e = r.via.(v) in
+    if e >= 0 && edge_is_down t e then
+      if full then detach t r v
+      else if v <> child then begin
+        set_bit t.ghost e;
+        r.ghosts <- true
+      end
   done;
-  let nS = t.ntouched in
-  for i = 0 to nS - 1 do
-    let v = t.touched.(i) in
-    reseat_via r v (-1);
-    dist.(v) <- infinity;
-    prev.(v) <- -1;
-    r.next_hop.(v) <- -1
-  done;
-  let q = t.repair_heap in
-  let relax u v nd e' =
-    if nd < dist.(v) || (nd = dist.(v) && u < prev.(v)) then begin
-      dist.(v) <- nd;
-      prev.(v) <- u;
-      r.via.(v) <- e';
-      ignore (Dsim.Heap.Arena.push q ~prio:nd ~tag:v ())
-    end
-  in
-  (* Seed: every up edge from a node outside the set (exact distance)
-     into it. *)
-  for i = 0 to nS - 1 do
+  if child >= 0 then detach t r child;
+  for i = 0 to t.ntouched - 1 do
     let v = t.touched.(i) in
     for j = adj.Shortest_path.adj_index.(v) to adj.Shortest_path.adj_index.(v + 1) - 1 do
       let u = adj.Shortest_path.adj_dst.(j) in
-      if
-        Bytes.unsafe_get t.mark u = '\000'
-        && Float.is_finite dist.(u)
-        && not (edge_is_down t adj.Shortest_path.adj_edge.(j))
-      then relax u v (dist.(u) +. adj.Shortest_path.adj_weight.(j)) adj.Shortest_path.adj_edge.(j)
+      if Bytes.unsafe_get t.mark u = '\000' && usable t adj.Shortest_path.adj_edge.(j)
+      then relax t r u v adj.Shortest_path.adj_edge.(j)
     done
   done;
-  (* Confined Dijkstra over the detached set. *)
-  while not (Dsim.Heap.Arena.is_empty q) do
-    let d = Dsim.Heap.Arena.top_prio q in
-    let v = Dsim.Heap.Arena.top_tag q in
-    Dsim.Heap.Arena.drop q;
-    if Bytes.unsafe_get t.mark v = '\001' && d <= dist.(v) then begin
-      Bytes.unsafe_set t.mark v '\002';
-      (* [via] carried the winning edge through the relaxes; commit it
-         to the dependency index now that it is final. *)
-      let e' = r.via.(v) in
-      r.via.(v) <- -1;
-      reseat_via r v e';
-      r.next_hop.(v) <- (if prev.(v) = src then v else r.next_hop.(prev.(v)));
-      let dv = dist.(v) in
-      for j = adj.Shortest_path.adj_index.(v) to adj.Shortest_path.adj_index.(v + 1) - 1 do
-        let w = adj.Shortest_path.adj_dst.(j) in
-        if
-          Bytes.unsafe_get t.mark w = '\001'
-          && not (edge_is_down t adj.Shortest_path.adj_edge.(j))
-        then relax v w (dv +. adj.Shortest_path.adj_weight.(j)) adj.Shortest_path.adj_edge.(j)
-      done
+  for i = r.flip_cursor to t.flip_len - 1 do
+    let e = t.flip_log.(i) lsr 1 in
+    if not (edge_is_down t e) then begin
+      let a, b = t.edge_ends.(e) in
+      relax t r a b e;
+      relax t r b a e
     end
   done;
-  clear_marks t
-
-(* A restore that can improve this tree: propagate the decreases (and
-   equal-cost smaller-predecessor flips) out from the restored edge.
-   A node's distance is final when it pops, so its canonical
-   predecessor — the smallest-id up-neighbour achieving the distance —
-   is recomputed by a local scan there, which is what keeps repaired
-   predecessors identical to a fresh Dijkstra even for neighbours this
-   propagation never re-relaxes. *)
-let repair_restore t src r ru rv w =
-  t.route_invalidations <- t.route_invalidations + 1;
-  let adj = t.adj in
-  let dist = r.tree.Shortest_path.dist
-  and prev = r.tree.Shortest_path.prev in
-  let q = t.repair_heap in
-  let bump v =
-    if Bytes.unsafe_get t.mark v = '\000' then touch t v '\001';
-    ignore (Dsim.Heap.Arena.push q ~prio:dist.(v) ~tag:v ())
-  in
-  let seed u v =
-    if Float.is_finite dist.(u) then begin
-      let nd = dist.(u) +. w in
-      if nd < dist.(v) then begin
-        dist.(v) <- nd;
-        bump v
-      end
-      else if nd = dist.(v) && prev.(v) >= 0 && u < prev.(v) then bump v
-    end
-  in
-  seed ru rv;
-  seed rv ru;
-  while not (Dsim.Heap.Arena.is_empty q) do
-    let d = Dsim.Heap.Arena.top_prio q in
-    let x = Dsim.Heap.Arena.top_tag q in
-    Dsim.Heap.Arena.drop q;
-    if Bytes.unsafe_get t.mark x = '\001' && d <= dist.(x) then begin
+  let settled = ref 0 in
+  while t.heap_len > 0 do
+    let x = heap_pop t in
+    if Bytes.unsafe_get t.mark x = '\001' then begin
       Bytes.unsafe_set t.mark x '\002';
+      incr settled;
       let dx = dist.(x) in
-      (* Canonical predecessor scan. *)
       let best = ref max_int and best_e = ref (-1) in
       for j = adj.Shortest_path.adj_index.(x) to adj.Shortest_path.adj_index.(x + 1) - 1 do
-        let u = adj.Shortest_path.adj_dst.(j) in
-        if
-          u < !best
-          && dist.(u) +. adj.Shortest_path.adj_weight.(j) = dx
-          && not (edge_is_down t adj.Shortest_path.adj_edge.(j))
-        then begin
-          best := u;
-          best_e := adj.Shortest_path.adj_edge.(j)
+        let e = adj.Shortest_path.adj_edge.(j) in
+        if usable t e then begin
+          let y = adj.Shortest_path.adj_dst.(j) in
+          if dist.(y) +. adj.Shortest_path.adj_weight.(j) = dx then begin
+            if y < !best then begin
+              best := y;
+              best_e := e
+            end
+          end
+          else relax t r x y e
         end
       done;
-      prev.(x) <- (if !best = max_int then -1 else !best);
-      reseat_via r x !best_e;
-      let nh = if prev.(x) = src then x else if prev.(x) < 0 then -1 else r.next_hop.(prev.(x)) in
-      if r.next_hop.(x) <> nh then begin
-        r.next_hop.(x) <- nh;
-        push_hops t r src x
-      end;
-      for j = adj.Shortest_path.adj_index.(x) to adj.Shortest_path.adj_index.(x + 1) - 1 do
-        let y = adj.Shortest_path.adj_dst.(j) in
-        if not (edge_is_down t adj.Shortest_path.adj_edge.(j)) then begin
-          let nd = dx +. adj.Shortest_path.adj_weight.(j) in
-          if nd < dist.(y) then begin
-            dist.(y) <- nd;
-            bump y
-          end
-          else if
-            nd = dist.(y)
-            && prev.(y) >= 0
-            && x < prev.(y)
-            && Bytes.unsafe_get t.mark y <> '\002'
-          then bump y
-        end
-      done
+      tr.Shortest_path.prev.(x) <- (if !best = max_int then -1 else !best);
+      r.via.(x) <- !best_e
     end
   done;
-  clear_marks t
+  clear_marks t;
+  if !settled > 0 then t.route_invalidations <- t.route_invalidations + 1;
+  t.route_repair_nodes <- t.route_repair_nodes + !settled;
+  r.flip_cursor <- t.flip_len;
+  r.scan <- t.flip_len;
+  r.restore_bound <- infinity
 
-(* Can restoring edge (u, v) of weight [w] change this tree?  With the
-   edge absent the cached distances are exact, so it matters only when
-   it strictly shortens a path through either endpoint — or ties one
-   while offering a smaller predecessor id, which would flip the
-   deterministic tie-break a fresh Dijkstra applies. *)
-let restored_edge_matters r u v w =
-  let dist = r.tree.Shortest_path.dist and prev = r.tree.Shortest_path.prev in
-  let du = dist.(u) and dv = dist.(v) in
-  du +. w < dv
-  || dv +. w < du
-  || (du +. w = dv && prev.(v) >= 0 && u < prev.(v))
-  || (dv +. w = du && prev.(u) >= 0 && v < prev.(u))
+(* Whether every edge on [v]'s tree path to the root is up now. *)
+let rec path_up t r root v =
+  v = root
+  || (not (edge_is_down t r.via.(v))) && path_up t r root r.tree.Shortest_path.prev.(v)
 
-(* Does this (not yet caught up) flip touch the tree?  Checked in log
-   order, so the tree is canonical for the outage set just before the
-   flip: a cut matters only when the tree routes over the edge, a
-   restore only when [restored_edge_matters]. *)
-let flip_matters t r code =
-  let e = code lsr 1 in
-  let u, v = t.edge_ends.(e) in
-  if code land 1 = 0 then r.via.(u) = e || r.via.(v) = e
-  else restored_edge_matters r u v t.edge_weight.(e)
+(* Can the stale tree still answer a send to [leaf]?  Yes when (a)
+   every edge on the leaf's cached path is up now and (b)
+   [dist leaf < restore_bound], the bound folded here over the pending
+   restores of [(a, b, w)] as [min (D a) (D b) + w] on the stale
+   distances [D].  Two kinds of restore are left out: one of a tree
+   edge, and one with [D a + w > D b] and [D b + w > D a] (neither
+   shortens nor ties anything).
 
-let set_edge_bit t e =
-  Bytes.set t.edge_down (e lsr 3)
-    (Char.chr (Char.code (Bytes.get t.edge_down (e lsr 3)) lor (1 lsl (e land 7))))
-
-let clear_edge_bit t e =
-  Bytes.set t.edge_down (e lsr 3)
-    (Char.chr
-       (Char.code (Bytes.get t.edge_down (e lsr 3)) land lnot (1 lsl (e land 7))))
-
-(* Reconcile the log suffix this tree has not observed.  Every flip
-   that cannot touch a canonical tree leaves it canonical for the next
-   outage set too, so it just advances the cursor — the common case,
-   and free.  Once a flip does matter, the remaining suffix is
-   replayed exactly as the eager path would have run it: the log is
-   its own undo record, so the outage bitmask is rewound to the
-   tree's cursor state, then each flip re-applies its bit and repairs
-   the tree if it touches it — byte-identical tree state to eager
-   repair, with the bitmask restored to the present by the time the
-   replay completes. *)
-let catch_up t src r =
-  while
-    r.flip_cursor < t.flip_len && not (flip_matters t r t.flip_log.(r.flip_cursor))
-  do
-    r.flip_cursor <- r.flip_cursor + 1
+   Why this is exact.  The tree is canonical for the links up at its
+   cursor plus its tree edges, so [D] is a feasible potential
+   ([D y <= D x + w]) over those.  A cut only removes edges, and the
+   two skipped kinds of restore keep it feasible; so it holds over
+   every link up now except the counted restores.  Any current path
+   using a counted restore first reaches one of its endpoints over
+   feasible edges, so it is at least [min (D a) (D b) + w >= bound]
+   long (float addition is monotone).  Any other path to [v] is at
+   least [D v] long.  The leaf's cached path is up by (a) and shorter
+   than the bound by (b), so every node [v] on it keeps [d' v = D v].
+   Its fresh predecessor is the smallest-id up neighbour [u] with
+   [d' u + w = D v]: such a [u] is nearer than the bound, so
+   [d' u >= D u]; the edge is no counted restore (or [D v] would reach
+   the bound), so feasibility forces [D u + w = D v] — it was a
+   candidate in the stale tree too — while the stale predecessor is
+   still up with [d' = D].  So the path, its latency, its hop count
+   and the relays it checks are exactly those of a fresh Dijkstra. *)
+let path_current t r root leaf =
+  let dist = r.tree.Shortest_path.dist in
+  for i = r.scan to t.flip_len - 1 do
+    let code = t.flip_log.(i) in
+    if code land 1 = 1 then begin
+      let e = code lsr 1 in
+      let a, b = t.edge_ends.(e) in
+      let w = t.edge_weight.(e) in
+      let near = (if dist.(a) < dist.(b) then dist.(a) else dist.(b)) +. w in
+      if
+        r.via.(a) <> e && r.via.(b) <> e
+        && not (dist.(a) +. w > dist.(b) && dist.(b) +. w > dist.(a))
+        && near < r.restore_bound
+      then r.restore_bound <- near
+    end
   done;
-  if r.flip_cursor < t.flip_len then begin
-    for i = t.flip_len - 1 downto r.flip_cursor do
-      let code = t.flip_log.(i) in
-      let e = code lsr 1 in
-      if code land 1 = 0 then clear_edge_bit t e else set_edge_bit t e
-    done;
-    while r.flip_cursor < t.flip_len do
-      let code = t.flip_log.(r.flip_cursor) in
-      let e = code lsr 1 in
-      if code land 1 = 0 then begin
-        set_edge_bit t e;
-        if flip_matters t r code then repair_cut t src r e
-      end
-      else begin
-        clear_edge_bit t e;
-        if flip_matters t r code then
-          let u, v = t.edge_ends.(e) in
-          repair_restore t src r u v t.edge_weight.(e)
-      end;
-      r.flip_cursor <- r.flip_cursor + 1
-    done
+  r.scan <- t.flip_len;
+  dist.(leaf) < r.restore_bound && path_up t r root leaf
+
+(* The child end of the ghost nearest the root on [v]'s tree path, or
+   [found]. *)
+let rec top_ghost t r root v found =
+  if v = root then found
+  else
+    top_ghost t r root r.tree.Shortest_path.prev.(v)
+      (if edge_is_down t r.via.(v) then v else found)
+
+(* Repair [root]'s tree until it answers a send to [leaf] exactly: each
+   pass settles the pending restores and detaches the subtree below
+   the ghost nearest the root on the leaf's path, keeping every other
+   ghost.  A pass never adds a down tree edge, so this ends; when no
+   pass is left to run the leaf is unreachable over the links up plus
+   the ghosts, so over the links up too. *)
+let rec repair_path t r root leaf =
+  if not (path_current t r root leaf) then begin
+    let child =
+      if Float.is_finite r.tree.Shortest_path.dist.(leaf) then top_ghost t r root leaf (-1)
+      else -1
+    in
+    if child >= 0 || r.flip_cursor < t.flip_len then begin
+      catch_up t r false child;
+      repair_path t r root leaf
+    end
   end
 
+(* The cached tree of [src], possibly stale; built on a miss. *)
 let route t src =
-  check_node t src;
-  (match t.routes.(src) with
-  | Some r when r.flip_cursor < t.flip_len -> catch_up t src r
-  | Some _ | None -> ());
   match t.routes.(src) with
   | Some r ->
       t.route_cache_hits <- t.route_cache_hits + 1;
@@ -517,30 +502,29 @@ let route t src =
             src
       in
       let r =
-        {
-          tree;
-          next_hop = Shortest_path.first_hops tree;
-          via;
-          flip_cursor = t.flip_len;
-        }
+        { tree; via; flip_cursor = t.flip_len; ghosts = false; scan = t.flip_len;
+          restore_bound = infinity }
       in
       t.routes.(src) <- Some r;
       r
 
-let tree t src = (route t src).tree
+let tree t src =
+  check_node t src;
+  let r = route t src in
+  if r.flip_cursor < t.flip_len || r.ghosts then catch_up t r true (-1);
+  r.tree
 
 let is_anchor t v =
   match t.anchors with
   | None -> true
-  | Some b -> Char.code (Bytes.get b (v lsr 3)) land (1 lsl (v land 7)) <> 0
+  | Some b -> bit b v
 
 let set_route_anchors t nodes =
   let b = Bytes.make (max 1 ((t.n + 7) / 8)) '\000' in
   List.iter
     (fun v ->
       check_node t v;
-      Bytes.set b (v lsr 3)
-        (Char.chr (Char.code (Bytes.get b (v lsr 3)) lor (1 lsl (v land 7)))))
+      set_bit b v)
     nodes;
   invalidate_all t;
   t.anchors <- Some b
@@ -554,6 +538,7 @@ let route_owner t src dst =
 let route_recomputes t = t.route_recomputes
 let route_cache_hits t = t.route_cache_hits
 let route_invalidations t = t.route_invalidations
+let route_repair_nodes t = t.route_repair_nodes
 
 let notify_link t u v status =
   match t.trace with
@@ -563,12 +548,15 @@ let notify_link t u v status =
         (if status then "up" else "down")
   | None -> ()
 
+let toggle_edge t e =
+  Bytes.set t.edge_down (e lsr 3)
+    (Char.chr (Char.code (Bytes.get t.edge_down (e lsr 3)) lxor (1 lsl (e land 7))))
+
 let set_link_down t u v =
   check_link t u v;
   let e = edge_id t u v in
   if not (edge_is_down t e) then begin
-    Bytes.set t.edge_down (e lsr 3)
-      (Char.chr (Char.code (Bytes.get t.edge_down (e lsr 3)) lor (1 lsl (e land 7))));
+    toggle_edge t e;
     t.edges_down <- t.edges_down + 1;
     log_flip t (e lsl 1);
     notify_link t u v false
@@ -578,9 +566,7 @@ let set_link_up t u v =
   check_link t u v;
   let e = edge_id t u v in
   if edge_is_down t e then begin
-    Bytes.set t.edge_down (e lsr 3)
-      (Char.chr
-         (Char.code (Bytes.get t.edge_down (e lsr 3)) land lnot (1 lsl (e land 7))));
+    toggle_edge t e;
     t.edges_down <- t.edges_down - 1;
     log_flip t ((e lsl 1) lor 1);
     notify_link t u v true
@@ -610,19 +596,25 @@ let hops t u v =
   | Some h -> h
   | None -> -1
 
+(* The child of [root] on [v]'s tree path. *)
+let rec root_child prev root v =
+  let p = prev.(v) in
+  if p = root then v else root_child prev root p
+
 let first_hop t ~src ~dst =
   check_node t src;
   check_node t dst;
   if src = dst then None
-  else if is_anchor t src || not (is_anchor t dst) then
-    let r = route t src in
-    match r.next_hop.(dst) with -1 -> None | hop -> Some hop
   else
-    (* Read the hop off the anchored destination's tree: the first
-       step from [src] toward [dst] is [src]'s own predecessor. *)
-    let r = route t dst in
-    if not (Float.is_finite r.tree.Shortest_path.dist.(src)) then None
-    else match r.tree.Shortest_path.prev.(src) with -1 -> None | p -> Some p
+    let owner = route_owner t src dst in
+    let tr = tree t owner in
+    if not (Float.is_finite tr.Shortest_path.dist.(if owner = src then dst else src))
+    then None
+    else if owner = src then Some (root_child tr.Shortest_path.prev src dst)
+    else
+      (* Read the hop off the anchored destination's tree: the first
+         step from [src] toward [dst] is [src]'s own predecessor. *)
+      Some tr.Shortest_path.prev.(src)
 
 let fire_slot t i =
   let sl = match t.slots with Some sl -> sl | None -> assert false in
@@ -709,6 +701,7 @@ let send_raw ~bytes t ~src ~dst msg =
     let owner = route_owner t src dst in
     let leaf = if owner = src then dst else src in
     let r = route t owner in
+    if r.flip_cursor < t.flip_len || r.ghosts then repair_path t r owner leaf;
     let dist = r.tree.Shortest_path.dist in
     if not (Float.is_finite dist.(leaf)) then begin
       t.dropped <- t.dropped + 1;

@@ -64,20 +64,20 @@ val set_link_up : 'msg t -> Graph.node -> Graph.node -> unit
 (** Cut / restore a single link.  Down links are invisible to routing
     ({!send} finds a detour or drops when none exists) and refuse
     {!send_neighbor} one-hop transmissions.  A flip only appends to a
-    flip log; each cached shortest-path tree reconciles the flips it
-    has not seen on its next query.  A cut touches only the trees that
-    route over the link, a restore only the trees the restored edge
-    could shorten (or re-tie-break) — every other flip is a cursor
-    bump, so trees nobody queries between flips cost nothing to keep.
-    Routing answers are those of a fresh Dijkstra over the current
-    links.  Messages already in flight across the link are not
-    recalled.
+    flip log.  A cached shortest-path tree settles the flips it has
+    not seen in one batched repair pass, when a whole-tree query
+    ({!tree}, {!distance}, {!hops}, {!first_hop}) needs it or when a
+    pending flip can change the path of a routed send; other sends
+    read the stale tree, whose answer for their path is provably the
+    current one (docs/PERF.md).  Routing answers are those of a fresh
+    Dijkstra over the current links.  Messages already in flight
+    across the link are not recalled.
     Idempotent.
     @raise Invalid_argument if the nodes are not adjacent. *)
 
 val links_down : 'msg t -> (Graph.node * Graph.node) list
-(** Currently cut links as normalised [(min, max)] endpoint pairs, in
-    no particular order. *)
+(** Currently cut links as normalised [(min, max)] endpoint pairs,
+    sorted. *)
 
 val distance : 'msg t -> Graph.node -> Graph.node -> float
 (** Zero-load shortest-path distance ([infinity] if disconnected).
@@ -88,9 +88,9 @@ val hops : 'msg t -> Graph.node -> Graph.node -> int
 
 val first_hop : 'msg t -> src:Graph.node -> dst:Graph.node -> Graph.node option
 (** The neighbour of [src] that begins the shortest path to [dst]
-    ([None] when unreachable or [dst = src]).  O(1) from the cached
-    next-hop table of the owning tree (or one predecessor read when
-    the query is answered from an anchored destination's tree). *)
+    ([None] when unreachable or [dst = src]).  A walk up the owning
+    tree's predecessor chain (one read when the query is answered
+    from an anchored destination's tree). *)
 
 val set_route_anchors : 'msg t -> Graph.node list -> unit
 (** Declare the route anchors: the only nodes that keep cached
@@ -108,15 +108,16 @@ val set_route_anchors : 'msg t -> Graph.node list -> unit
 (** Route-cache accounting since creation — the observables behind
     lazy route repair.  A recompute is one full Dijkstra run; a
     cache hit is a routing query answered from a cached tree; an
-    invalidation is one cached tree repaired in place or dropped
-    because of a link flip (counted lazily, when the tree next answers
-    a query).  Not reset by {!reset_counters}: they
-    describe cache behaviour over the network's whole life, not
-    per-experiment traffic. *)
+    invalidation is one repair pass that re-settled at least one node
+    of a cached tree (or one tree dropped by {!set_route_anchors});
+    repair nodes counts the nodes those passes re-settled.  Not reset
+    by {!reset_counters}: they describe cache behaviour over the
+    network's whole life, not per-experiment traffic. *)
 
 val route_recomputes : 'msg t -> int
 val route_cache_hits : 'msg t -> int
 val route_invalidations : 'msg t -> int
+val route_repair_nodes : 'msg t -> int
 
 val tree : 'msg t -> Graph.node -> Shortest_path.tree
 (** The shortest-path tree rooted at the node, honouring the links

@@ -63,16 +63,6 @@ let hop_count t target =
 
 (* Every reachable non-source node contributes exactly one tree edge
    (prev.(v), v), so the normalised pairs are already distinct. *)
-let tree_links t =
-  let acc = ref [] in
-  Array.iteri
-    (fun v p -> if p >= 0 then acc := (if p < v then (p, v) else (v, p)) :: !acc)
-    t.prev;
-  List.sort
-    (fun (u1, v1) (u2, v2) ->
-      match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c)
-    !acc
-
 let first_hops t =
   let n = Array.length t.dist in
   let hop = Array.make n (-1) in

@@ -31,13 +31,6 @@ val path : tree -> Graph.node -> Graph.node list option
 val hop_count : tree -> Graph.node -> int option
 (** Edges on the shortest path; [Some 0] for the source itself. *)
 
-val tree_links : tree -> (Graph.node * Graph.node) list
-(** The undirected links the tree routes over — one normalised
-    [(min, max)] endpoint pair per reachable non-source node's
-    predecessor edge — sorted and distinct.  This is exactly the set
-    of links whose outage can change any answer the tree gives, which
-    is what {!Net}'s scoped route-cache invalidation indexes. *)
-
 val first_hops : tree -> Graph.node array
 (** Next-hop table derived from an already-computed tree: for every
     destination [d], the neighbour of the tree's source that begins
@@ -96,6 +89,6 @@ val dijkstra_flat :
     down); omitted means every edge is usable.  Returns the tree plus
     the via-edge table: for every reached non-source node, the
     undirected edge id of its predecessor link ([-1] otherwise) — the
-    exact dependency set scoped route invalidation indexes, with no
-    tuple or list allocation.  Tie-breaks match {!dijkstra}, so both
+    edges {!Net}'s route cache checks a path against and detaches
+    subtrees below, with no tuple or list allocation.  Tie-breaks match {!dijkstra}, so both
     return byte-identical trees on the same outage set. *)

@@ -1,9 +1,9 @@
-(* Tests for Netsim.Net's scoped route-cache invalidation: the
-   dependency index, the link-restore improvement check, the next-hop
-   table, agreement with a fresh Dijkstra, the recompute saving over
-   whole-cache invalidation under an outage/repair process like the
-   standard campaign's, and the counters a faulted scenario run must
-   publish. *)
+(* Tests for Netsim.Net's route cache: trees keep serving across link
+   flips that cannot touch them, a routed send repairs its tree only
+   when a pending flip can change its path, [first_hop], agreement
+   with a fresh Dijkstra, the recompute saving over whole-cache
+   invalidation under an outage/repair process like the standard
+   campaign's, and the counters a faulted scenario run must publish. *)
 
 (* Diamond: 0-1-2-3 unit chain plus a heavy 0-3 chord, so the chord is
    on nobody's shortest-path tree until the chain is cut. *)
@@ -79,6 +79,50 @@ let test_first_hop () =
   Netsim.Net.set_link_down net 0 3;
   Alcotest.(check (option int)) "unreachable" None
     (Netsim.Net.first_hop net ~src:0 ~dst:3)
+
+(* Path-scoped repair: a send reads its stale tree unless a pending
+   flip can change its path. *)
+
+let send net src dst = Netsim.Net.send_timed net ~src ~dst ()
+let repairs = Netsim.Net.route_invalidations
+
+let test_send_avoiding_cut () =
+  let net = make (diamond ()) in
+  ignore (send net 0 3);
+  Netsim.Net.set_link_down net 2 3;
+  Alcotest.(check (option (float 0.))) "0-1 latency" (Some 1.) (send net 0 1);
+  Alcotest.(check int) "no repair pass" 0 (repairs net);
+  Alcotest.(check int) "no node re-settled" 0 (Netsim.Net.route_repair_nodes net)
+
+let test_send_across_cut () =
+  let net = make (diamond ()) in
+  ignore (send net 0 3);
+  Netsim.Net.set_link_down net 2 3;
+  Alcotest.(check (option (float 0.))) "detour over the chord" (Some 10.) (send net 0 3);
+  Alcotest.(check int) "one repair pass" 1 (repairs net);
+  Alcotest.(check bool) "nodes re-settled" true (Netsim.Net.route_repair_nodes net > 0)
+
+let test_near_restore_repairs () =
+  let net = make (diamond ()) in
+  Netsim.Net.set_link_down net 1 2;
+  Alcotest.(check (option (float 0.))) "detour" (Some 10.) (send net 0 3);
+  (* Restoring 1-2 offers a path of length dist 1 + 1 = 2: a leaf
+     nearer than that keeps its stale answer, a farther one repairs. *)
+  Netsim.Net.set_link_up net 1 2;
+  Alcotest.(check (option (float 0.))) "near leaf" (Some 1.) (send net 0 1);
+  Alcotest.(check int) "near leaf repairs nothing" 0 (repairs net);
+  Alcotest.(check (option (float 0.))) "short route back" (Some 3.) (send net 0 3);
+  Alcotest.(check int) "far leaf repairs" 1 (repairs net)
+
+let test_cut_restored_tree_edge () =
+  let net = make (diamond ()) in
+  ignore (send net 0 3);
+  Netsim.Net.set_link_down net 2 3;
+  Netsim.Net.set_link_up net 2 3;
+  Alcotest.(check (option (float 0.))) "same route" (Some 3.) (send net 0 3);
+  Alcotest.(check int) "send repairs nothing" 0 (repairs net);
+  Alcotest.(check int) "whole-tree catch-up neither" 3 (Netsim.Net.hops net 0 3);
+  Alcotest.(check int) "still no repair pass" 0 (repairs net)
 
 (* Dense scale topology: the scoped/full recompute ratio converges to
    roughly E/(n-1) — the chance a cut link sits on a given tree — so
@@ -228,6 +272,7 @@ let test_counters_exposed_via_registry () =
   Alcotest.(check bool) "recomputes counted" true (counter "route_tree_recompute" > 0);
   Alcotest.(check bool) "hits counted" true (counter "route_cache_hit" > 0);
   Alcotest.(check bool) "invalidations counted" true (counter "route_invalidation" > 0);
+  Alcotest.(check bool) "repair nodes counted" true (counter "route_repair_node" > 0);
   Alcotest.(check bool) "engine events counted" true
     (o.Mail.Scenario.engine_events > 0)
 
@@ -242,6 +287,13 @@ let suite =
         Alcotest.test_case "restore improvement check" `Quick
           test_restore_improvement_check;
         Alcotest.test_case "first hop" `Quick test_first_hop;
+        Alcotest.test_case "send avoiding a cut repairs nothing" `Quick
+          test_send_avoiding_cut;
+        Alcotest.test_case "send across a cut repairs" `Quick test_send_across_cut;
+        Alcotest.test_case "restore nearer than the leaf repairs" `Quick
+          test_near_restore_repairs;
+        Alcotest.test_case "cut-then-restored tree edge repairs nothing" `Quick
+          test_cut_restored_tree_edge;
         Alcotest.test_case "scoped equals full" `Quick test_scoped_equals_full;
         Alcotest.test_case "5x fewer recomputes" `Quick test_recompute_saving;
         Alcotest.test_case "counters in registry" `Quick
