@@ -79,6 +79,7 @@ let getmail_cmd =
         retrieval;
         faults;
         sampling;
+        monitors = Telemetry.Monitor.standard;
       }
     in
     let o = Mail.Scenario.run_syntax (Netsim.Topology.paper_fig1 ()) spec in
@@ -110,28 +111,38 @@ let getmail_cmd =
     | None -> ()
     | Some file ->
         with_output ~what:"trace" file (fun oc ->
-            (* One JSON object per line, spans then event-log records,
-               each tagged with a "type" so consumers can split the
-               stream. *)
-            let tag kind = function
-              | Telemetry.Json.Obj fields ->
-                  Telemetry.Json.Obj
-                    (("type", Telemetry.Json.String kind) :: fields)
-              | other -> other
-            in
-            let emit line =
-              output_string oc (Telemetry.Json.to_string line);
+            (* One JSON object per line — spans, then monitor alerts,
+               then random server outages — each tagged with a "type"
+               so consumers can split the stream. *)
+            let module J = Telemetry.Json in
+            let emit kind json =
+              let line =
+                match json with
+                | J.Obj fields -> J.Obj (("type", J.String kind) :: fields)
+                | other -> other
+              in
+              output_string oc (J.to_string line);
               output_char oc '\n'
             in
             List.iter
-              (fun span -> emit (tag "span" (Telemetry.Span.to_json span)))
+              (fun span -> emit "span" (Telemetry.Span.to_json span))
               (Telemetry.Tracer.spans o.Mail.Scenario.tracer);
-            Dsim.Trace.iter
-              (fun r ->
-                emit
-                  (tag "log"
-                     (Telemetry.Json.of_string (Dsim.Trace.json_of_record r))))
-              o.Mail.Scenario.events)
+            Option.iter
+              (fun m ->
+                List.iter
+                  (fun a -> emit "alert" (Telemetry.Monitor.alert_to_json a))
+                  (Telemetry.Monitor.alerts m))
+              o.Mail.Scenario.monitor;
+            List.iter
+              (fun (w : Netsim.Failure.outage) ->
+                emit "outage"
+                  (J.Obj
+                     [
+                       ("node", J.Int w.node);
+                       ("start", J.Float w.start);
+                       ("finish", J.Float (w.start +. w.duration));
+                     ]))
+              o.Mail.Scenario.outages)
   in
   let rate =
     Arg.(value & opt float 0. & info [ "failure-rate" ] ~doc:"Server outage rate.")
@@ -163,9 +174,11 @@ let getmail_cmd =
   let trace_file =
     Cmdline.output_file ~flag:"trace-out"
       ~doc:
-        "Write the run's spans and event log to $(docv) as JSONL: one object \
-         per line, tagged type=span (per-message and per-check trace spans) or \
-         type=log (the bounded simulation event log)."
+        "Write the run's spans, alerts and outages to $(docv) as JSONL: one \
+         object per line, tagged type=span (per-message and per-check trace \
+         spans and fault windows), type=alert (each standard health-rule \
+         alert; needs sampling, see $(b,--sample-resolution)) or type=outage \
+         (each random server outage: node, start, finish)."
   in
   let trace_summary =
     Arg.(

@@ -18,7 +18,6 @@ type ('ctrl, 'state) t = {
   counters : Dsim.Stats.Counter.t;
   metrics : Telemetry.Registry.t;
   tracer : Telemetry.Tracer.t;
-  trace : Dsim.Trace.t;
   ledger : Ledger.t;
   mutable next_id : Message.id;
   mutable submitted : Message.t list;
@@ -112,7 +111,6 @@ module Ops = struct
   let counters t = t.counters
   let metrics t = t.metrics
   let tracer t = t.tracer
-  let trace t = t.trace
   let ledger t = t.ledger
   let submitted t = t.submitted
   let storage t = t.storage
@@ -287,7 +285,6 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
     ~mailbox_policy ~bandwidth ~service_rate ~loss_rate ~span_sample ~hooks ~authority state
     (site : Netsim.Topology.mail_site) =
   let engine = Dsim.Engine.create () in
-  let trace = Dsim.Trace.create () in
   let counters = Dsim.Stats.Counter.create () in
   let tracer = Telemetry.Tracer.create ~sample:span_sample () in
   let metrics = Telemetry.Registry.create ~labels:[ ("design", design) ] () in
@@ -355,7 +352,7 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
       (List.init (Netsim.Graph.node_count site.graph) Fun.id)
   in
   let pipeline =
-    Pipeline.create ~engine ~graph:site.graph ~trace ~counters ~metrics ~tracer ?bandwidth
+    Pipeline.create ~engine ~graph:site.graph ~counters ~metrics ~tracer ?bandwidth
       ~loss_rate ~ledger ~route_anchors ~storage
       {
         Pipeline.default_pipeline_config with
@@ -383,7 +380,6 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
       counters;
       metrics;
       tracer;
-      trace;
       ledger;
       next_id = 0;
       submitted = [];

@@ -64,8 +64,6 @@ module Ops : sig
       are ["message"] and ["getmail.check"].  With [span_sample <= 1]
       everything is traced. *)
 
-  val trace : ('ctrl, 'state) t -> Dsim.Trace.t
-
   val ledger : ('ctrl, 'state) t -> Ledger.t
   (** The run's delivery-invariant ledger (§3.1.2c): the pipeline
       records submits/deposits/bounces, {!check_mail} records

@@ -51,14 +51,14 @@ let rec send_put t ~dst name entry =
                send_put t ~dst name entry
            | Some _ | None -> ()))
 
-let create ~engine ?trace ~graph ~replicas:replica_list () =
+let create ~engine ~graph ~replicas:replica_list () =
   if replica_list = [] then invalid_arg "Name_store.create: no replicas";
   List.iter
     (fun v ->
       if not (Netsim.Graph.mem_node graph v) then
         invalid_arg "Name_store.create: unknown replica node")
     replica_list;
-  let net = Netsim.Net.create ~engine ?trace graph in
+  let net = Netsim.Net.create ~engine graph in
   let t =
     {
       engine;

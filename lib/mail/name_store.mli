@@ -20,7 +20,6 @@ type t
 
 val create :
   engine:Dsim.Engine.t ->
-  ?trace:Dsim.Trace.t ->
   graph:Netsim.Graph.t ->
   replicas:Netsim.Graph.node list ->
   unit ->

@@ -123,7 +123,6 @@ type 'ctrl t = {
   cat_submit : Dsim.Engine.category;
   cat_resubmit : Dsim.Engine.category;
   cat_service : Dsim.Engine.category;
-  trace : Dsim.Trace.t;
   n : int;  (* node count: (node, id) dedup keys pack into id * n + node *)
   pendings : (int, pending) Hashtbl.t;
   rounds : (int, round) Hashtbl.t;
@@ -247,8 +246,6 @@ let through_queue t node ?msg work =
 let count ?by t key = Dsim.Stats.Counter.incr ?by t.counters key
 
 let now t = Dsim.Engine.now t.engine
-
-let log t fmt = Dsim.Trace.infof t.trace ~time:(now t) ~category:"pipeline" fmt
 
 let first_active t nodes = List.find_opt (fun s -> Netsim.Net.is_up t.net s) nodes
 
@@ -519,9 +516,6 @@ let rec resolve_phase t ~at_server msg =
         match t.callbacks.region_servers target_region with
         | [] ->
             count t "unresolvable";
-            log t "cannot resolve %s: unknown region %s"
-              (Naming.Name.to_string recipient)
-              target_region;
             declare_dead t msg ~reason:"unknown region"
         | nodes -> (
             match first_active t nodes with
@@ -747,9 +741,9 @@ let compact t keep_out =
   prune t.hop_sends (id_of_nkey t);
   !dropped
 
-let create ~engine ~graph ~trace ~counters ?metrics ?tracer ?bandwidth ?loss_rate
+let create ~engine ~graph ~counters ?metrics ?tracer ?bandwidth ?loss_rate
     ?ledger ?route_anchors ~storage config callbacks =
-  let net = Netsim.Net.create ~engine ~trace ?bandwidth ?loss_rate graph in
+  let net = Netsim.Net.create ~engine ?bandwidth ?loss_rate graph in
   Option.iter (Netsim.Net.set_route_anchors net) route_anchors;
   (* Registered eagerly (even when the service model is off) so every
      design's registry exposes the same metric names. *)
@@ -791,7 +785,6 @@ let create ~engine ~graph ~trace ~counters ?metrics ?tracer ?bandwidth ?loss_rat
       cat_submit = Dsim.Engine.category engine "pipeline.submit";
       cat_resubmit = Dsim.Engine.category engine "pipeline.resubmit";
       cat_service = Dsim.Engine.category engine "pipeline.service";
-      trace;
       n = Netsim.Graph.node_count graph;
       pendings = Hashtbl.create 64;
       rounds = Hashtbl.create 64;

@@ -108,7 +108,6 @@ type 'ctrl t
 val create :
   engine:Dsim.Engine.t ->
   graph:Netsim.Graph.t ->
-  trace:Dsim.Trace.t ->
   counters:Dsim.Stats.Counter.t ->
   ?metrics:Telemetry.Registry.t ->
   ?tracer:Telemetry.Tracer.t ->

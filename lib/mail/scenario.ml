@@ -40,7 +40,7 @@ type outcome = {
   engine_events : int;
   metrics : Telemetry.Registry.t;
   tracer : Telemetry.Tracer.t;
-  events : Dsim.Trace.t;
+  outages : Netsim.Failure.outage list;
   timeseries : Telemetry.Timeseries.t option;
   monitor : Telemetry.Monitor.t option;
 }
@@ -163,9 +163,9 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   arm_compact compact_period;
   (* Observability: a periodic virtual-time sampling event refreshes
      the registry (snapshot_metrics is idempotent), appends a
-     timeseries window and evaluates the monitor rules against it.
-     Alerts land in the engine trace (level Warn, category "monitor")
-     as well as in the alert_* counters the monitor registers. *)
+     timeseries window and evaluates the monitor rules against it;
+     alerts accumulate in the monitor's typed stream and the alert_*
+     counters it registers. *)
   let observability =
     match spec.sampling with
     | None -> None
@@ -178,12 +178,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
           System.snapshot_metrics (module M) sys;
           let at = M.now sys in
           ignore (Telemetry.Timeseries.sample ts ~at (M.metrics sys));
-          List.iter
-            (fun (a : Telemetry.Monitor.alert) ->
-              Dsim.Trace.warnf (M.trace sys) ~time:at ~category:"monitor"
-                "%s: %s" a.Telemetry.Monitor.a_rule
-                a.Telemetry.Monitor.a_message)
-            (Telemetry.Monitor.eval mon ~time:at (M.metrics sys))
+          ignore (Telemetry.Monitor.eval mon ~time:at (M.metrics sys))
         in
         Dsim.Engine.every ~category:"scenario.sample" engine ~period:resolution
           ~until:spec.duration sample;
@@ -289,7 +284,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
     engine_events = Dsim.Engine.events_executed engine;
     metrics;
     tracer = M.tracer sys;
-    events = M.trace sys;
+    outages;
     timeseries;
     monitor;
   }

@@ -35,8 +35,8 @@ type spec = {
           time units, plus one final window after the drain. *)
   monitors : Telemetry.Monitor.rule list;
       (** health rules evaluated per window (only when [sampling] is
-          set).  Alerts are written to the engine trace (level Warn,
-          category ["monitor"]) and counted as
+          set).  Alerts are kept in the monitor's typed stream
+          ({!Telemetry.Monitor.alerts}) and counted as
           [alert_fired{rule=...}] / [alert_total]. *)
 }
 
@@ -88,9 +88,11 @@ type outcome = {
           submission, one ["getmail.check"] trace per retrieval round
           (feed to {!Telemetry.Critical_path.analyze} or export via
           {!Telemetry.Tracer.to_jsonl} / [to_chrome]). *)
-  events : Dsim.Trace.t;
-      (** the run's bounded event log (the same one the systems write
-          through; exportable via {!Dsim.Trace.to_json}). *)
+  outages : Netsim.Failure.outage list;
+      (** the rate-driven random server outages the run scheduled
+          ([spec.failure_rate]; [[]] when it is 0).  Fault-campaign
+          windows are not listed here: they are ["fault"] spans on
+          [tracer] and [fault_<kind>] counters. *)
   timeseries : Telemetry.Timeseries.t option;
       (** the windowed metric series recorded by the sampler;
           [Some _] exactly when [spec.sampling] was set.  Export with

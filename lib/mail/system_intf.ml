@@ -42,7 +42,6 @@ module type S = sig
   val tracer : t -> Telemetry.Tracer.t
   (** {!Core.Ops.tracer}. *)
 
-  val trace : t -> Dsim.Trace.t
   val submitted : t -> Message.t list
   val view : t -> User_agent.server_view
 

@@ -38,7 +38,6 @@ type 'msg slots = {
 type 'msg t = {
   graph : Graph.t;
   engine : Dsim.Engine.t;
-  trace : Dsim.Trace.t option;
   bandwidth : float;  (* bytes per unit time per link; infinity = unsized *)
   loss_rate : float;
   loss_rng : Dsim.Rng.t;
@@ -91,7 +90,7 @@ type 'msg t = {
 
 let default_handler ~time:_ ~src:_ _ = ()
 
-let create ~engine ?trace ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed = 0)
+let create ~engine ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed = 0)
     graph =
   if bandwidth <= 0. then invalid_arg "Net.create: bandwidth must be positive";
   if loss_rate < 0. || loss_rate >= 1. then
@@ -105,7 +104,6 @@ let create ~engine ?trace ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed 
   {
     graph;
     engine;
-    trace;
     bandwidth;
     loss_rate;
     loss_rng = Dsim.Rng.create loss_seed;
@@ -160,11 +158,6 @@ let is_up t v =
 
 let notify t v status =
   let time = Dsim.Engine.now t.engine in
-  (match t.trace with
-  | Some tr ->
-      Dsim.Trace.infof tr ~time ~category:"net"
-        "node %s %s" (Graph.label t.graph v) (if status then "up" else "down")
-  | None -> ());
   List.iter (fun f -> f ~time v status) t.listeners
 
 let set_up t v =
@@ -540,14 +533,6 @@ let route_cache_hits t = t.route_cache_hits
 let route_invalidations t = t.route_invalidations
 let route_repair_nodes t = t.route_repair_nodes
 
-let notify_link t u v status =
-  match t.trace with
-  | Some tr ->
-      Dsim.Trace.infof tr ~time:(Dsim.Engine.now t.engine) ~category:"net"
-        "link %s-%s %s" (Graph.label t.graph u) (Graph.label t.graph v)
-        (if status then "up" else "down")
-  | None -> ()
-
 let toggle_edge t e =
   Bytes.set t.edge_down (e lsr 3)
     (Char.chr (Char.code (Bytes.get t.edge_down (e lsr 3)) lxor (1 lsl (e land 7))))
@@ -558,8 +543,7 @@ let set_link_down t u v =
   if not (edge_is_down t e) then begin
     toggle_edge t e;
     t.edges_down <- t.edges_down + 1;
-    log_flip t (e lsl 1);
-    notify_link t u v false
+    log_flip t (e lsl 1)
   end
 
 let set_link_up t u v =
@@ -568,8 +552,7 @@ let set_link_up t u v =
   if edge_is_down t e then begin
     toggle_edge t e;
     t.edges_down <- t.edges_down - 1;
-    log_flip t ((e lsl 1) lor 1);
-    notify_link t u v true
+    log_flip t ((e lsl 1) lor 1)
   end
 
 let links_down t =

@@ -22,7 +22,6 @@ type 'msg handler = time:float -> src:Graph.node -> 'msg -> unit
 
 val create :
   engine:Dsim.Engine.t ->
-  ?trace:Dsim.Trace.t ->
   ?bandwidth:float ->
   ?loss_rate:float ->
   ?loss_seed:int ->

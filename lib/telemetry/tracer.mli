@@ -1,9 +1,9 @@
 (** Bounded span collector: creation, per-trace reassembly, exports.
 
-    A tracer mirrors {!Dsim.Trace}'s capacity discipline — a ring
-    buffer retains the most recent [capacity] spans, older spans are
-    dropped oldest-first, and {!total} keeps counting everything ever
-    collected — so long simulations cannot grow memory without bound.
+    A tracer is bounded: a ring buffer retains the most recent
+    [capacity] spans, older spans are dropped oldest-first, and
+    {!total} keeps counting everything ever collected — so long
+    simulations cannot grow memory without bound.
 
     Spans created through one tracer get tracer-unique span ids;
     a span created with neither [?trace] nor [?parent] opens a fresh

@@ -223,7 +223,7 @@ let tiny_world ?(config = Mail.Pipeline.default_pipeline_config) () =
     }
   in
   let pipeline =
-    Mail.Pipeline.create ~engine ~graph:g ~trace:(Dsim.Trace.create ()) ~counters
+    Mail.Pipeline.create ~engine ~graph:g ~counters
       ~storage config callbacks
   in
   pipeline_ref := Some pipeline;

@@ -75,20 +75,6 @@ let test_subgraph_ignores_unknown_and_duplicates () =
   Alcotest.(check int) "one edge" 1 (Netsim.Graph.edge_count sub);
   Alcotest.(check bool) "unknown unmapped" true (mapping 99 = None)
 
-(* --- trace in systems ---------------------------------------------------- *)
-
-let test_pipeline_traces_unresolvable () =
-  let sys = Mail.Syntax_system.create (Netsim.Topology.paper_fig1 ()) in
-  let users = Mail.Syntax_system.users sys in
-  let victim = List.nth users 29 in
-  (* migrate then remove the forwarding so the region lookup fails *)
-  ignore victim;
-  (* simpler: the trace records net status flips *)
-  Netsim.Net.set_down (Mail.Syntax_system.net sys) 6;
-  Netsim.Net.set_up (Mail.Syntax_system.net sys) 6;
-  Alcotest.(check bool) "status flips traced" true
-    (Dsim.Trace.count ~category:"net" (Mail.Syntax_system.trace sys) >= 2)
-
 (* --- evaluation for design 2 ---------------------------------------------- *)
 
 let test_evaluation_of_location () =
@@ -151,7 +137,6 @@ let suite =
           test_recipient_locality_striping;
         Alcotest.test_case "subgraph odd inputs" `Quick
           test_subgraph_ignores_unknown_and_duplicates;
-        Alcotest.test_case "status flips traced" `Quick test_pipeline_traces_unresolvable;
         Alcotest.test_case "evaluation of design 2" `Quick test_evaluation_of_location;
         Alcotest.test_case "heap interleaved stress" `Quick test_heap_interleaved_push_pop;
       ] );

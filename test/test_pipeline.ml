@@ -5,7 +5,8 @@
 let nm u = Naming.Name.make ~region:"r0" ~host:"H1" ~user:u
 
 (* A two-host / two-server line: H1 - S1 - S2 - H2. *)
-let tiny_world () =
+let tiny_world ?(on_undeliverable = fun _ ~reason:_ -> ())
+    ?(chain = fun ~s1 ~s2 -> [ s2; s1 ]) () =
   let g = Netsim.Graph.create () in
   let h1 = Netsim.Graph.add_node ~label:"H1" ~kind:Netsim.Graph.Host ~region:"r0" g in
   let s1 = Netsim.Graph.add_node ~label:"S1" ~kind:Netsim.Graph.Server ~region:"r0" g in
@@ -15,13 +16,12 @@ let tiny_world () =
   Netsim.Graph.add_edge g s1 s2 1.;
   Netsim.Graph.add_edge g s2 h2 1.;
   let engine = Dsim.Engine.create () in
-  let trace = Dsim.Trace.create () in
   let counters = Dsim.Stats.Counter.create () in
   let pipeline_ref = ref None in
   let the_pipeline () = Option.get !pipeline_ref in
   let storage =
     Mail.Replica_group.create ~counters
-      ~chain_of:(fun _ -> [ s2; s1 ])
+      ~chain_of:(fun _ -> chain ~s1 ~s2)
       ~is_up:(fun node -> Netsim.Net.is_up (Mail.Pipeline.net (the_pipeline ())) node)
       ()
   in
@@ -34,18 +34,18 @@ let tiny_world () =
       uid_of = Naming.Intern.intern intern;
       name_of_uid = Naming.Intern.name intern;
       canonical_uid = Fun.id;
-      authority_of_uid = (fun _ -> [ s2; s1 ]);
+      authority_of_uid = (fun _ -> chain ~s1 ~s2);
       notify_target_uid = (fun _ -> Some h2);
       submit_servers = (fun _ -> [ s1; s2 ]);
       cached_authority = (fun ~at:_ _ -> None);
       on_forward_resolved = (fun ~at:_ _ _ -> ());
-      on_undeliverable = (fun _ ~reason:_ -> ());
+      on_undeliverable;
       on_redirected = (fun _ ~old_name:_ -> ());
       on_ctrl = (fun _ ~time:_ ~src:_ () -> ());
     }
   in
   let pipeline =
-    Mail.Pipeline.create ~engine ~graph:g ~trace ~counters ~storage
+    Mail.Pipeline.create ~engine ~graph:g ~counters ~storage
       {
         Mail.Pipeline.default_pipeline_config with
         retry_timeout = 20.;
@@ -110,8 +110,14 @@ let test_retry_after_recovery () =
   Alcotest.(check bool) "submission was deferred" true
     (Dsim.Stats.Counter.get counters "submit_deferred" > 0)
 
+(* Every undeliverable verdict the pipeline reports, as (id, reason). *)
+let undeliverable_log () =
+  let log = ref [] in
+  ((fun (m : Mail.Message.t) ~reason -> log := (m.Mail.Message.id, reason) :: !log), log)
+
 let test_unresolvable_region_counted () =
-  let engine, pipeline, counters, (h1, _, _, _) = tiny_world () in
+  let on_undeliverable, dead = undeliverable_log () in
+  let engine, pipeline, counters, (h1, _, _, _) = tiny_world ~on_undeliverable () in
   let m =
     Mail.Message.create ~id:4 ~sender:(nm "alice")
       ~recipient:(Naming.Name.make ~region:"mars" ~host:"x" ~user:"marvin")
@@ -121,7 +127,26 @@ let test_unresolvable_region_counted () =
   Dsim.Engine.run ~until:150. engine;
   Alcotest.(check bool) "unresolvable counted" true
     (Dsim.Stats.Counter.get counters "unresolvable" > 0);
-  Alcotest.(check bool) "not deposited" false (Mail.Message.is_deposited m)
+  Alcotest.(check bool) "not deposited" false (Mail.Message.is_deposited m);
+  Alcotest.(check (list (pair int string))) "declared dead for its region"
+    [ (4, "unknown region") ] !dead
+
+let test_empty_chain_never_deposits () =
+  (* A local recipient whose authority chain is empty (registered, no
+     servers assigned) has nowhere to be deposited: the holder stalls
+     and retries until the budget runs out, then reports it. *)
+  let on_undeliverable, dead = undeliverable_log () in
+  let engine, pipeline, counters, (h1, _, _, _) =
+    tiny_world ~on_undeliverable ~chain:(fun ~s1:_ ~s2:_ -> []) ()
+  in
+  let m = msg 6 in
+  Mail.Pipeline.submit pipeline ~sender_agent:(agent h1) ~msg:m;
+  Dsim.Engine.run engine;
+  Alcotest.(check bool) "not deposited" false (Mail.Message.is_deposited m);
+  Alcotest.(check bool) "deposit stalled" true
+    (Dsim.Stats.Counter.get counters "deposit_stalled" > 0);
+  Alcotest.(check (list (pair int string))) "declared dead once"
+    [ (6, "retries exhausted") ] !dead
 
 let test_retransmitted_deposit_reacked () =
   (* A finished round must re-acknowledge retransmitted Deposits from
@@ -173,8 +198,8 @@ let test_ctrl_dispatch () =
     }
   in
   let pipeline =
-    Mail.Pipeline.create ~engine ~graph:g ~trace:(Dsim.Trace.create ())
-      ~counters ~storage Mail.Pipeline.default_pipeline_config callbacks
+    Mail.Pipeline.create ~engine ~graph:g ~counters ~storage
+      Mail.Pipeline.default_pipeline_config callbacks
   in
   ignore (Netsim.Net.send (Mail.Pipeline.net pipeline) ~src:a ~dst:b (Mail.Pipeline.Ctrl "ping"));
   Dsim.Engine.run engine;
@@ -188,6 +213,8 @@ let suite =
         Alcotest.test_case "fallback to secondary" `Quick test_deposit_falls_back;
         Alcotest.test_case "retry after recovery" `Quick test_retry_after_recovery;
         Alcotest.test_case "unresolvable region" `Quick test_unresolvable_region_counted;
+        Alcotest.test_case "empty chain never deposits" `Quick
+          test_empty_chain_never_deposits;
         Alcotest.test_case "retransmitted deposit re-acked" `Quick
           test_retransmitted_deposit_reacked;
         Alcotest.test_case "ctrl dispatch" `Quick test_ctrl_dispatch;

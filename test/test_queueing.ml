@@ -33,33 +33,6 @@ let test_prob_wait () =
   let p1 = Queueing.Mm1.prob_wait_exceeds ~arrival_rate:2. ~service_rate:5. 1. in
   Alcotest.(check bool) "decays" true (feq p1 (exp (-3.)))
 
-let test_mmc_degenerates_to_mm1 () =
-  let lambda = 2. and mu = 5. in
-  let rho = lambda /. mu in
-  (* Erlang-C with c = 1 is exactly rho. *)
-  Alcotest.(check bool) "erlang_c c=1 = rho" true
-    (feq (Queueing.Mmc.erlang_c ~c:1 ~rho) rho);
-  Alcotest.(check bool) "wait c=1 = mm1" true
-    (feq
-       (Queueing.Mmc.mean_waiting_time ~c:1 ~arrival_rate:lambda ~service_rate:mu)
-       (Queueing.Mm1.mean_waiting_time ~arrival_rate:lambda ~service_rate:mu))
-
-let test_mmc_monotone_in_c () =
-  let lambda = 8. and mu = 5. in
-  let w2 = Queueing.Mmc.mean_waiting_time ~c:2 ~arrival_rate:lambda ~service_rate:mu in
-  let w3 = Queueing.Mmc.mean_waiting_time ~c:3 ~arrival_rate:lambda ~service_rate:mu in
-  let w4 = Queueing.Mmc.mean_waiting_time ~c:4 ~arrival_rate:lambda ~service_rate:mu in
-  Alcotest.(check bool) "finite" true (Float.is_finite w2);
-  Alcotest.(check bool) "adding servers reduces wait" true (w2 > w3 && w3 > w4)
-
-let test_min_servers () =
-  Alcotest.(check int) "just stable" 2
-    (Queueing.Mmc.min_servers ~arrival_rate:8. ~service_rate:5.);
-  Alcotest.(check int) "integer boundary" 3
-    (Queueing.Mmc.min_servers ~arrival_rate:10. ~service_rate:5.);
-  Alcotest.(check int) "tiny load" 1
-    (Queueing.Mmc.min_servers ~arrival_rate:0.1 ~service_rate:5.)
-
 let test_workload_generators () =
   let rng = Dsim.Rng.create 3 in
   let arr = Queueing.Workload.poisson_arrivals ~rng ~rate:0.5 ~horizon:1000. in
@@ -121,13 +94,6 @@ let test_mm1_empirical () =
   if Float.abs (measured -. expected) > 0.05 *. expected then
     Alcotest.failf "empirical wait %f vs analytic %f" measured expected
 
-let prop_erlang_c_is_probability =
-  QCheck.Test.make ~name:"Erlang-C lies in [0,1]" ~count:200
-    QCheck.(pair (int_range 1 20) (float_range 0. 0.99))
-    (fun (c, rho) ->
-      let p = Queueing.Mmc.erlang_c ~c ~rho in
-      p >= 0. && p <= 1.)
-
 let suite =
   [
     ( "queueing",
@@ -135,13 +101,8 @@ let suite =
         Alcotest.test_case "paper Q(rho)" `Quick test_paper_q;
         Alcotest.test_case "M/M/1 formulas" `Quick test_mm1_formulas;
         Alcotest.test_case "P(wait > t)" `Quick test_prob_wait;
-        Alcotest.test_case "M/M/c degenerates to M/M/1" `Quick
-          test_mmc_degenerates_to_mm1;
-        Alcotest.test_case "M/M/c monotone in c" `Quick test_mmc_monotone_in_c;
-        Alcotest.test_case "min_servers" `Quick test_min_servers;
         Alcotest.test_case "workload generators" `Quick test_workload_generators;
         Alcotest.test_case "population picks" `Quick test_population_picks;
         Alcotest.test_case "M/M/1 empirical validation" `Slow test_mm1_empirical;
-        QCheck_alcotest.to_alcotest prop_erlang_c_is_probability;
       ] );
   ]

@@ -34,6 +34,23 @@ let test_failures_still_lossless () =
   Alcotest.(check bool) "polls rise under failures" true
     (o.Mail.Scenario.final_polls_per_check > 1.0)
 
+let test_outages_reported () =
+  let spec = { small_spec with mail_count = 20; failure_rate = 0.002 } in
+  let site = fig1 () in
+  let o = Mail.Scenario.run_syntax site spec in
+  let outages = o.Mail.Scenario.outages in
+  Alcotest.(check bool) "outages scheduled" true (outages <> []);
+  List.iter
+    (fun (w : Netsim.Failure.outage) ->
+      Alcotest.(check bool) "on a server" true
+        (List.mem w.Netsim.Failure.node site.Netsim.Topology.servers);
+      Alcotest.(check bool) "starts within the horizon" true
+        (w.Netsim.Failure.start >= 0. && w.Netsim.Failure.start < spec.duration))
+    outages;
+  let calm = Mail.Scenario.run_syntax (fig1 ()) { spec with failure_rate = 0. } in
+  Alcotest.(check int) "none without a failure rate" 0
+    (List.length calm.Mail.Scenario.outages)
+
 let test_polls_monotone_in_failure_rate () =
   let run rate =
     let spec = { small_spec with failure_rate = rate } in
@@ -212,5 +229,7 @@ let suite =
         Alcotest.test_case "mail over the 1977 ARPANET" `Slow test_arpanet_mail;
         Alcotest.test_case "double-run: metrics and ledger identical" `Slow
           test_double_run_identical;
+        Alcotest.test_case "outcome lists the random outages" `Quick
+          test_outages_reported;
       ] );
   ]

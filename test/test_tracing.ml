@@ -22,8 +22,8 @@ let test_span_lifecycle () =
   Alcotest.(check (option string)) "missing attr" None (Span.attr s "nope")
 
 let test_tracer_capacity_bounds () =
-  (* Mirrors Dsim.Trace's discipline: the ring keeps the newest
-     [capacity] spans, drops oldest-first, and [total] keeps counting. *)
+  (* The ring keeps the newest [capacity] spans, drops oldest-first,
+     and [total] keeps counting. *)
   let tr = Tracer.create ~capacity:3 () in
   for i = 1 to 5 do
     ignore (Tracer.span tr ~name:(Printf.sprintf "s%d" i) ~start:(float_of_int i) ())
