@@ -8,7 +8,8 @@
    bit-deterministic.
 
    R1 [unsorted-fold]   a Hashtbl fold/iter (including module aliases
-                        of Hashtbl and Hashtbl.Make instances) whose
+                        of Hashtbl and Hashtbl.Make instances, also
+                        ones another analysed unit exports) whose
                         callback builds a list (contains a cons),
                         inside a top-level binding with no List/Array
                         sort — hash order escapes.
@@ -441,22 +442,24 @@ let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
 (* --- R1–R4: determinism rules on resolved paths -------------------------- *)
 
-(* Module bindings of a unit that stand for another module: an alias
-   ([module T = Hashtbl]) maps to its target, a functor application
-   ([module H = Hashtbl.Make (Int)]) to the functor's parent module,
+(* The module a module expression stands for: an alias
+   ([module T = Hashtbl]) its target, a functor application
+   ([module H = Hashtbl.Make (Int)]) the functor's parent module,
    whose fold and iter the instance shares. *)
+let rec module_target me =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> module_target me
+  | Tmod_apply (f, _, _) | Tmod_apply_unit f -> (
+      match module_target f with Some (Path.Pdot (m, _)) -> Some m | _ -> None)
+  | _ -> None
+
+(* Module bindings of a unit that stand for another module, mapped to
+   their [module_target]. *)
 let module_aliases str =
   let aliases = ref [] in
-  let rec target me =
-    match me.mod_desc with
-    | Tmod_ident (p, _) -> Some p
-    | Tmod_constraint (me, _, _, _) -> target me
-    | Tmod_apply (f, _, _) | Tmod_apply_unit f -> (
-        match target f with Some (Path.Pdot (m, _)) -> Some m | _ -> None)
-    | _ -> None
-  in
   let bind id me =
-    match (id, target me) with
+    match (id, module_target me) with
     | Some id, Some p -> aliases := (id, p) :: !aliases
     | _ -> ()
   in
@@ -570,10 +573,22 @@ let contains_cons expr =
   it.expr it expr;
   !found
 
+(* Is [name] (a [global_name]) a Hashtbl fold or iter?  Besides
+   [Hashtbl]'s own, the fold and iter of every instance in [tables]
+   (see [exported_tables]) count. *)
+let hashtbl_walk ~tables name =
+  match String.rindex_opt name '.' with
+  | None -> false
+  | Some i ->
+      let m = String.sub name 0 i in
+      let f = String.sub name (i + 1) (String.length name - i - 1) in
+      (String.equal f "fold" || String.equal f "iter")
+      && (String.equal m "Hashtbl" || List.mem m tables)
+
 (* R1–R4 over one unit.  A top-level binding is R1's "same function"
    scope: a consing Hashtbl fold/iter in it is reported unless the
    binding also sorts. *)
-let determinism_findings ~file str =
+let determinism_findings ~tables ~file str =
   let aliases = module_aliases str in
   let in_lib = in_lib file in
   let out = ref [] in
@@ -590,10 +605,11 @@ let determinism_findings ~file str =
             (match e.exp_desc with
             | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
                 match global_name aliases p with
-                | Some ("Hashtbl.fold" | "Hashtbl.iter")
-                  when List.exists
-                         (fun (_, a) -> Option.fold ~none:false ~some:contains_cons a)
-                         args ->
+                | Some name
+                  when hashtbl_walk ~tables name
+                       && List.exists
+                            (fun (_, a) -> Option.fold ~none:false ~some:contains_cons a)
+                            args ->
                     escapes := e.exp_loc :: !escapes
                 | _ -> ())
             | Texp_ident (p, _, _) -> (
@@ -1164,7 +1180,32 @@ let load_units cmt_paths =
     [] cmt_paths
   |> List.rev
 
-let scan_unit ~hot_set u =
+(* R1 across units: the Hashtbl instances each unit exports, by
+   global name — the unit itself when its top level [include]s one
+   ([Dsim.Id_table]), and ["Unit.M"] for a top-level [module M =
+   Hashtbl.Make (...)].  A fold over another unit's instance is then a
+   Hashtbl fold like any other.  Only instances among the analysed
+   units are known. *)
+let exported_tables units =
+  List.concat_map
+    (fun u ->
+      let aliases = module_aliases u.u_str in
+      let is_hashtbl me =
+        match module_target me with
+        | Some p -> global_name aliases p = Some "Hashtbl"
+        | None -> false
+      in
+      List.filter_map
+        (fun item ->
+          match item.str_desc with
+          | Tstr_include { incl_mod; _ } when is_hashtbl incl_mod -> Some u.u_module
+          | Tstr_module { mb_id = Some id; mb_expr; _ } when is_hashtbl mb_expr ->
+              Some (u.u_module ^ "." ^ Ident.name id)
+          | _ -> None)
+        u.u_str.str_items)
+    units
+
+let scan_unit ~hot_set ~tables u =
   let file = u.u_file in
   let metrics, spans, finishes, monitor_refs, poly, strings =
     scan_structure ~file u.u_str
@@ -1179,7 +1220,7 @@ let scan_unit ~hot_set u =
     f_monitor_refs = monitor_refs;
     f_poly = poly;
     f_strings = strings;
-    f_lint = determinism_findings ~file u.u_str;
+    f_lint = determinism_findings ~tables ~file u.u_str;
   }
 
 (* --- docs parsing (A2/A3 reference lists) -------------------------------- *)
@@ -1575,7 +1616,8 @@ let tracing_doc = "docs/TRACING.md"
    trees: R5 and the bad-suppression check run over them. *)
 let analyze_tree ?(hot_set = default_hot_set) ?(read_source = read_source_from_disk)
     ~sources units =
-  let facts_list = List.map (scan_unit ~hot_set) units in
+  let tables = exported_tables units in
+  let facts_list = List.map (scan_unit ~hot_set ~tables) units in
   let baseline =
     match read_source baseline_file with
     | Some src -> (

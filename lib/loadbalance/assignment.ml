@@ -16,10 +16,15 @@ let problem_of_site ?(params = Cost.paper_params) ?(capacity = fun _ -> 100)
   let populations = Array.of_list (List.map snd site.hosts) in
   let servers = Array.of_list site.servers in
   let capacities = Array.map capacity servers in
+  (* One compiled adjacency and one workspace for every host's
+     Dijkstra: the flat core breaks ties like the list-based one, so
+     the distances are the same floats. *)
+  let adj = Netsim.Shortest_path.compile site.graph in
+  let scratch = Netsim.Shortest_path.scratch adj.Netsim.Shortest_path.adj_n in
   let comm =
     Array.map
       (fun h ->
-        let tree = Netsim.Shortest_path.dijkstra site.graph h in
+        let tree, _via = Netsim.Shortest_path.dijkstra_flat ~adj scratch h in
         Array.map
           (fun s ->
             let d = Netsim.Shortest_path.distance tree s in

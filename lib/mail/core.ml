@@ -14,8 +14,9 @@ type ('ctrl, 'state) t = {
   mutable agents_by_uid : User_agent.t option array;
   spaces : (string, Naming.Name_space.t) Hashtbl.t;
   redirects : (Naming.Name.t, Naming.Name.t) Hashtbl.t;
-  redirects_uid : (int, int) Hashtbl.t;  (* mirror of [redirects], by id *)
+  redirects_uid : int Dsim.Id_table.t;  (* mirror of [redirects], by id *)
   counters : Dsim.Stats.Counter.t;
+  check_cells : check_cells;  (* [counters]' GetMail tallies *)
   metrics : Telemetry.Registry.t;
   tracer : Telemetry.Tracer.t;
   ledger : Ledger.t;
@@ -23,6 +24,13 @@ type ('ctrl, 'state) t = {
   mutable submitted : Message.t list;
   hooks : ('ctrl, 'state) hooks;
   state : 'state;
+}
+
+and check_cells = {
+  c_checks : int ref;
+  c_polls : int ref;
+  c_failed_polls : int ref;
+  c_retrieved : int ref;
 }
 
 and ('ctrl, 'state) hooks = {
@@ -72,7 +80,7 @@ let set_agent_uid t uid a =
   t.agents_by_uid.(uid) <- a
 
 let rec canonical_uid t uid =
-  match Hashtbl.find_opt t.redirects_uid uid with
+  match Dsim.Id_table.find_opt t.redirects_uid uid with
   | Some target ->
       count t "redirects";
       canonical_uid t target
@@ -87,11 +95,20 @@ let uids t =
   done;
   !acc
 
-let record_check counters (stats : User_agent.check_stats) =
-  Dsim.Stats.Counter.incr counters "checks";
-  Dsim.Stats.Counter.incr ~by:stats.User_agent.polls counters "polls";
-  Dsim.Stats.Counter.incr ~by:stats.User_agent.failed_polls counters "failed_polls";
-  Dsim.Stats.Counter.incr ~by:stats.User_agent.retrieved counters "retrieved"
+let check_cells counters =
+  let cell = Dsim.Stats.Counter.cell counters in
+  {
+    c_checks = cell "checks";
+    c_polls = cell "polls";
+    c_failed_polls = cell "failed_polls";
+    c_retrieved = cell "retrieved";
+  }
+
+let record_check c (stats : User_agent.check_stats) =
+  incr c.c_checks;
+  c.c_polls := !(c.c_polls) + stats.User_agent.polls;
+  c.c_failed_polls := !(c.c_failed_polls) + stats.User_agent.failed_polls;
+  c.c_retrieved := !(c.c_retrieved) + stats.User_agent.retrieved
 
 let new_message t ~sender ~recipient ~subject ~body ?parts ~at () =
   let id = t.next_id in
@@ -165,7 +182,7 @@ module Ops = struct
     let stats =
       User_agent.get_mail ~tracer:t.tracer ~ledger:t.ledger a ~view:(view t) ~now:(now t)
     in
-    record_check t.counters stats;
+    record_check t.check_cells stats;
     t.hooks.on_check t a stats;
     stats
 
@@ -277,7 +294,7 @@ let rename t name ~new_host ~authority =
   (* …then delete at the old location, leaving a redirection. *)
   unregister_user t name;
   Hashtbl.replace t.redirects name new_name;
-  Hashtbl.replace t.redirects_uid (uid_of t name) (User_agent.uid a);
+  Dsim.Id_table.replace t.redirects_uid (uid_of t name) (User_agent.uid a);
   count t "migrations";
   new_name
 
@@ -376,8 +393,9 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
       agents_by_uid = Array.make 256 None;
       spaces;
       redirects = Hashtbl.create 4;
-      redirects_uid = Hashtbl.create 4;
+      redirects_uid = Dsim.Id_table.create 4;
       counters;
+      check_cells = check_cells counters;
       metrics;
       tracer;
       ledger;

@@ -271,7 +271,15 @@ val rename :
     Returns the new name.
     @raise Invalid_argument if the user or host is unknown. *)
 
-val record_check : Dsim.Stats.Counter.t -> User_agent.check_stats -> unit
+type check_cells
+(** The ["checks"], ["polls"], ["failed_polls"] and ["retrieved"]
+    cells of one counter table ({!Dsim.Stats.Counter.cell}). *)
+
+val check_cells : Dsim.Stats.Counter.t -> check_cells
+(** Resolve the four cells once; {!record_check} then bumps them with
+    no hashing.  The same cells back [Counter.get] and [to_list]. *)
+
+val record_check : check_cells -> User_agent.check_stats -> unit
 (** Tally one retrieval round under ["checks"], ["polls"],
     ["failed_polls"] and ["retrieved"]. *)
 

@@ -22,12 +22,12 @@ type state = {
   mutable degraded_acks : int;
 }
 
-type t = { entries : (Message.id, state) Hashtbl.t }
+type t = { entries : state Dsim.Id_table.t }  (* keyed by message id *)
 
-let create () = { entries = Hashtbl.create 256 }
+let create () = { entries = Dsim.Id_table.create 256 }
 
 let entry t id =
-  match Hashtbl.find_opt t.entries id with
+  match Dsim.Id_table.find_opt t.entries id with
   | Some st -> st
   | None ->
       let st =
@@ -44,7 +44,7 @@ let entry t id =
           degraded_acks = 0;
         }
       in
-      Hashtbl.replace t.entries id st;
+      Dsim.Id_table.replace t.entries id st;
       st
 
 let record_submit t (m : Message.t) ~at =
@@ -78,13 +78,13 @@ let record_undeliverable t (m : Message.t) ~reason ~at:_ =
   let st = entry t m.Message.id in
   if st.undeliverable = None then st.undeliverable <- Some reason
 
-let size t = Hashtbl.length t.entries
+let size t = Dsim.Id_table.length t.entries
 
 (* An id is settled when its outcome is final *and* no mailbox still
    holds an unfetched copy that could resurface it later: pruning
    dedup state for such an id can no longer create a duplicate. *)
 let settled t id =
-  match Hashtbl.find_opt t.entries id with
+  match Dsim.Id_table.find_opt t.entries id with
   | None -> true
   | Some st ->
       st.copies_fetched + st.copies_purged >= st.copies_deposited
@@ -121,7 +121,7 @@ let check t =
   and quorum_acks = ref 0
   and degraded_acks = ref 0
   and violations = ref [] in
-  Hashtbl.iter
+  Dsim.Id_table.iter
     (fun id st ->
       if st.submits > 0 then incr submitted;
       purged := !purged + st.copies_purged;

@@ -124,30 +124,30 @@ type 'ctrl t = {
   cat_resubmit : Dsim.Engine.category;
   cat_service : Dsim.Engine.category;
   n : int;  (* node count: (node, id) dedup keys pack into id * n + node *)
-  pendings : (int, pending) Hashtbl.t;
-  rounds : (int, round) Hashtbl.t;
+  pendings : pending Dsim.Id_table.t;  (* by nkey (holder, id) *)
+  rounds : round Dsim.Id_table.t;
       (* open replication rounds, keyed by coordinator *)
-  completed : (int, unit) Hashtbl.t;
+  completed : unit Dsim.Id_table.t;
       (* finished rounds: a retransmitted Deposit is re-acked instantly *)
-  dead : (Message.id, unit) Hashtbl.t;
+  dead : unit Dsim.Id_table.t;
       (* declared undeliverable: no further resubmissions *)
-  submit_timers : (Message.id, unit) Hashtbl.t;
+  submit_timers : unit Dsim.Id_table.t;
       (* messages with an armed submit-driver timer: at most one each *)
-  in_work : (Message.id, int ref) Hashtbl.t;
+  in_work : int ref Dsim.Id_table.t;
       (* copies sitting in a service queue between wire receipt and
          phase execution — the window where a message is owned by
          neither a pending nor a timer (see [compact]) *)
   ledger : Ledger.t option;
   service_rng : Dsim.Rng.t;
-  queues : (Netsim.Graph.node, srv_queue) Hashtbl.t;
+  queues : srv_queue Dsim.Id_table.t;  (* by node *)
   queue_waits : Dsim.Stats.Summary.t;
   queue_wait_hist : Telemetry.Registry.histogram option;
   tracer : Telemetry.Tracer.t option;
-  submit_spans : (Message.id, unit) Hashtbl.t;
+  submit_spans : unit Dsim.Id_table.t;
       (* messages whose "submit" span was already emitted *)
-  hop_sends : (int, string * Netsim.Graph.node * float) Hashtbl.t;
+  hop_sends : (string * Netsim.Graph.node * float) Dsim.Id_table.t;
       (* in-flight Forward/Deposit hops: span name, source, send time *)
-  fences : (Message.id, float) Hashtbl.t;
+  fences : float Dsim.Id_table.t;
       (* per id, the latest scheduled arrival time of any in-flight
          wire message carrying the full Message.t.  Until that time
          the id must not be compacted: a late Submit/Forward/Deposit/
@@ -179,15 +179,15 @@ let ruid t (msg : Message.t) =
 let queue_wait_stats t = t.queue_waits
 
 let srv_queue t node =
-  match Hashtbl.find_opt t.queues node with
+  match Dsim.Id_table.find_opt t.queues node with
   | Some q -> q
   | None ->
       let q = { busy = false; jobs = Queue.create (); busy_total = 0.; served = 0 } in
-      Hashtbl.replace t.queues node q;
+      Dsim.Id_table.replace t.queues node q;
       q
 
 let server_utilisation t node =
-  match Hashtbl.find_opt t.queues node with
+  match Dsim.Id_table.find_opt t.queues node with
   | None -> 0.
   | Some q ->
       let elapsed = Dsim.Engine.now t.engine in
@@ -249,7 +249,7 @@ let now t = Dsim.Engine.now t.engine
 
 let first_active t nodes = List.find_opt (fun s -> Netsim.Net.is_up t.net s) nodes
 
-let is_dead t id = Hashtbl.mem t.dead id
+let is_dead t id = Dsim.Id_table.mem t.dead id
 
 (* Send a wire message that carries the full Message.t (Submit,
    Forward, Deposit, Replicate) and fence its id against compaction
@@ -259,9 +259,9 @@ let send_fenced ?bytes t ~src ~dst wire (id : Message.id) =
   | None -> false
   | Some latency ->
       let until = now t +. latency in
-      (match Hashtbl.find_opt t.fences id with
+      (match Dsim.Id_table.find_opt t.fences id with
       | Some f when f >= until -> ()
-      | _ -> Hashtbl.replace t.fences id until);
+      | _ -> Dsim.Id_table.replace t.fences id until);
       true
 
 (* Remember an in-flight server→server hop so the receiving node can
@@ -269,19 +269,19 @@ let send_fenced ?bytes t ~src ~dst wire (id : Message.id) =
    latest send — a retry supersedes the lost original. *)
 let record_hop t msg ~name ~src ~dst =
   if Option.is_some t.tracer && Option.is_some (Message.span msg) then
-    Hashtbl.replace t.hop_sends (nkey t dst msg.Message.id) (name, src, now t)
+    Dsim.Id_table.replace t.hop_sends (nkey t dst msg.Message.id) (name, src, now t)
 
 let emit_hop t node ~time m =
-  match Hashtbl.find_opt t.hop_sends (nkey t node m.Message.id) with
+  match Dsim.Id_table.find_opt t.hop_sends (nkey t node m.Message.id) with
   | Some (name, src, sent) ->
-      Hashtbl.remove t.hop_sends (nkey t node m.Message.id);
+      Dsim.Id_table.remove t.hop_sends (nkey t node m.Message.id);
       emit_span t m ~name ~start:sent ~finish:time
         [ ("src", node_label t src); ("dst", node_label t node) ]
   | None -> ()
 
 let declare_dead t msg ~reason =
-  if not (Hashtbl.mem t.dead msg.Message.id) then begin
-    Hashtbl.replace t.dead msg.Message.id ();
+  if not (Dsim.Id_table.mem t.dead msg.Message.id) then begin
+    Dsim.Id_table.replace t.dead msg.Message.id ();
     (match Message.span msg with
     | Some root ->
         Telemetry.Span.set_attr root "outcome" reason;
@@ -312,7 +312,7 @@ let arm_retry t (p : pending) step =
       end
       else begin
         count t "gave_up";
-        Hashtbl.remove t.pendings (nkey t p.holder p.p_msg.Message.id);
+        Dsim.Id_table.remove t.pendings (nkey t p.holder p.p_msg.Message.id);
         declare_dead t p.p_msg ~reason:"retries exhausted"
       end
   and fire () =
@@ -324,18 +324,18 @@ let arm_retry t (p : pending) step =
 
 let pending_for t ~holder msg step =
   let key = nkey t holder msg.Message.id in
-  match Hashtbl.find_opt t.pendings key with
+  match Dsim.Id_table.find_opt t.pendings key with
   | Some p -> p.acked <- false
   | None ->
       let p = { p_msg = msg; holder; attempts = 0; acked = false } in
-      Hashtbl.replace t.pendings key p;
+      Dsim.Id_table.replace t.pendings key p;
       arm_retry t p step
 
 let ack_pending t ~holder id =
-  match Hashtbl.find_opt t.pendings (nkey t holder id) with
+  match Dsim.Id_table.find_opt t.pendings (nkey t holder id) with
   | Some p ->
       p.acked <- true;
-      Hashtbl.remove t.pendings (nkey t holder id)
+      Dsim.Id_table.remove t.pendings (nkey t holder id)
   | None -> ()
 
 (* Acknowledge one deposit upstream: clear the coordinator's own
@@ -365,8 +365,8 @@ let finish_round t (r : round) ~degraded =
   if not r.finished then begin
     r.finished <- true;
     let id = r.r_msg.Message.id in
-    Hashtbl.remove t.rounds (nkey t r.coordinator id);
-    Hashtbl.replace t.completed (nkey t r.coordinator id) ();
+    Dsim.Id_table.remove t.rounds (nkey t r.coordinator id);
+    Dsim.Id_table.replace t.completed (nkey t r.coordinator id) ();
     incr (if degraded then t.cells.c_degraded_acks else t.cells.c_quorum_acks);
     Option.iter (fun l -> Ledger.record_ack l r.r_msg ~degraded ~at:(now t)) t.ledger;
     emit_span t r.r_msg ~name:"deposit.replicate" ~start:r.started ~finish:(now t)
@@ -410,9 +410,9 @@ let arm_round_timer t (r : round) =
    mail is never lost, only under-replicated). *)
 let do_deposit t ~on ~upstream msg =
   let key = nkey t on msg.Message.id in
-  if Hashtbl.mem t.completed key then ack_upstream t ~on ~upstream msg.Message.id
+  if Dsim.Id_table.mem t.completed key then ack_upstream t ~on ~upstream msg.Message.id
   else
-    match Hashtbl.find_opt t.rounds key with
+    match Dsim.Id_table.find_opt t.rounds key with
     | Some r ->
         if not (List.mem upstream r.upstreams) then
           r.upstreams <- upstream :: r.upstreams
@@ -439,7 +439,7 @@ let do_deposit t ~on ~upstream msg =
             finished = false;
           }
         in
-        Hashtbl.replace t.rounds key r;
+        Dsim.Id_table.replace t.rounds key r;
         if List.length r.stored >= r.needed then finish_round t r ~degraded:false
         else begin
           send_replicates t r;
@@ -539,23 +539,23 @@ let rec resolve_phase t ~at_server msg =
    a timer; track it so [compact] never prunes dedup state out from
    under it. *)
 let begin_work t (m : Message.t) =
-  match Hashtbl.find_opt t.in_work m.Message.id with
+  match Dsim.Id_table.find_opt t.in_work m.Message.id with
   | Some r -> incr r
-  | None -> Hashtbl.replace t.in_work m.Message.id (ref 1)
+  | None -> Dsim.Id_table.replace t.in_work m.Message.id (ref 1)
 
 let end_work t (m : Message.t) =
-  match Hashtbl.find_opt t.in_work m.Message.id with
+  match Dsim.Id_table.find_opt t.in_work m.Message.id with
   | Some r ->
       decr r;
-      if !r <= 0 then Hashtbl.remove t.in_work m.Message.id
+      if !r <= 0 then Dsim.Id_table.remove t.in_work m.Message.id
   | None -> ()
 
 let handle_wire t node ~time ~src msg =
   match msg with
   | Submit m ->
       incr t.cells.c_submits_received;
-      if not (Hashtbl.mem t.submit_spans m.Message.id) then begin
-        Hashtbl.replace t.submit_spans m.Message.id ();
+      if not (Dsim.Id_table.mem t.submit_spans m.Message.id) then begin
+        Dsim.Id_table.replace t.submit_spans m.Message.id ();
         (* Connection setup: submission at the sender's host until the
            first server accepts the message. *)
         emit_span t m ~name:"submit" ~start:m.Message.submitted_at ~finish:time
@@ -592,7 +592,7 @@ let handle_wire t node ~time ~src msg =
           ());
       ignore (Netsim.Net.send t.net ~src:node ~dst:src (Replicated m.Message.id))
   | Replicated id -> (
-      match Hashtbl.find_opt t.rounds (nkey t node id) with
+      match Dsim.Id_table.find_opt t.rounds (nkey t node id) with
       | Some r when not r.finished ->
           if not (List.mem src r.stored) then begin
             r.stored <- src :: r.stored;
@@ -640,12 +640,12 @@ let rec try_submit t msg sender_agent =
 
 and arm_submit_timer t msg sender_agent ~delay ~resubmission =
   let id = msg.Message.id in
-  if not (Hashtbl.mem t.submit_timers id) then begin
-    Hashtbl.replace t.submit_timers id ();
+  if not (Dsim.Id_table.mem t.submit_timers id) then begin
+    Dsim.Id_table.replace t.submit_timers id ();
     let category = if resubmission then t.cat_resubmit else t.cat_submit in
     ignore
       (Dsim.Engine.schedule_after_cat t.engine category delay (fun () ->
-           Hashtbl.remove t.submit_timers id;
+           Dsim.Id_table.remove t.submit_timers id;
            if (not (Message.is_deposited msg)) && not (is_dead t id) then begin
              if resubmission then incr t.cells.c_resubmissions;
              try_submit t msg sender_agent
@@ -672,14 +672,14 @@ let submit t ~sender_agent ~msg =
   Option.iter (fun l -> Ledger.record_submit l msg ~at:(now t)) t.ledger;
   try_submit t msg sender_agent
 
-let pending_count t = Hashtbl.length t.pendings
+let pending_count t = Dsim.Id_table.length t.pendings
 
 (* Health gauges the per-window monitors read: transfers still awaiting
    acknowledgement, plus service-queue backlog (waiting jobs and, when
    a server is mid-service, the job in flight). *)
 let publish_gauges t reg =
   let depth, deepest =
-    Hashtbl.fold
+    Dsim.Id_table.fold
       (fun _ q (sum, worst) ->
         let d = Queue.length q.jobs + if q.busy then 1 else 0 in
         (sum + d, max worst d))
@@ -688,13 +688,13 @@ let publish_gauges t reg =
   let set name v =
     Telemetry.Registry.set_gauge (Telemetry.Registry.gauge reg name) v
   in
-  set "pipeline_pending" (float_of_int (Hashtbl.length t.pendings));
+  set "pipeline_pending" (float_of_int (Dsim.Id_table.length t.pendings));
   set "queue_depth" (float_of_int depth);
   set "queue_depth_max" (float_of_int deepest)
 
 let dedup_entries t =
-  Hashtbl.length t.completed + Hashtbl.length t.dead
-  + Hashtbl.length t.submit_spans + Hashtbl.length t.hop_sends
+  Dsim.Id_table.length t.completed + Dsim.Id_table.length t.dead
+  + Dsim.Id_table.length t.submit_spans + Dsim.Id_table.length t.hop_sends
 
 let prunable t ~ledger =
   (* Ids still referenced by live pipeline machinery: a pending
@@ -702,16 +702,16 @@ let prunable t ~ledger =
      open replication round, or a message-bearing wire send that has
      not reached its scheduled arrival yet can all produce further
      events for the id. *)
-  let live = Hashtbl.create 64 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace live (id_of_nkey t k) ()) t.pendings;
-  Hashtbl.iter (fun id _ -> Hashtbl.replace live id ()) t.in_work;
-  Hashtbl.iter (fun id _ -> Hashtbl.replace live id ()) t.submit_timers;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace live (id_of_nkey t k) ()) t.rounds;
+  let live = Dsim.Id_table.create 64 in
+  Dsim.Id_table.iter (fun k _ -> Dsim.Id_table.replace live (id_of_nkey t k) ()) t.pendings;
+  Dsim.Id_table.iter (fun id _ -> Dsim.Id_table.replace live id ()) t.in_work;
+  Dsim.Id_table.iter (fun id _ -> Dsim.Id_table.replace live id ()) t.submit_timers;
+  Dsim.Id_table.iter (fun k _ -> Dsim.Id_table.replace live (id_of_nkey t k) ()) t.rounds;
   let horizon = now t in
-  Hashtbl.iter
-    (fun id until -> if until >= horizon then Hashtbl.replace live id ())
+  Dsim.Id_table.iter
+    (fun id until -> if until >= horizon then Dsim.Id_table.replace live id ())
     t.fences;
-  fun id -> (not (Hashtbl.mem live id)) && Ledger.settled ledger id
+  fun id -> (not (Dsim.Id_table.mem live id)) && Ledger.settled ledger id
 
 let compact t keep_out =
   let dropped = ref 0 in
@@ -719,19 +719,19 @@ let compact t keep_out =
      the send they covered has landed (or vanished) by now. *)
   let horizon = now t in
   let expired =
-    Hashtbl.fold
+    Dsim.Id_table.fold
       (fun id until acc -> if until < horizon then id :: acc else acc)
       t.fences []
     |> List.sort Int.compare
   in
-  List.iter (Hashtbl.remove t.fences) expired;
+  List.iter (Dsim.Id_table.remove t.fences) expired;
   let prune tbl id_of =
     let doomed =
-      Hashtbl.fold (fun k _ acc -> if keep_out (id_of k) then k :: acc else acc) tbl []
+      Dsim.Id_table.fold (fun k _ acc -> if keep_out (id_of k) then k :: acc else acc) tbl []
     in
     List.iter
       (fun k ->
-        Hashtbl.remove tbl k;
+        Dsim.Id_table.remove tbl k;
         incr dropped)
       doomed
   in
@@ -786,21 +786,21 @@ let create ~engine ~graph ~counters ?metrics ?tracer ?bandwidth ?loss_rate
       cat_resubmit = Dsim.Engine.category engine "pipeline.resubmit";
       cat_service = Dsim.Engine.category engine "pipeline.service";
       n = Netsim.Graph.node_count graph;
-      pendings = Hashtbl.create 64;
-      rounds = Hashtbl.create 64;
-      completed = Hashtbl.create 64;
-      dead = Hashtbl.create 16;
-      submit_timers = Hashtbl.create 64;
-      in_work = Hashtbl.create 64;
+      pendings = Dsim.Id_table.create 64;
+      rounds = Dsim.Id_table.create 64;
+      completed = Dsim.Id_table.create 64;
+      dead = Dsim.Id_table.create 16;
+      submit_timers = Dsim.Id_table.create 64;
+      in_work = Dsim.Id_table.create 64;
       ledger;
       service_rng = Dsim.Rng.create config.service_seed;
-      queues = Hashtbl.create 16;
+      queues = Dsim.Id_table.create 16;
       queue_waits = Dsim.Stats.Summary.create ();
       queue_wait_hist;
       tracer;
-      submit_spans = Hashtbl.create 64;
-      hop_sends = Hashtbl.create 64;
-      fences = Hashtbl.create 64;
+      submit_spans = Dsim.Id_table.create 64;
+      hop_sends = Dsim.Id_table.create 64;
+      fences = Dsim.Id_table.create 64;
     }
   in
   List.iter

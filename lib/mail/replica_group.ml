@@ -30,12 +30,12 @@ type copy_state = {
 
 type t = {
   mailbox_policy : Mailbox.policy;
-  holders : (Netsim.Graph.node, Server.t) Hashtbl.t;
+  mutable holders : Server.t option array;  (* indexed by node id *)
   chain_of : int -> Netsim.Graph.node list;  (* by interned user id *)
   is_up : Netsim.Graph.node -> bool;
-  copies : (Message.id, copy_state) Hashtbl.t;
-  retrieved : (Message.id, unit) Hashtbl.t;
-  resync_queue : (Netsim.Graph.node, Message.id list ref) Hashtbl.t;
+  copies : copy_state Dsim.Id_table.t;  (* by message id *)
+  retrieved : unit Dsim.Id_table.t;  (* by message id *)
+  resync_queue : Message.id list ref Dsim.Id_table.t;
       (* per down-holder, ids retrieved elsewhere while it was out —
          queued at fetch time so a recovery resync walks its own stale
          set instead of scanning the whole copy table. *)
@@ -58,12 +58,12 @@ let create ?(mailbox_policy = Mailbox.Delete_on_retrieve) ?ledger ?tracer ?metri
     ~counters ~chain_of ~is_up () =
   {
     mailbox_policy;
-    holders = Hashtbl.create 16;
+    holders = [||];
     chain_of;
     is_up;
-    copies = Hashtbl.create 256;
-    retrieved = Hashtbl.create 256;
-    resync_queue = Hashtbl.create 16;
+    copies = Dsim.Id_table.create 256;
+    retrieved = Dsim.Id_table.create 256;
+    resync_queue = Dsim.Id_table.create 16;
     counters;
     ledger;
     tracer;
@@ -101,22 +101,40 @@ let observe_latencies t m =
 
 let count ?by t key = Dsim.Stats.Counter.incr ?by t.counters key
 
+let find_holder t node =
+  if node >= 0 && node < Array.length t.holders then t.holders.(node) else None
+
 let add_holder t ~node ~region =
-  if Hashtbl.mem t.holders node then
+  if node < 0 then
+    invalid_arg (Printf.sprintf "Replica_group.add_holder: negative node %d" node);
+  if Option.is_some (find_holder t node) then
     invalid_arg (Printf.sprintf "Replica_group.add_holder: node %d already added" node);
-  Hashtbl.replace t.holders node
-    (Server.create ~mailbox_policy:t.mailbox_policy ~node ~region ())
+  let n = Array.length t.holders in
+  if node >= n then begin
+    let grown = Array.make (max (2 * n) (node + 1)) None in
+    Array.blit t.holders 0 grown 0 n;
+    t.holders <- grown
+  end;
+  t.holders.(node) <-
+    Some (Server.create ~mailbox_policy:t.mailbox_policy ~node ~region ())
 
 let holder t node =
-  match Hashtbl.find_opt t.holders node with
+  match find_holder t node with
   | Some s -> s
   | None ->
       invalid_arg (Printf.sprintf "Replica_group: node %d is not a mailbox holder" node)
 
-let mem_holder t node = Hashtbl.mem t.holders node
+let mem_holder t node = Option.is_some (find_holder t node)
 
-let nodes t =
-  Hashtbl.fold (fun node _ acc -> node :: acc) t.holders [] |> List.sort Int.compare
+(* Holders in ascending node order, by walking the array. *)
+let fold_holders f t init =
+  let acc = ref init in
+  Array.iteri
+    (fun node h -> match h with Some s -> acc := f node s !acc | None -> ())
+    t.holders;
+  !acc
+
+let nodes t = List.rev (fold_holders (fun node _ acc -> node :: acc) t [])
 
 let region t node = Server.region (holder t node)
 let last_start t node = Server.last_start (holder t node)
@@ -132,14 +150,14 @@ let rec mem_node (x : int) = function
 
 let write t ~on msg ~at =
   let id = msg.Message.id in
-  if Hashtbl.mem t.retrieved id then Superseded
+  if Dsim.Id_table.mem t.retrieved id then Superseded
   else begin
     let c =
-      match Hashtbl.find_opt t.copies id with
+      match Dsim.Id_table.find_opt t.copies id with
       | Some c -> c
       | None ->
           let c = { owner_uid = msg.Message.recipient_uid; nodes = [] } in
-          Hashtbl.replace t.copies id c;
+          Dsim.Id_table.replace t.copies id c;
           c
     in
     if mem_node on c.nodes then Duplicate
@@ -154,11 +172,11 @@ let write t ~on msg ~at =
   end
 
 let copies t id =
-  match Hashtbl.find_opt t.copies id with
+  match Dsim.Id_table.find_opt t.copies id with
   | None -> []
   | Some c -> List.sort Int.compare c.nodes
 
-let no_copies t id = not (Hashtbl.mem t.copies id)
+let no_copies t id = not (Dsim.Id_table.mem t.copies id)
 
 (* Drop the copy of [id] held on [node] without serving it.  [kind]
    names the counter: purge-on-fetch vs recovery resync. *)
@@ -169,7 +187,7 @@ let purge_copy t ~kind ~node (c : copy_state) id =
     count ~by:dropped t kind
   end;
   c.nodes <- List.filter (fun n -> n <> node) c.nodes;
-  if c.nodes = [] then Hashtbl.remove t.copies id
+  if c.nodes = [] then Dsim.Id_table.remove t.copies id
 
 let fetch t ~on ~uid name ~at =
   let msgs = Server.take (holder t on) ~uid ~at in
@@ -196,8 +214,8 @@ let fetch t ~on ~uid name ~at =
   | _ -> ());
   List.iter
     (fun (m : Message.t) ->
-      Hashtbl.replace t.retrieved m.Message.id ();
-      match Hashtbl.find_opt t.copies m.Message.id with
+      Dsim.Id_table.replace t.retrieved m.Message.id ();
+      match Dsim.Id_table.find_opt t.copies m.Message.id with
       | None -> ()
       | Some c ->
           c.nodes <- List.filter (fun n -> n <> on) c.nodes;
@@ -207,7 +225,7 @@ let fetch t ~on ~uid name ~at =
           List.iter
             (fun node -> purge_copy t ~kind:"replica_purges" ~node c m.Message.id)
             live;
-          if c.nodes = [] then Hashtbl.remove t.copies m.Message.id
+          if c.nodes = [] then Dsim.Id_table.remove t.copies m.Message.id
           else
             (* Whatever survives the live purge is held by down chain
                members: queue the id so their recovery resync finds it
@@ -215,11 +233,11 @@ let fetch t ~on ~uid name ~at =
             List.iter
               (fun node ->
                 let q =
-                  match Hashtbl.find_opt t.resync_queue node with
+                  match Dsim.Id_table.find_opt t.resync_queue node with
                   | Some q -> q
                   | None ->
                       let q = ref [] in
-                      Hashtbl.add t.resync_queue node q;
+                      Dsim.Id_table.add t.resync_queue node q;
                       q
                 in
                 q := m.Message.id :: !q)
@@ -234,14 +252,14 @@ let note_recovery t ~node ~at =
      The stale set was queued per holder at retrieve time; membership
      is re-checked here because a fetch, compact or an earlier
      recovery may have already cleared an entry. *)
-  match Hashtbl.find_opt t.resync_queue node with
+  match Dsim.Id_table.find_opt t.resync_queue node with
   | None -> ()
   | Some q ->
-      Hashtbl.remove t.resync_queue node;
+      Dsim.Id_table.remove t.resync_queue node;
       List.iter
         (fun id ->
-          match Hashtbl.find_opt t.copies id with
-          | Some c when Hashtbl.mem t.retrieved id && mem_node node c.nodes ->
+          match Dsim.Id_table.find_opt t.copies id with
+          | Some c when Dsim.Id_table.mem t.retrieved id && mem_node node c.nodes ->
               purge_copy t ~kind:"replica_resyncs" ~node c id
           | _ -> ())
         (List.sort_uniq Int.compare !q)
@@ -253,11 +271,8 @@ let view t =
     fetch = (fun node ~uid name ~at -> fetch t ~on:node ~uid name ~at);
   }
 
-let total_pending t =
-  List.fold_left (fun acc node -> acc + Server.total_pending (holder t node)) 0 (nodes t)
-
-let storage_bytes t =
-  List.fold_left (fun acc node -> acc + Server.storage_bytes (holder t node)) 0 (nodes t)
+let total_pending t = fold_holders (fun _ s acc -> acc + Server.total_pending s) t 0
+let storage_bytes t = fold_holders (fun _ s acc -> acc + Server.storage_bytes s) t 0
 
 (* Chain-health gauges the per-window monitors read.  Chains are
    shared across users, so health is computed once per distinct chain
@@ -297,9 +312,7 @@ let publish_gauges t ~users reg =
       else if up < total then incr degraded)
     distinct;
   let holders_up =
-    Hashtbl.fold
-      (fun node _ acc -> if t.is_up node then acc + 1 else acc)
-      t.holders 0
+    fold_holders (fun node _ acc -> if t.is_up node then acc + 1 else acc) t 0
   in
   let set name v =
     Telemetry.Registry.set_gauge (Telemetry.Registry.gauge reg name) v
@@ -311,16 +324,16 @@ let publish_gauges t ~users reg =
     (if !chains = 0 then 1. else !health_sum /. float_of_int !chains)
 
 let cleanup_all t ~now ~max_age =
-  List.fold_left
-    (fun acc node -> acc + Server.cleanup (holder t node) ~now ~max_age)
-    0 (nodes t)
+  fold_holders (fun _ s acc -> acc + Server.cleanup s ~now ~max_age) t 0
 
-let tracked_ids t = Hashtbl.length t.retrieved + Hashtbl.length t.copies
+let tracked_ids t = Dsim.Id_table.length t.retrieved + Dsim.Id_table.length t.copies
 
 let compact t keep_out =
   let doomed =
-    Hashtbl.fold (fun id () acc -> if keep_out id then id :: acc else acc) t.retrieved []
+    Dsim.Id_table.fold
+      (fun id () acc -> if keep_out id then id :: acc else acc)
+      t.retrieved []
     |> List.sort Int.compare
   in
-  List.iter (Hashtbl.remove t.retrieved) doomed;
+  List.iter (Dsim.Id_table.remove t.retrieved) doomed;
   List.length doomed

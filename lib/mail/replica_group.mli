@@ -58,13 +58,19 @@ val create :
     rescan the message list (see {!Mail.System.snapshot_metrics}). *)
 
 val add_holder : t -> node:Netsim.Graph.node -> region:string -> unit
-(** Register a mailbox holder (one per server node).
-    @raise Invalid_argument if the node was already added. *)
+(** Register a mailbox holder (one per server node).  Holders live in
+    an array indexed by node id, grown to fit the largest node added.
+    @raise Invalid_argument if the node is negative or was already
+    added. *)
 
 val holder : t -> Netsim.Graph.node -> Server.t
-(** @raise Invalid_argument on a non-holder node. *)
+(** The holder on [node]: one bounds check and one array read, no
+    hashing — every deposit, fetch and [last_start] goes through it.
+    @raise Invalid_argument on a negative, out-of-range or non-holder
+    node. *)
 
 val mem_holder : t -> Netsim.Graph.node -> bool
+(** [false] for negative and out-of-range nodes too. *)
 
 val nodes : t -> Netsim.Graph.node list
 (** All holder nodes, sorted. *)

@@ -78,13 +78,21 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   let engine = M.engine sys in
   let users = M.users sys in
   let users_arr = Array.of_list users in
-  let check name =
+  (* The check path touches no name-keyed table: each user's agent is
+     resolved once, into an array parallel to [users_arr], and the
+     GetMail tallies go through pre-resolved counter cells. *)
+  let agents = Array.map (M.agent sys) users_arr in
+  let tracer = M.tracer sys and ledger = M.ledger sys in
+  let cells = Core.check_cells (M.counters sys) in
+  let check i =
     let stats =
-      check_with ~tracer:(M.tracer sys) ~ledger:(M.ledger sys) spec.retrieval
-        (M.view sys) (M.agent sys name) (M.now sys)
+      check_with ~tracer ~ledger spec.retrieval (M.view sys) agents.(i) (M.now sys)
     in
-    Core.record_check (M.counters sys) stats;
-    stats
+    (* [view] before the round and [counters] after it, once per check:
+       an instrumenting [System.S] wrapper may time a check between
+       the two calls. *)
+    ignore (M.counters sys);
+    Core.record_check cells stats
   in
   (* Mail injection at uniform times. *)
   let send_times =
@@ -96,21 +104,26 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
       let sender, recipient = pick_pair_skewed traffic_rng users_arr spec.sender_skew in
       ignore (M.submit_at sys ~at ~sender ~recipient ()))
     send_times;
-  (* Periodic checks, phase-shifted per user. *)
+  (* Periodic checks, phase-shifted per user.  Each user has one
+     handler, allocated here and re-armed by itself; its next check
+     time lives in the flat [next_check] array. *)
+  let cat_check = Dsim.Engine.category engine "scenario.check" in
+  let next_check = Array.make (Array.length users_arr) 0. in
+  let arm i handler =
+    if next_check.(i) < spec.duration then
+      ignore (Dsim.Engine.schedule_at_cat engine cat_check next_check.(i) handler)
+  in
   Array.iteri
     (fun i name ->
-      let phase =
-        spec.check_period *. float_of_int (i + 1) /. float_of_int (Array.length users_arr + 1)
+      next_check.(i) <-
+        spec.check_period *. float_of_int (i + 1) /. float_of_int (Array.length users_arr + 1);
+      let rec handler () =
+        on_check_tick ~rng:roam_rng name;
+        check i;
+        next_check.(i) <- next_check.(i) +. spec.check_period;
+        arm i handler
       in
-      let rec arm at =
-        if at < spec.duration then
-          ignore
-            (Dsim.Engine.schedule_at ~category:"scenario.check" engine at (fun () ->
-                 on_check_tick ~rng:roam_rng name;
-                 ignore (check name);
-                 arm (at +. spec.check_period)))
-      in
-      arm phase)
+      arm i handler)
     users_arr;
   (* Failure injection on servers. *)
   let outages =
@@ -189,7 +202,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   Option.iter (Netsim.Fault.heal (M.net sys)) fault_schedule;
   List.iter (fun n -> Netsim.Net.set_up (M.net sys) n) (M.server_nodes sys);
   M.quiesce sys;
-  List.iter (fun name -> ignore (check name)) users;
+  Array.iteri (fun i _ -> check i) users_arr;
   M.quiesce sys;
   ignore (M.compact sys);
   let report = Evaluation.of_system (module M) sys in
@@ -241,9 +254,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
         |> fun (sum, repl) -> (sum /. float_of_int (List.length users), repl)
   in
   let ledger_verdict = Ledger.check (M.ledger sys) in
-  let inbox_total =
-    List.fold_left (fun acc name -> acc + User_agent.inbox_size (M.agent sys name)) 0 users
-  in
+  let inbox_total = Array.fold_left (fun acc a -> acc + User_agent.inbox_size a) 0 agents in
   System.snapshot_metrics (module M) sys;
   let metrics = M.metrics sys in
   let set name v = Telemetry.Registry.set_gauge (Telemetry.Registry.gauge metrics name) v in

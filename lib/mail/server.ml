@@ -3,7 +3,7 @@ type t = {
   region : string;
   mailbox_policy : Mailbox.policy;
   mutable last_start : float;
-  mailboxes : (int, Mailbox.t) Hashtbl.t;  (* keyed by interned user id *)
+  mailboxes : Mailbox.t Dsim.Id_table.t;  (* keyed by interned user id *)
   mutable stores : int;
   (* Running holder-wide totals, kept in step around every mailbox
      mutation so per-window sampling never walks the mailbox table. *)
@@ -17,7 +17,7 @@ let create ?(mailbox_policy = Mailbox.Delete_on_retrieve) ~node ~region () =
     region;
     mailbox_policy;
     last_start = 0.;
-    mailboxes = Hashtbl.create 16;
+    mailboxes = Dsim.Id_table.create 16;
     stores = 0;
     pending_total = 0;
     bytes_total = 0;
@@ -29,11 +29,11 @@ let last_start t = t.last_start
 let note_recovery t ~at = t.last_start <- at
 
 let mailbox t ~uid name =
-  match Hashtbl.find_opt t.mailboxes uid with
+  match Dsim.Id_table.find_opt t.mailboxes uid with
   | Some mb -> mb
   | None ->
       let mb = Mailbox.create ~policy:t.mailbox_policy name in
-      Hashtbl.add t.mailboxes uid mb;
+      Dsim.Id_table.add t.mailboxes uid mb;
       mb
 
 (* Run one mailbox mutation, folding its effect into the holder-wide
@@ -52,7 +52,7 @@ let store t msg ~at =
   Message.mark_deposited msg ~at ~on:t.node
 
 let take t ~uid ~at =
-  match Hashtbl.find_opt t.mailboxes uid with
+  match Dsim.Id_table.find_opt t.mailboxes uid with
   | None -> []
   | Some mb ->
       let msgs = tracked t mb (fun () -> Mailbox.retrieve_all mb) in
@@ -60,24 +60,24 @@ let take t ~uid ~at =
       msgs
 
 let purge t ~uid id =
-  match Hashtbl.find_opt t.mailboxes uid with
+  match Dsim.Id_table.find_opt t.mailboxes uid with
   | None -> 0
   | Some mb -> tracked t mb (fun () -> Mailbox.remove_pending mb id)
 
 let pending_for t ~uid =
-  match Hashtbl.find_opt t.mailboxes uid with
+  match Dsim.Id_table.find_opt t.mailboxes uid with
   | Some mb -> Mailbox.pending mb
   | None -> 0
 
 let total_pending t = t.pending_total
 
-let mailbox_count t = Hashtbl.length t.mailboxes
+let mailbox_count t = Dsim.Id_table.length t.mailboxes
 
 let stores t = t.stores
 
 let storage_bytes t = t.bytes_total
 
 let cleanup t ~now ~max_age =
-  Hashtbl.fold
+  Dsim.Id_table.fold
     (fun _ mb acc -> acc + tracked t mb (fun () -> Mailbox.cleanup mb ~now ~max_age))
     t.mailboxes 0

@@ -4,15 +4,13 @@ type t = {
   mutable host : Netsim.Graph.node;
   mutable authority : Netsim.Graph.node list;
   mutable last_checking : float;
-  pus : (Netsim.Graph.node, int) Hashtbl.t;
-      (* PreviouslyUnavailableServers, each tagged with an insertion
-         sequence number: O(1) add/remove instead of the old list's
-         O(n) membership scan + tail append, while keeping the
-         paper's FIFO drain order recoverable. *)
-  mutable pus_seq : int;
+  mutable pus : Netsim.Graph.node list;
+      (* PreviouslyUnavailableServers in first-marked order (the
+         paper's FIFO drain order).  Only authority-chain members are
+         ever marked, so the list is as short as the chain. *)
   mutable inbox : Message.t list;  (* newest first *)
-  seen : (Message.id, unit) Hashtbl.t;
-      (* delivery is at-least-once; the agent deduplicates. *)
+  seen : unit Dsim.Id_table.t;
+      (* message ids; delivery is at-least-once, the agent deduplicates. *)
 }
 
 let create ?(uid = -1) ~name ~host ~authority () =
@@ -23,10 +21,9 @@ let create ?(uid = -1) ~name ~host ~authority () =
     host;
     authority;
     last_checking = 0.;
-    pus = Hashtbl.create 8;
-    pus_seq = 0;
+    pus = [];
     inbox = [];
-    seen = Hashtbl.create 32;
+    seen = Dsim.Id_table.create 32;
   }
 
 let name t = t.name
@@ -42,10 +39,7 @@ let set_host t h = t.host <- h
 let inbox t = List.rev t.inbox
 let inbox_size t = List.length t.inbox
 
-let previously_unavailable t =
-  Hashtbl.fold (fun s seq acc -> (seq, s) :: acc) t.pus []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
+let previously_unavailable t = t.pus
 
 let last_checking_time t = t.last_checking
 
@@ -58,13 +52,10 @@ type server_view = {
 
 type check_stats = { polls : int; failed_polls : int; retrieved : int }
 
-let add_pus t s =
-  if not (Hashtbl.mem t.pus s) then begin
-    Hashtbl.replace t.pus s t.pus_seq;
-    t.pus_seq <- t.pus_seq + 1
-  end
-
-let remove_pus t s = Hashtbl.remove t.pus s
+(* A server already marked keeps its place; a newly marked one joins
+   the end of the FIFO. *)
+let add_pus t s = if not (List.mem s t.pus) then t.pus <- t.pus @ [ s ]
+let remove_pus t s = if List.mem s t.pus then t.pus <- List.filter (fun x -> x <> s) t.pus
 
 (* Keep only messages not already retrieved (duplicates can arrive
    when a deposit retry raced a lost acknowledgement).  The ledger, if
@@ -73,9 +64,9 @@ let fresh_only ?ledger t ~now msgs =
   List.filter
     (fun (m : Message.t) ->
       Option.iter (fun l -> Ledger.record_fetch l m ~at:now) ledger;
-      if Hashtbl.mem t.seen m.Message.id then false
+      if Dsim.Id_table.mem t.seen m.Message.id then false
       else begin
-        Hashtbl.replace t.seen m.Message.id ();
+        Dsim.Id_table.replace t.seen m.Message.id ();
         Option.iter (fun l -> Ledger.record_retrieve l m ~at:now) ledger;
         true
       end)
@@ -191,15 +182,16 @@ let get_mail ?tracer ?ledger t ~view ~now =
       in
       scan t.authority;
       (* Phase 2: drain servers that were unavailable at some earlier
-         check and are alive again — they may hold old mail.  Snapshot
-         first (in insertion order): [remove_pus] mutates the table. *)
+         check and are alive again — they may hold old mail.  The walk
+         is over the list as phase 1 left it; [remove_pus] replaces
+         [t.pus] rather than mutating it. *)
       List.iter
         (fun s ->
           if view.is_alive s then begin
             ignore (contact s);
             remove_pus t s
           end)
-        (previously_unavailable t))
+        t.pus)
 
 let poll_all ?tracer ?ledger t ~view ~now =
   round ?tracer ?ledger t ~view ~now ~mode:"poll_all" (fun contact ->
@@ -213,12 +205,12 @@ let naive_check ?tracer ?ledger t ~view ~now =
       in
       first_alive t.authority)
 
-let seen_size t = Hashtbl.length t.seen
+let seen_size t = Dsim.Id_table.length t.seen
 
 let compact t prunable =
   let doomed =
-    Hashtbl.fold (fun id () acc -> if prunable id then id :: acc else acc) t.seen []
+    Dsim.Id_table.fold (fun id () acc -> if prunable id then id :: acc else acc) t.seen []
     |> List.sort Int.compare
   in
-  List.iter (Hashtbl.remove t.seen) doomed;
+  List.iter (Dsim.Id_table.remove t.seen) doomed;
   List.length doomed

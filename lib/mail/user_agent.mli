@@ -46,9 +46,11 @@ val inbox : t -> Message.t list
 val inbox_size : t -> int
 
 val previously_unavailable : t -> Netsim.Graph.node list
-(** In first-marked-unavailable order (the paper's FIFO drain order).
-    Maintained in a hash table internally, so marking and clearing a
-    server is O(1) per check instead of the former O(n) list scans. *)
+(** In first-marked-unavailable order (the paper's FIFO drain order):
+    a server marked again while still listed keeps its place, and one
+    cleared and marked again rejoins at the end.  Kept as this list
+    itself, so reading it costs nothing; only authority-chain members
+    are ever marked, so marking and clearing scan at most the chain. *)
 
 val last_checking_time : t -> float
 

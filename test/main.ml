@@ -2,7 +2,7 @@
 
 let () =
   Alcotest.run "mailsys"
-    (Test_heap.suite @ Test_rng.suite @ Test_stats.suite @ Test_engine.suite
+    (Test_heap.suite @ Test_rng.suite @ Test_stats.suite @ Test_id_table.suite @ Test_engine.suite
    @ Test_graph.suite @ Test_shortest_path.suite
    @ Test_topology.suite @ Test_net.suite @ Test_route_cache.suite
    @ Test_failure.suite

@@ -322,6 +322,17 @@ let test_unsorted_fold () =
 let test_sorted_fold_ok () =
   check_rules "sorted escape and pure aggregation pass" [] (lint "fold_ok")
 
+let test_cross_unit_fold () =
+  (* Fix_table is a Hashtbl.Make instance exported from its own unit;
+     the gate learns that from Fix_table's typed tree, so it is
+     analysed alongside the unit that folds over it. *)
+  let table = [ cmt "table" ] and table_src = [ src "table" ] in
+  check_rules "a consing fold over another unit's instance is flagged"
+    [ (4, "unsorted-fold") ]
+    (run ~sources:(table_src @ [ src "table_bad" ]) (table @ [ cmt "table_bad" ]));
+  check_rules "sorted escape and pure aggregation pass" []
+    (run ~sources:(table_src @ [ src "table_ok" ]) (table @ [ cmt "table_ok" ]))
+
 let test_poly_compare () =
   check_rules "Hashtbl.hash flagged, compare at int left alone"
     [ (7, "poly-compare") ]
@@ -421,7 +432,7 @@ let test_whole_corpus () =
   let count rule =
     List.length (List.filter (fun v -> String.equal v.Analyze_core.rule rule) vs)
   in
-  Alcotest.(check int) "unsorted-fold count" 3 (count "unsorted-fold");
+  Alcotest.(check int) "unsorted-fold count" 4 (count "unsorted-fold");
   Alcotest.(check int) "poly-compare count (R2 + A4)" 5 (count "poly-compare");
   Alcotest.(check int) "wall-clock count" 5 (count "wall-clock");
   Alcotest.(check int) "stdout count" 4 (count "stdout");
@@ -490,5 +501,7 @@ let suite =
         Alcotest.test_case "resolved paths flagged" `Quick test_resolved_paths;
         Alcotest.test_case "directory pass aggregates and sorts" `Quick
           test_whole_corpus;
+        Alcotest.test_case "R1: fold over another unit's instance" `Quick
+          test_cross_unit_fold;
       ] );
   ]

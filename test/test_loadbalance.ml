@@ -188,6 +188,31 @@ let prop_balancing_invariants =
       && stats.Loadbalance.Balancer.converged
       && Array.fold_left ( + ) 0 (Loadbalance.Assignment.loads t) = total)
 
+(* [problem_of_site] runs the flat Dijkstra over one compiled
+   adjacency; its [comm] matrix must hold exactly the floats the
+   list-based [dijkstra] gives, on a generated multi-region site with
+   distinct continuous weights. *)
+let test_comm_matches_list_dijkstra () =
+  let site =
+    Netsim.Topology.scale_site ~rng:(Dsim.Rng.create 7) ~users_per_host:3
+      (Netsim.Topology.sized_hierarchy ~regions:4 ~hosts_per_region:6
+         ~servers_per_region:2 ~degree:6.0 ())
+  in
+  let p = Loadbalance.Assignment.problem_of_site site in
+  Alcotest.(check int) "every host has a row" (List.length site.Netsim.Topology.hosts)
+    (Array.length p.Loadbalance.Assignment.comm);
+  Array.iteri
+    (fun i h ->
+      let tree = Netsim.Shortest_path.dijkstra site.Netsim.Topology.graph h in
+      Array.iteri
+        (fun j s ->
+          let expected = Netsim.Shortest_path.distance tree s in
+          let got = p.Loadbalance.Assignment.comm.(i).(j) in
+          if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got))
+          then Alcotest.failf "C(host %d, server %d): %h, list-based %h" h s got expected)
+        p.Loadbalance.Assignment.servers)
+    p.Loadbalance.Assignment.hosts
+
 let test_pp_table_smoke () =
   let p = fig1_problem () in
   let t = Loadbalance.Balancer.initialize p in
@@ -214,5 +239,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_move_delta_exact;
         QCheck_alcotest.to_alcotest prop_balancing_invariants;
         Alcotest.test_case "pp_table smoke" `Quick test_pp_table_smoke;
+        Alcotest.test_case "comm matches list-based Dijkstra" `Quick
+          test_comm_matches_list_dijkstra;
       ] );
   ]

@@ -128,6 +128,36 @@ let test_server_mailbox_count_and_cleanup () =
   let dropped = Mail.Server.cleanup srv ~now:1000. ~max_age:10. in
   Alcotest.(check int) "archives cleaned" 2 dropped
 
+(* Holders sit in an array indexed by node id: every node outside it,
+   below it or in a gap raises the same error as before. *)
+let test_holder_lookup () =
+  let storage =
+    Mail.Replica_group.create ~counters:(Dsim.Stats.Counter.create ())
+      ~chain_of:(fun _ -> [])
+      ~is_up:(fun _ -> true)
+      ()
+  in
+  Mail.Replica_group.add_holder storage ~node:3 ~region:"east";
+  Mail.Replica_group.add_holder storage ~node:7 ~region:"west";
+  Alcotest.(check (list int)) "nodes sorted" [ 3; 7 ] (Mail.Replica_group.nodes storage);
+  Alcotest.(check string) "holder 7" "west"
+    (Mail.Server.region (Mail.Replica_group.holder storage 7));
+  Alcotest.(check int) "holder 3 is node 3" 3
+    (Mail.Server.node (Mail.Replica_group.holder storage 3));
+  List.iter
+    (fun node ->
+      Alcotest.(check bool) (Printf.sprintf "mem_holder %d" node) false
+        (Mail.Replica_group.mem_holder storage node);
+      Alcotest.check_raises
+        (Printf.sprintf "holder %d" node)
+        (Invalid_argument
+           (Printf.sprintf "Replica_group: node %d is not a mailbox holder" node))
+        (fun () -> ignore (Mail.Replica_group.holder storage node)))
+    [ -1; min_int; 0; 5; 8; 1_000_000 ];
+  Alcotest.check_raises "duplicate holder"
+    (Invalid_argument "Replica_group.add_holder: node 3 already added")
+    (fun () -> Mail.Replica_group.add_holder storage ~node:3 ~region:"east")
+
 let suite =
   [
     ( "mailstore",
@@ -146,5 +176,6 @@ let suite =
         Alcotest.test_case "LastStartTime" `Quick test_server_last_start;
         Alcotest.test_case "mailboxes and cleanup" `Quick
           test_server_mailbox_count_and_cleanup;
+        Alcotest.test_case "holder lookup by node id" `Quick test_holder_lookup;
       ] );
   ]

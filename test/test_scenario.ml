@@ -208,6 +208,38 @@ let test_double_run_identical () =
   Alcotest.(check string) "metrics export byte-identical" (metrics o1) (metrics o2);
   Alcotest.(check string) "ledger verdict byte-identical" (ledger o1) (ledger o2)
 
+(* The drive tallies checks through pre-resolved counter cells.  With
+   every round traced ([span_sample] 1), each "getmail.check" root
+   span carries its round's check_stats, so the counters must equal
+   the sums over those spans — on a faulted run, where failed polls
+   happen. *)
+let test_check_counters_match_rounds () =
+  let sys = Mail.Syntax_system.create (fig1 ()) in
+  let spec = { small_spec with failure_rate = 0.004; mean_outage = 120. } in
+  let o = Mail.Scenario.drive (module Mail.System.Syntax) sys spec in
+  let tracer = o.Mail.Scenario.tracer in
+  Alcotest.(check int) "no span dropped" 0 (Telemetry.Tracer.dropped tracer);
+  let rounds =
+    List.filter
+      (fun sp -> String.equal sp.Telemetry.Span.name "getmail.check")
+      (Telemetry.Tracer.spans tracer)
+  in
+  let sum key =
+    List.fold_left
+      (fun acc sp ->
+        match Telemetry.Span.attr sp key with
+        | Some v -> acc + int_of_string v
+        | None -> Alcotest.failf "getmail.check span without %s" key)
+      0 rounds
+  in
+  let counter = Dsim.Stats.Counter.get (Mail.Syntax_system.counters sys) in
+  Alcotest.(check int) "checks" (List.length rounds) (counter "checks");
+  List.iter
+    (fun key -> Alcotest.(check int) key (sum key) (counter key))
+    [ "polls"; "failed_polls"; "retrieved" ];
+  Alcotest.(check bool) "the run had failed polls" true (counter "failed_polls" > 0);
+  Alcotest.(check int) "every message retrieved once" spec.mail_count (counter "retrieved")
+
 let suite =
   [
     ( "scenario",
@@ -231,5 +263,7 @@ let suite =
           test_double_run_identical;
         Alcotest.test_case "outcome lists the random outages" `Quick
           test_outages_reported;
+        Alcotest.test_case "check counters equal per-round stats" `Quick
+          test_check_counters_match_rounds;
       ] );
   ]

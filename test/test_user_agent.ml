@@ -199,6 +199,39 @@ let test_inbox_order () =
   Alcotest.(check (list int)) "oldest first" [ 1; 2; 3 ]
     (List.map (fun m -> m.Mail.Message.id) (Mail.User_agent.inbox a))
 
+(* A server cleared from PreviouslyUnavailableServers and marked again
+   rejoins at the end of the FIFO; one marked again while still listed
+   keeps its place.  Phase 2 drains in that order. *)
+let test_pus_readd_goes_last () =
+  let w = world () in
+  let a = agent () in
+  let pus () = Mail.User_agent.previously_unavailable a in
+  let check now = ignore (Mail.User_agent.get_mail a ~view:(view w) ~now) in
+  Array.fill w.alive 0 3 false;
+  check 10.;
+  Alcotest.(check (list int)) "marked in poll order" [ 0; 1; 2 ] (pus ());
+  (* 0 recovers and is cleared; 1 and 2, still down, keep their places. *)
+  w.alive.(0) <- true;
+  w.started.(0) <- 15.;
+  check 20.;
+  Alcotest.(check (list int)) "0 cleared" [ 1; 2 ] (pus ());
+  (* 0 fails again: added anew, so it now drains last. *)
+  w.alive.(0) <- false;
+  check 30.;
+  Alcotest.(check (list int)) "0 re-added at the end" [ 1; 2; 0 ] (pus ());
+  (* Every server back; 2 restarted long ago, so the phase-1 scan stops
+     at 1 (stable since before the last check) and 2 is drained from
+     the list in phase 2. *)
+  Array.fill w.alive 0 3 true;
+  w.started.(0) <- 35.;
+  w.started.(1) <- 5.;
+  w.started.(2) <- 5.;
+  w.fetches <- [];
+  check 40.;
+  Alcotest.(check (list int)) "drained" [] (pus ());
+  Alcotest.(check (list int)) "scan 0, 1, then drain 2" [ 0; 1; 2 ]
+    (List.rev_map fst w.fetches)
+
 let suite =
   [
     ( "user_agent",
@@ -222,5 +255,7 @@ let suite =
           test_naive_misses_stranded_mail;
         Alcotest.test_case "setters" `Quick test_setters;
         Alcotest.test_case "inbox order" `Quick test_inbox_order;
+        Alcotest.test_case "PUS: re-added server drains last" `Quick
+          test_pus_readd_goes_last;
       ] );
   ]
