@@ -753,11 +753,11 @@ let experiment_c16 () =
 (* Throughput ratchets per size, asserted (exit 1) on every [--scale]
    run: an events/sec floor and a minor-words/event ceiling, the
    latter locking in the pooled-event / interned-name / hash-free
-   check-path wins.  The quick pair is derived in docs/PERF.md from
+   check-path / check-sweep wins.  The quick pair is derived in docs/PERF.md from
    measured runs with bench/perf's rule (bound = 1.5 x the widest
    quartile spread, capped at 0.25): the derived events/sec floor,
    taken below the slowest run, is looser than 150k, so 150k stays;
-   minor words/event is fixed by the seed (88.9 in every run), so its
+   minor words/event is fixed by the seed (83.1 in every run), so its
    ceiling sits 1% above.
    The full pair (~69k events/sec measured once at 1M, where the wall
    is mail-layer state and repair work under the fault campaign, not
@@ -765,7 +765,7 @@ let experiment_c16 () =
    unratcheted until measured the same way. *)
 let scale_ratchet size =
   match size with
-  | "quick" -> Some (150_000., 89.8)
+  | "quick" -> Some (150_000., 83.9)
   | "full" -> Some (55_000., 440.)
   | _ -> None
 

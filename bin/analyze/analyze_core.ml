@@ -352,7 +352,8 @@ let default_hot_set =
   [
     ( "Dsim.Engine",
       [ "exec"; "step"; "step_uninstrumented"; "settle_head"; "drain"; "run";
-        "schedule_at"; "schedule_after"; "schedule_after_cat" ] );
+        "schedule_at"; "schedule_after"; "schedule_after_cat"; "next_time";
+        "advance" ] );
     ("Dsim.Heap", [ "push"; "pop"; "peek"; "sift_up"; "sift_down" ]);
     ("Netsim.Net", [ "send"; "send_raw"; "send_timed"; "route" ]);
     ( "Mail.Pipeline",
@@ -365,7 +366,23 @@ let default_hot_set =
         "try_submit";
         "send_fenced";
       ] );
-    ("Mail.Replica_group", [ "write"; "fetch"; "observe_latencies" ]);
+    ("Mail.Replica_group", [ "write"; "fetch"; "serve"; "observe_latencies" ]);
+    ("Mail.Server", [ "take" ]);
+    ( "Mail.User_agent",
+      [
+        "get_mail";
+        "poll_all";
+        "naive_check";
+        "start";
+        "contact";
+        "record_poll";
+        "fresh_only";
+        "scan";
+        "drain";
+        "poll_every";
+        "first_alive";
+        "finish";
+      ] );
     ( "Telemetry.Registry",
       [ "incr"; "set_counter"; "set_gauge"; "add_gauge"; "observe"; "find_or_create" ] );
   ]

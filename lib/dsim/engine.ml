@@ -121,19 +121,22 @@ let is_cancelled t id =
   byte < Bytes.length t.cancelled
   && Char.code (Bytes.unsafe_get t.cancelled byte) land (1 lsl (id land 7)) <> 0
 
+(* Only a queued event can be cancelled.  Marking an id that already
+   fired (or never existed) would count a tombstone no pop ever clears,
+   and [pending] would drift below the real queue length.  The
+   membership scan is O(pending); nothing cancels per event. *)
 let cancel t id =
   if id < 0 then invalid_arg "Engine.cancel: negative id";
-  let byte = id lsr 3 in
-  if byte >= Bytes.length t.cancelled then begin
-    let cap = max (2 * Bytes.length t.cancelled) (byte + 1) in
-    let b = Bytes.make cap '\000' in
-    Bytes.blit t.cancelled 0 b 0 (Bytes.length t.cancelled);
-    t.cancelled <- b
-  end;
-  let cur = Char.code (Bytes.get t.cancelled byte) in
-  let bit = 1 lsl (id land 7) in
-  if cur land bit = 0 then begin
-    Bytes.set t.cancelled byte (Char.chr (cur lor bit));
+  if (not (is_cancelled t id)) && Heap.Arena.mem_seq t.queue id then begin
+    let byte = id lsr 3 in
+    if byte >= Bytes.length t.cancelled then begin
+      let cap = max (2 * Bytes.length t.cancelled) (byte + 1) in
+      let b = Bytes.make cap '\000' in
+      Bytes.blit t.cancelled 0 b 0 (Bytes.length t.cancelled);
+      t.cancelled <- b
+    end;
+    let cur = Char.code (Bytes.get t.cancelled byte) in
+    Bytes.set t.cancelled byte (Char.chr (cur lor (1 lsl (id land 7))));
     t.cancelled_pending <- t.cancelled_pending + 1
   end
 
@@ -187,6 +190,16 @@ let exec t =
   t.executed <- t.executed + 1;
   t.cat_events.(cat) <- t.cat_events.(cat) + 1;
   action ()
+
+let next_time t = if settle_head t then Heap.Arena.top_prio t.queue else infinity
+
+(* An event run by the caller instead of the queue: the same clock
+   move and the same counts [exec] makes, with no queue traffic. *)
+let advance t cat time =
+  if time < t.clock then invalid_arg "Engine.advance: time is before now";
+  t.clock <- time;
+  t.executed <- t.executed + 1;
+  t.cat_events.(cat) <- t.cat_events.(cat) + 1
 
 let step_uninstrumented t =
   if settle_head t then begin

@@ -66,12 +66,40 @@ val every :
     @raise Invalid_argument if [period <= 0.]. *)
 
 val cancel : t -> event_id -> unit
-(** Cancel a pending event; cancelling an already-fired or unknown
-    event is a no-op. *)
+(** Cancel a pending event; cancelling an already-fired, already
+    cancelled or unknown event is a no-op.  Checking that the id is
+    still queued scans the queue (O({!pending})), so cancellation is
+    for rare callers, not per-event paths.
+    @raise Invalid_argument on a negative id. *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled tombstones'
-    live siblings; cancelled events are excluded). *)
+(** Number of live events still queued; cancelled events are
+    excluded. *)
+
+(** {1 Inline events}
+
+    A caller that owns a long recurring series (the scenario's GetMail
+    sweep) can run most of its occurrences without queueing them: from
+    inside a handler it asks {!next_time}, and when its own next
+    occurrence is strictly earlier it calls {!advance} and does the
+    work inline.  Otherwise it schedules itself once through the queue.
+    The clock, {!events_executed} and {!profile} then read exactly as
+    if every occurrence had been queued.
+
+    Ties: an inline occurrence due at the same time as the queue head
+    must defer to the head (schedule itself, which places it after
+    every event already queued at that time).  A queued series would
+    instead order such a tie by when each event was scheduled. *)
+
+val next_time : t -> float
+(** Virtual time of the next live queued event, after dropping any
+    cancelled tombstones at the head; [infinity] when none is queued. *)
+
+val advance : t -> category -> float -> unit
+(** [advance t cat time] sets the clock to [time] and counts one
+    executed event of [cat], as popping an event would.  The caller
+    guarantees [time < next_time t] so queue order is kept.
+    @raise Invalid_argument if [time] is before {!now}. *)
 
 val run : ?until:float -> t -> unit
 (** Execute events in order until the queue empties, or until the

@@ -187,6 +187,10 @@ module Arena = struct
     if h.size = 0 then invalid_arg "Heap.Arena.top: empty";
     h.values.(0)
 
+  let mem_seq h seq =
+    let rec go i = i < h.size && (h.seqs.(i) = seq || go (i + 1)) in
+    go 0
+
   (* [before] on (prio, seq) pairs: smaller priority first, FIFO among
      equal priorities. *)
   let drop h =

@@ -76,6 +76,10 @@ module Arena : sig
   val top : 'a t -> 'a
   (** Payload of the minimum entry. *)
 
+  val mem_seq : 'a t -> int -> bool
+  (** Whether the entry with this sequence number is still queued: a
+      linear scan, for rare callers (cancellation), never per event. *)
+
   val drop : 'a t -> unit
   (** Remove the minimum entry (read it with the [top_*] accessors
       first — dropping clears the payload slot).

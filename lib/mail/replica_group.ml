@@ -42,6 +42,8 @@ type t = {
   counters : Dsim.Stats.Counter.t;
   ledger : Ledger.t option;
   tracer : Telemetry.Tracer.t option;
+  mutable agent_view : User_agent.server_view option;
+      (* built on the first [view] call and shared by every check *)
   mutable gauge_chains : Netsim.Graph.node list list option;
       (* distinct non-empty authority chains, memoised on the first
          publish_gauges call — chain membership is fixed for the run
@@ -67,6 +69,7 @@ let create ?(mailbox_policy = Mailbox.Delete_on_retrieve) ?ledger ?tracer ?metri
     counters;
     ledger;
     tracer;
+    agent_view = None;
     gauge_chains = None;
     latency =
       (* Registered eagerly so the metric names exist (and stay
@@ -189,13 +192,14 @@ let purge_copy t ~kind ~node (c : copy_state) id =
   c.nodes <- List.filter (fun n -> n <> node) c.nodes;
   if c.nodes = [] then Dsim.Id_table.remove t.copies id
 
-let fetch t ~on ~uid name ~at =
-  let msgs = Server.take (holder t on) ~uid ~at in
+(* Book-keeping for the mail one poll served: latencies, failover,
+   and the group-wide retrieved mark and purge. *)
+let serve t ~on ~uid name ~at msgs =
   List.iter (observe_latencies t) msgs;
   (* Failover observability: mail served by a lower-priority chain
      member while the user's primary is down. *)
   (match t.chain_of uid with
-  | primary :: _ when primary <> on && (not (t.is_up primary)) && msgs <> [] ->
+  | primary :: _ when primary <> on && not (t.is_up primary) ->
       count t "replica_failovers";
       (match t.tracer with
       | Some tracer when Telemetry.Tracer.sampled tracer uid ->
@@ -245,6 +249,17 @@ let fetch t ~on ~uid name ~at =
     msgs;
   msgs
 
+(* An empty take — most polls — returns at once: no chain lookup, no
+   closure.  Skipping [chain_of] there changes nothing: every design's
+   [authority_of_uid] hook only reads state.  The one write behind
+   [chain_of] is [Core]'s [redirects] count for a uid renamed away,
+   which only a stale agent of a migrated user could poll with, and a
+   poll that served nothing followed no redirect. *)
+let fetch t ~on ~uid name ~at =
+  match Server.take (holder t on) ~uid ~at with
+  | [] -> []
+  | msgs -> serve t ~on ~uid name ~at msgs
+
 let note_recovery t ~node ~at =
   Server.note_recovery (holder t node) ~at;
   (* Resync: every copy this holder kept through the outage whose id
@@ -265,11 +280,18 @@ let note_recovery t ~node ~at =
         (List.sort_uniq Int.compare !q)
 
 let view t =
-  {
-    User_agent.is_alive = t.is_up;
-    last_start = (fun node -> last_start t node);
-    fetch = (fun node ~uid name ~at -> fetch t ~on:node ~uid name ~at);
-  }
+  match t.agent_view with
+  | Some v -> v
+  | None ->
+      let v =
+        {
+          User_agent.is_alive = t.is_up;
+          last_start = (fun node -> last_start t node);
+          fetch = (fun node ~uid name ~at -> fetch t ~on:node ~uid name ~at);
+        }
+      in
+      t.agent_view <- Some v;
+      v
 
 let total_pending t = fold_holders (fun _ s acc -> acc + Server.total_pending s) t 0
 let storage_bytes t = fold_holders (fun _ s acc -> acc + Server.storage_bytes s) t 0

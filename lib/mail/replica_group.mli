@@ -97,7 +97,8 @@ val fetch :
     other chain members are purged now, down members at resync.
     Serving while the chain's primary is down counts a
     [replica_failovers] and, for a sampled uid, emits the failover
-    span. *)
+    span.  A poll of an empty mailbox returns [[]] without consulting
+    [chain_of]. *)
 
 val note_recovery : t -> node:Netsim.Graph.node -> at:float -> unit
 (** The holder rejoined: bump its [LastStartTime] and purge every copy
@@ -112,7 +113,8 @@ val view : t -> User_agent.server_view
 (** The agent-facing view of the group: liveness, [LastStartTime] and
     {!fetch} — GetMail's ordered-scan machinery works unchanged on
     top, but every poll now routes through the group's failover and
-    purge logic. *)
+    purge logic.  Built on the first call; every later call returns
+    the same record. *)
 
 val total_pending : t -> int
 val storage_bytes : t -> int

@@ -82,11 +82,11 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
      resolved once, into an array parallel to [users_arr], and the
      GetMail tallies go through pre-resolved counter cells. *)
   let agents = Array.map (M.agent sys) users_arr in
-  let tracer = M.tracer sys and ledger = M.ledger sys in
+  let tracer = Some (M.tracer sys) and ledger = Some (M.ledger sys) in
   let cells = Core.check_cells (M.counters sys) in
   let check i =
     let stats =
-      check_with ~tracer ~ledger spec.retrieval (M.view sys) agents.(i) (M.now sys)
+      check_with ?tracer ?ledger spec.retrieval (M.view sys) agents.(i) (M.now sys)
     in
     (* [view] before the round and [counters] after it, once per check:
        an instrumenting [System.S] wrapper may time a check between
@@ -104,27 +104,38 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
       let sender, recipient = pick_pair_skewed traffic_rng users_arr spec.sender_skew in
       ignore (M.submit_at sys ~at ~sender ~recipient ()))
     send_times;
-  (* Periodic checks, phase-shifted per user.  Each user has one
-     handler, allocated here and re-armed by itself; its next check
-     time lives in the flat [next_check] array. *)
+  (* Periodic checks, phase-shifted per user: user [i] checks at
+     [check_period * (i+1) / (N+1)], then every [check_period], while
+     before [duration].  One sweep visits the users in that phase order
+     (the times are non-decreasing around the cycle, since each is the
+     last plus the period).  A check strictly earlier than the next
+     queued event runs inline, counted by [Engine.advance]; otherwise
+     the sweep queues itself once for that check's time, after any
+     event already queued there. *)
   let cat_check = Dsim.Engine.category engine "scenario.check" in
-  let next_check = Array.make (Array.length users_arr) 0. in
-  let arm i handler =
-    if next_check.(i) < spec.duration then
-      ignore (Dsim.Engine.schedule_at_cat engine cat_check next_check.(i) handler)
+  let n_users = Array.length users_arr in
+  let next_check =
+    Array.init n_users (fun i ->
+        spec.check_period *. float_of_int (i + 1) /. float_of_int (n_users + 1))
   in
-  Array.iteri
-    (fun i name ->
-      next_check.(i) <-
-        spec.check_period *. float_of_int (i + 1) /. float_of_int (Array.length users_arr + 1);
-      let rec handler () =
-        on_check_tick ~rng:roam_rng name;
-        check i;
-        next_check.(i) <- next_check.(i) +. spec.check_period;
-        arm i handler
-      in
-      arm i handler)
-    users_arr;
+  let cursor = ref 0 in
+  let rec sweep () =
+    let i = !cursor in
+    on_check_tick ~rng:roam_rng users_arr.(i);
+    check i;
+    next_check.(i) <- next_check.(i) +. spec.check_period;
+    let j = if i + 1 = n_users then 0 else i + 1 in
+    cursor := j;
+    let at = next_check.(j) in
+    if at < spec.duration then
+      if at < Dsim.Engine.next_time engine then begin
+        Dsim.Engine.advance engine cat_check at;
+        sweep ()
+      end
+      else ignore (Dsim.Engine.schedule_at_cat engine cat_check at sweep)
+  in
+  if n_users > 0 && next_check.(0) < spec.duration then
+    ignore (Dsim.Engine.schedule_at_cat engine cat_check next_check.(0) sweep);
   (* Failure injection on servers. *)
   let outages =
     Netsim.Failure.random_outages ~rng:failure_rng ~nodes:(M.server_nodes sys)

@@ -18,7 +18,8 @@ type spec = {
   seed : int;
   duration : float;
   mail_count : int;  (** total messages to inject over the run. *)
-  check_period : float;  (** per-user mailbox-check interval. *)
+  check_period : float;
+      (** per-user mailbox-check interval (schedule: {!drive}). *)
   failure_rate : float;  (** outage starts per server per unit time. *)
   mean_outage : float;  (** mean outage duration. *)
   sender_skew : float;  (** Zipf exponent for sender activity. *)
@@ -117,7 +118,20 @@ val drive :
     all servers, drain, final-check every user, compact, check the
     delivery ledger, and snapshot metrics.  Fault windows are tallied
     per kind as [fault_<kind>] counters and emitted as ["fault"] spans
-    on the tracer. *)
+    on the tracer.
+
+    Periodic checks: of [N] users (in {!System.S.users} order), user
+    [i] checks at [check_period * (i+1) / (N+1)] and then at repeated
+    additions of [check_period], while strictly before [duration].  One
+    sweep visits the users in that phase order, round after round.  A
+    check earlier than every queued event runs inline
+    ({!Dsim.Engine.advance}: it is still counted as one
+    ["scenario.check"] event); otherwise the sweep queues itself for
+    that check's time.  So a check due at exactly the time of a queued
+    event runs after it.  Each check calls [on_check_tick], then
+    [M.view], runs the retrieval round, then reads [M.counters] — an
+    instrumenting [System.S] wrapper may time a check between the last
+    two calls. *)
 
 val run_syntax :
   ?config:Syntax_system.config -> Netsim.Topology.mail_site -> spec -> outcome

@@ -51,10 +51,13 @@ let store t msg ~at =
   t.stores <- t.stores + 1;
   Message.mark_deposited msg ~at ~on:t.node
 
+(* The GetMail poll.  Most polls find an empty mailbox: that path
+   touches no totals and allocates nothing (no option, no closure). *)
 let take t ~uid ~at =
-  match Dsim.Id_table.find_opt t.mailboxes uid with
-  | None -> []
-  | Some mb ->
+  match Dsim.Id_table.find t.mailboxes uid with
+  | exception Not_found -> []
+  | mb when Mailbox.pending mb = 0 -> []
+  | mb ->
       let msgs = tracked t mb (fun () -> Mailbox.retrieve_all mb) in
       List.iter (fun m -> Message.mark_retrieved m ~at) msgs;
       msgs

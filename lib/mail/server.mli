@@ -39,7 +39,8 @@ val store : t -> Message.t -> at:float -> unit
 
 val take : t -> uid:int -> at:float -> Message.t list
 (** Drain-and-return the user's pending mail (by interned id), marking
-    each message retrieved. *)
+    each message retrieved.  An absent or empty mailbox returns [[]]
+    without touching the holder. *)
 
 val purge : t -> uid:int -> Message.id -> int
 (** Drop an unfetched pending copy of one message — the replica-group

@@ -60,17 +60,19 @@ let remove_pus t s = if List.mem s t.pus then t.pus <- List.filter (fun x -> x <
 (* Keep only messages not already retrieved (duplicates can arrive
    when a deposit retry raced a lost acknowledgement).  The ledger, if
    any, sees every fetched copy and every accepted (fresh) message. *)
-let fresh_only ?ledger t ~now msgs =
-  List.filter
-    (fun (m : Message.t) ->
-      Option.iter (fun l -> Ledger.record_fetch l m ~at:now) ledger;
-      if Dsim.Id_table.mem t.seen m.Message.id then false
-      else begin
-        Dsim.Id_table.replace t.seen m.Message.id ();
-        Option.iter (fun l -> Ledger.record_retrieve l m ~at:now) ledger;
-        true
-      end)
-    msgs
+let fresh_only ledger t ~now = function
+  | [] -> []
+  | msgs ->
+      List.filter
+        (fun (m : Message.t) ->
+          Option.iter (fun l -> Ledger.record_fetch l m ~at:now) ledger;
+          if Dsim.Id_table.mem t.seen m.Message.id then false
+          else begin
+            Dsim.Id_table.replace t.seen m.Message.id ();
+            Option.iter (fun l -> Ledger.record_retrieve l m ~at:now) ledger;
+            true
+          end)
+        msgs
 
 (* Each fresh message fetched completes its own trace, if it has one: a
    "mailbox.wait" span (deposit → retrieval), a poll marker, and the
@@ -95,7 +97,22 @@ let complete_traces tracer ~server ~now fetched =
       | None -> ())
     fetched
 
-let close_nothing (_ : check_stats) = ()
+(* One retrieval round.  Its whole state is this one record — the
+   strategies below are plain recursive functions over it, so a round
+   that finds no mail builds no closure, ref or span.  [root] is the
+   round's "getmail.check" span, opened only when the tracer samples
+   the agent's uid. *)
+type round = {
+  agent : t;
+  view : server_view;
+  now : float;
+  ledger : Ledger.t option;
+  tracer : Telemetry.Tracer.t option;
+  root : Telemetry.Span.t option;
+  mutable polls : int;
+  mutable failed : int;
+  mutable retrieved : int;
+}
 
 (* Tracing: a round of a sampled agent ([Tracer.sampled] on its uid) is
    one "getmail.check" trace with an instant "getmail.poll" child per
@@ -103,107 +120,121 @@ let close_nothing (_ : check_stats) = ()
    Every round, sampled or not, completes the traces of the sampled
    messages it fetches, so a message's trace never depends on whether
    its recipient's rounds are traced. *)
-let instrument tracer t ~mode ~now =
-  match tracer with
-  | None -> ((fun ~server:_ ~alive:_ ~fetched:_ -> ()), close_nothing)
-  | Some tracer when not (Telemetry.Tracer.sampled tracer t.uid) ->
-      ( (fun ~server ~alive:_ ~fetched -> complete_traces tracer ~server ~now fetched),
-        close_nothing )
-  | Some tracer ->
-      let root =
-        Telemetry.Tracer.span tracer ~name:"getmail.check" ~start:now
-          ~attrs:[ ("user", Naming.Name.to_string t.name); ("mode", mode) ]
-          ()
-      in
-      let record_poll ~server ~alive ~fetched =
-        ignore
-          (Telemetry.Tracer.span tracer ~parent:root ~name:"getmail.poll"
-             ~start:now ~finish:now
-             ~attrs:
-               [
-                 ("server", string_of_int server);
-                 ("alive", string_of_bool alive);
-                 ("retrieved", string_of_int (List.length fetched));
-               ]
-             ());
-        complete_traces tracer ~server ~now fetched
-      in
-      let close (stats : check_stats) =
-        Telemetry.Span.set_attr root "polls" (string_of_int stats.polls);
-        Telemetry.Span.set_attr root "failed_polls"
-          (string_of_int stats.failed_polls);
-        Telemetry.Span.set_attr root "retrieved" (string_of_int stats.retrieved);
-        Telemetry.Span.finish root ~at:now
-      in
-      (record_poll, close)
-
-(* One retrieval round: [strategy] drives [contact], which polls one
-   server — fetching and keeping its fresh mail when it is alive — and
-   returns whether it was. *)
-let round ?tracer ?ledger t ~view ~now ~mode strategy =
-  let polls = ref 0 and failed = ref 0 and retrieved = ref 0 in
-  let record_poll, close = instrument tracer t ~mode ~now in
-  let contact s =
-    incr polls;
-    if view.is_alive s then begin
-      let fetched = fresh_only ?ledger t ~now (view.fetch s ~uid:t.uid t.name ~at:now) in
-      retrieved := !retrieved + List.length fetched;
-      t.inbox <- List.rev_append fetched t.inbox;
-      record_poll ~server:s ~alive:true ~fetched;
-      true
-    end
-    else begin
-      incr failed;
-      record_poll ~server:s ~alive:false ~fetched:[];
-      false
-    end
+let start ?tracer ?ledger agent ~view ~now ~mode =
+  let root =
+    match tracer with
+    | Some tr when Telemetry.Tracer.sampled tr agent.uid ->
+        Some
+          (Telemetry.Tracer.span tr ~name:"getmail.check" ~start:now
+             ~attrs:[ ("user", Naming.Name.to_string agent.name); ("mode", mode) ]
+             ())
+    | Some _ | None -> None
   in
-  strategy contact;
-  t.last_checking <- now;
-  let stats = { polls = !polls; failed_polls = !failed; retrieved = !retrieved } in
-  close stats;
+  { agent; view; now; ledger; tracer; root; polls = 0; failed = 0; retrieved = 0 }
+
+let record_poll r ~server ~alive fetched =
+  (match (r.tracer, r.root) with
+  | Some tracer, Some root ->
+      ignore
+        (Telemetry.Tracer.span tracer ~parent:root ~name:"getmail.poll" ~start:r.now
+           ~finish:r.now
+           ~attrs:
+             [
+               ("server", string_of_int server);
+               ("alive", string_of_bool alive);
+               ("retrieved", string_of_int (List.length fetched));
+             ]
+           ())
+  | _ -> ());
+  match (r.tracer, fetched) with
+  | Some tracer, _ :: _ -> complete_traces tracer ~server ~now:r.now fetched
+  | _ -> ()
+
+(* Poll one server — fetching and keeping its fresh mail when it is
+   alive — and return whether it was. *)
+let contact r s =
+  let t = r.agent in
+  r.polls <- r.polls + 1;
+  if r.view.is_alive s then begin
+    let fetched = fresh_only r.ledger t ~now:r.now (r.view.fetch s ~uid:t.uid t.name ~at:r.now) in
+    (match fetched with
+    | [] -> ()
+    | _ ->
+        r.retrieved <- r.retrieved + List.length fetched;
+        t.inbox <- List.rev_append fetched t.inbox);
+    record_poll r ~server:s ~alive:true fetched;
+    true
+  end
+  else begin
+    r.failed <- r.failed + 1;
+    record_poll r ~server:s ~alive:false [];
+    false
+  end
+
+let finish r =
+  r.agent.last_checking <- r.now;
+  let stats = { polls = r.polls; failed_polls = r.failed; retrieved = r.retrieved } in
+  (match r.root with
+  | Some root ->
+      Telemetry.Span.set_attr root "polls" (string_of_int stats.polls);
+      Telemetry.Span.set_attr root "failed_polls" (string_of_int stats.failed_polls);
+      Telemetry.Span.set_attr root "retrieved" (string_of_int stats.retrieved);
+      Telemetry.Span.finish root ~at:r.now
+  | None -> ());
   stats
 
+(* GetMail phase 1: scan the authority list until a stable server
+   proves no later server can hold fresh mail. *)
+let rec scan r = function
+  | [] -> ()
+  | s :: rest ->
+      if contact r s then begin
+        remove_pus r.agent s;
+        if r.agent.last_checking > r.view.last_start s then () else scan r rest
+      end
+      else begin
+        add_pus r.agent s;
+        scan r rest
+      end
+
+(* GetMail phase 2: drain servers that were unavailable at some
+   earlier check and are alive again — they may hold old mail.  The
+   walk is over the list as phase 1 left it; [remove_pus] replaces
+   [t.pus] rather than mutating it. *)
+let rec drain r = function
+  | [] -> ()
+  | s :: rest ->
+      if r.view.is_alive s then begin
+        ignore (contact r s);
+        remove_pus r.agent s
+      end;
+      drain r rest
+
 let get_mail ?tracer ?ledger t ~view ~now =
-  round ?tracer ?ledger t ~view ~now ~mode:"getmail" (fun contact ->
-      (* Phase 1: scan the authority list until a stable server proves
-         no later server can hold fresh mail. *)
-      let rec scan = function
-        | [] -> ()
-        | s :: rest ->
-            if contact s then begin
-              remove_pus t s;
-              if t.last_checking > view.last_start s then () else scan rest
-            end
-            else begin
-              add_pus t s;
-              scan rest
-            end
-      in
-      scan t.authority;
-      (* Phase 2: drain servers that were unavailable at some earlier
-         check and are alive again — they may hold old mail.  The walk
-         is over the list as phase 1 left it; [remove_pus] replaces
-         [t.pus] rather than mutating it. *)
-      List.iter
-        (fun s ->
-          if view.is_alive s then begin
-            ignore (contact s);
-            remove_pus t s
-          end)
-        t.pus)
+  let r = start ?tracer ?ledger t ~view ~now ~mode:"getmail" in
+  scan r t.authority;
+  drain r t.pus;
+  finish r
+
+let rec poll_every r = function
+  | [] -> ()
+  | s :: rest ->
+      ignore (contact r s);
+      poll_every r rest
 
 let poll_all ?tracer ?ledger t ~view ~now =
-  round ?tracer ?ledger t ~view ~now ~mode:"poll_all" (fun contact ->
-      List.iter (fun s -> ignore (contact s)) t.authority)
+  let r = start ?tracer ?ledger t ~view ~now ~mode:"poll_all" in
+  poll_every r t.authority;
+  finish r
+
+let rec first_alive r = function
+  | [] -> ()
+  | s :: rest -> if not (contact r s) then first_alive r rest
 
 let naive_check ?tracer ?ledger t ~view ~now =
-  round ?tracer ?ledger t ~view ~now ~mode:"naive" (fun contact ->
-      let rec first_alive = function
-        | [] -> ()
-        | s :: rest -> if not (contact s) then first_alive rest
-      in
-      first_alive t.authority)
+  let r = start ?tracer ?ledger t ~view ~now ~mode:"naive" in
+  first_alive r t.authority;
+  finish r
 
 let seen_size t = Dsim.Id_table.length t.seen
 

@@ -87,7 +87,15 @@ val get_mail :
     the message trace, whose root span is then finished.
     With [?ledger], every fetched mailbox copy is recorded
     ({!Ledger.record_fetch}) and every accepted fresh message counted
-    as the retrieval ({!Ledger.record_retrieve}). *)
+    as the retrieval ({!Ledger.record_retrieve}).
+
+    All three strategies ({!get_mail}, {!poll_all}, {!naive_check})
+    share one round: a single record holds its tallies, and the scan
+    is plain recursion over the authority list, so a round that finds
+    no mail builds no closure, no ref and, unless sampled, no span.
+    Tracing never changes a round's outcome: stats, PUS order, inbox,
+    [LastCheckingTime] and ledger records are the same with a tracer
+    that samples the uid, one that does not, and none. *)
 
 val poll_all :
   ?tracer:Telemetry.Tracer.t ->

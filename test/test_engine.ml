@@ -117,6 +117,61 @@ let prop_random_schedules_run_sorted =
            (List.filteri (fun i _ -> i < List.length order - 1) order)
            (List.tl order))
 
+(* Cancelling an event that already fired must not leave a phantom
+   tombstone: [pending] would read 0 with one event queued (and -1
+   after the run), and a [pending > 0] drain loop would stop early. *)
+let test_cancel_fired_is_noop () =
+  let e = Dsim.Engine.create () in
+  let id = Dsim.Engine.schedule_at e 1. ignore in
+  Dsim.Engine.run e;
+  Dsim.Engine.cancel e id;
+  let later = ref false in
+  ignore (Dsim.Engine.schedule_at e 2. (fun () -> later := true));
+  Alcotest.(check int) "one pending" 1 (Dsim.Engine.pending e);
+  Dsim.Engine.run e;
+  Alcotest.(check bool) "later event ran" true !later;
+  Alcotest.(check int) "none pending" 0 (Dsim.Engine.pending e);
+  let twice = Dsim.Engine.schedule_at e 3. ignore in
+  Dsim.Engine.cancel e twice;
+  Dsim.Engine.cancel e twice;
+  Alcotest.(check int) "double cancel counted once" 0 (Dsim.Engine.pending e);
+  Dsim.Engine.run e;
+  Alcotest.(check int) "still none pending" 0 (Dsim.Engine.pending e);
+  Alcotest.(check int) "executed" 2 (Dsim.Engine.events_executed e)
+
+let test_next_time () =
+  let e = Dsim.Engine.create () in
+  Alcotest.(check (float 0.)) "empty queue" infinity (Dsim.Engine.next_time e);
+  let head = Dsim.Engine.schedule_at e 1. ignore in
+  ignore (Dsim.Engine.schedule_at e 3. ignore);
+  Alcotest.(check (float 0.)) "live head" 1. (Dsim.Engine.next_time e);
+  Dsim.Engine.cancel e head;
+  Alcotest.(check (float 0.)) "past a cancelled head" 3. (Dsim.Engine.next_time e);
+  Alcotest.(check int) "one pending" 1 (Dsim.Engine.pending e);
+  Dsim.Engine.run e;
+  Alcotest.(check (float 0.)) "drained" infinity (Dsim.Engine.next_time e);
+  Alcotest.(check int) "cancelled head never ran" 1 (Dsim.Engine.events_executed e)
+
+let test_advance () =
+  let e = Dsim.Engine.create () in
+  let cat = Dsim.Engine.category e "sweep" in
+  ignore (Dsim.Engine.schedule_at e 5. ignore);
+  Dsim.Engine.advance e cat 2.;
+  Alcotest.(check (float 0.)) "clock set" 2. (Dsim.Engine.now e);
+  Alcotest.(check int) "counted as executed" 1 (Dsim.Engine.events_executed e);
+  Alcotest.(check (list (pair string int))) "counted in its category"
+    [ ("sweep", 1) ] (Dsim.Engine.profile e);
+  Alcotest.(check int) "queue untouched" 1 (Dsim.Engine.pending e);
+  (try
+     Dsim.Engine.advance e cat 1.;
+     Alcotest.fail "advance before now accepted"
+   with Invalid_argument _ -> ());
+  Alcotest.(check (float 0.)) "clock kept after the refusal" 2. (Dsim.Engine.now e);
+  Dsim.Engine.run e;
+  Alcotest.(check int) "queued event ran too" 2 (Dsim.Engine.events_executed e);
+  Alcotest.(check (list (pair string int))) "profile"
+    [ ("event", 1); ("sweep", 1) ] (Dsim.Engine.profile e)
+
 let suite =
   [
     ( "engine",
@@ -133,5 +188,9 @@ let suite =
         Alcotest.test_case "cascading events" `Quick test_cascading_events;
         Alcotest.test_case "single stepping" `Quick test_step;
         QCheck_alcotest.to_alcotest prop_random_schedules_run_sorted;
+        Alcotest.test_case "cancel after firing is a no-op" `Quick
+          test_cancel_fired_is_noop;
+        Alcotest.test_case "next_time" `Quick test_next_time;
+        Alcotest.test_case "advance" `Quick test_advance;
       ] );
   ]

@@ -240,6 +240,42 @@ let test_check_counters_match_rounds () =
   Alcotest.(check bool) "the run had failed polls" true (counter "failed_polls" > 0);
   Alcotest.(check int) "every message retrieved once" spec.mail_count (counter "retrieved")
 
+(* The check sweep visits users in phase order at exactly the per-user
+   schedule: user [i] of [N] first at [period * (i+1) / (N+1)], then by
+   repeated additions of the period, while before [duration].  The
+   horizon here cuts the last round mid-way, and the traffic and
+   outages interleave queued events with the inline checks. *)
+let test_check_sweep_schedule () =
+  let sys = Mail.Syntax_system.create (fig1 ()) in
+  let spec =
+    { small_spec with duration = 1000.; check_period = 80.; failure_rate = 0.002 }
+  in
+  let engine = Mail.System.Syntax.engine sys in
+  let seen = ref [] in
+  let on_check_tick ~rng:_ name = seen := (Dsim.Engine.now engine, name) :: !seen in
+  ignore (Mail.Scenario.drive ~on_check_tick (module Mail.System.Syntax) sys spec);
+  let users = Array.of_list (Mail.System.Syntax.users sys) in
+  let n = Array.length users in
+  let times =
+    Array.init n (fun i ->
+        spec.check_period *. float_of_int (i + 1) /. float_of_int (n + 1))
+  in
+  let expected = ref [] in
+  while times.(0) < spec.duration do
+    Array.iteri
+      (fun i at ->
+        if at < spec.duration then expected := (at, users.(i)) :: !expected;
+        times.(i) <- at +. spec.check_period)
+      times
+  done;
+  let show l =
+    List.rev_map (fun (at, u) -> Printf.sprintf "%h %s" at (Naming.Name.to_string u)) l
+  in
+  Alcotest.(check (list string)) "phase-ordered schedule" (show !expected) (show !seen);
+  let last_round = List.filter (fun (at, _) -> at >= 960.) !expected in
+  Alcotest.(check bool) "the horizon cuts the last round" true
+    (last_round <> [] && List.length last_round < n)
+
 let suite =
   [
     ( "scenario",
@@ -265,5 +301,7 @@ let suite =
           test_outages_reported;
         Alcotest.test_case "check counters equal per-round stats" `Quick
           test_check_counters_match_rounds;
+        Alcotest.test_case "check sweep follows the per-user schedule" `Quick
+          test_check_sweep_schedule;
       ] );
   ]

@@ -232,6 +232,129 @@ let test_pus_readd_goes_last () =
   Alcotest.(check (list int)) "scan 0, 1, then drain 2" [ 0; 1; 2 ]
     (List.rev_map fst w.fetches)
 
+(* Tracing must never steer a round.  One random script of crashes,
+   recoveries (which bump LastStartTime), deposits (some duplicated on
+   a second server) and checks runs three times per strategy: with a
+   tracer sampling every uid, with a tracer sampling none, and with no
+   tracer.  Stats, PUS order, inbox, LastCheckingTime and the ledger
+   must agree, and the unsampled tracer must hold no round span. *)
+type op = Crash of int | Recover of int | Deposit of int * bool | Check
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun s -> Crash s) (int_bound 2));
+        (2, map (fun s -> Recover s) (int_bound 2));
+        (3, map2 (fun s dup -> Deposit (s, dup)) (int_bound 2) bool);
+        (4, return Check);
+      ])
+
+let show_op = function
+  | Crash s -> Printf.sprintf "crash %d" s
+  | Recover s -> Printf.sprintf "recover %d" s
+  | Deposit (s, dup) -> Printf.sprintf "deposit %d%s" s (if dup then "+dup" else "")
+  | Check -> "check"
+
+type replay = {
+  stats : (int * int * int) list;
+  pus_after : int list list;
+  inbox_ids : int list;
+  last_checking : float;
+  ledger_json : string;
+  round_spans : int;
+}
+
+let replay ~strategy ~tracer ops =
+  let w = world () in
+  let a = Mail.User_agent.create ~uid:1 ~name:(nm "bob") ~host:7 ~authority:[ 0; 1; 2 ] () in
+  let ledger = Mail.Ledger.create () in
+  let stats = ref [] and pus_after = ref [] in
+  let next_id = ref 0 in
+  List.iteri
+    (fun step op ->
+      let now = float_of_int (10 * (step + 1)) in
+      match op with
+      | Crash s -> w.alive.(s) <- false
+      | Recover s ->
+          if not w.alive.(s) then begin
+            w.alive.(s) <- true;
+            w.started.(s) <- now
+          end
+      | Deposit (s, dup) ->
+          let m = msg !next_id in
+          incr next_id;
+          (match tracer with
+          | Some tr when m.Mail.Message.id mod 2 = 0 ->
+              Mail.Message.set_span m
+                (Telemetry.Tracer.span tr ~name:"message" ~start:now ())
+          | Some _ | None -> ());
+          Mail.Message.mark_deposited m ~at:now ~on:s;
+          Mail.Ledger.record_submit ledger m ~at:now;
+          let put s =
+            w.boxes.(s) <- w.boxes.(s) @ [ m ];
+            Mail.Ledger.record_deposit ledger m ~at:now
+          in
+          put s;
+          if dup then put ((s + 1) mod 3)
+      | Check ->
+          let st = strategy ?tracer ~ledger a ~view:(view w) ~now in
+          stats :=
+            ( st.Mail.User_agent.polls,
+              st.Mail.User_agent.failed_polls,
+              st.Mail.User_agent.retrieved )
+            :: !stats;
+          pus_after := Mail.User_agent.previously_unavailable a :: !pus_after)
+    ops;
+  let round_spans =
+    match tracer with
+    | None -> 0
+    | Some tr ->
+        List.length
+          (List.filter
+             (fun sp -> String.equal sp.Telemetry.Span.name "getmail.check")
+             (Telemetry.Tracer.spans tr))
+  in
+  {
+    stats = List.rev !stats;
+    pus_after = List.rev !pus_after;
+    inbox_ids = List.map (fun m -> m.Mail.Message.id) (Mail.User_agent.inbox a);
+    last_checking = Mail.User_agent.last_checking_time a;
+    ledger_json =
+      Telemetry.Json.to_string (Mail.Ledger.verdict_to_json (Mail.Ledger.check ledger));
+    round_spans;
+  }
+
+let prop_tracing_does_not_steer_rounds =
+  QCheck.Test.make ~name:"sampled, unsampled and untraced rounds agree" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) op_gen))
+    (fun ops ->
+      let checks = List.length (List.filter (fun op -> op = Check) ops) in
+      List.for_all
+        (fun strategy ->
+          let every =
+            replay ~strategy ~tracer:(Some (Telemetry.Tracer.create ~sample:1 ())) ops
+          in
+          let none =
+            replay ~strategy ~tracer:(Some (Telemetry.Tracer.create ~sample:max_int ())) ops
+          in
+          let untraced = replay ~strategy ~tracer:None ops in
+          let same r = { r with round_spans = 0 } in
+          every.round_spans = checks
+          && none.round_spans = 0
+          && same every = same none
+          && same none = untraced)
+        [
+          (fun ?tracer ~ledger a ~view ~now ->
+            Mail.User_agent.get_mail ?tracer ~ledger a ~view ~now);
+          (fun ?tracer ~ledger a ~view ~now ->
+            Mail.User_agent.poll_all ?tracer ~ledger a ~view ~now);
+          (fun ?tracer ~ledger a ~view ~now ->
+            Mail.User_agent.naive_check ?tracer ~ledger a ~view ~now);
+        ])
+
 let suite =
   [
     ( "user_agent",
@@ -257,5 +380,6 @@ let suite =
         Alcotest.test_case "inbox order" `Quick test_inbox_order;
         Alcotest.test_case "PUS: re-added server drains last" `Quick
           test_pus_readd_goes_last;
+        QCheck_alcotest.to_alcotest prop_tracing_does_not_steer_rounds;
       ] );
   ]
