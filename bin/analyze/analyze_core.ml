@@ -365,6 +365,11 @@ let default_hot_set =
         "resolve_phase";
         "try_submit";
         "send_fenced";
+        "flight";
+        "hand_off";
+        "pending_for";
+        "ack_pending";
+        "finish_round";
       ] );
     ("Mail.Replica_group", [ "write"; "fetch"; "serve"; "observe_latencies" ]);
     ("Mail.Server", [ "take" ]);

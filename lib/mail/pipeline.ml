@@ -99,6 +99,35 @@ type round = {
   mutable finished : bool;
 }
 
+(* A traced server→server hop in transit: span name, source, send time. *)
+type hop = {
+  h_dst : Netsim.Graph.node;
+  h_name : string;
+  h_src : Netsim.Graph.node;
+  h_sent : float;
+}
+
+(* Everything the pipeline keeps about one message until compaction.
+   Timers capture their own [pending] or [round], so a stale firing
+   stays inert; ids are never reused, so no generation tag is needed. *)
+type flight = {
+  mutable pendings : pending list;  (* one per holder *)
+  mutable rounds : round list;  (* open rounds, one per coordinator *)
+  mutable completed : Netsim.Graph.node list;
+      (* coordinators whose round finished: a retransmitted Deposit is
+         re-acked from here *)
+  mutable hops : hop list;  (* traced only; one per destination *)
+  mutable submit_timer : bool;  (* at most one submit-driver timer *)
+  mutable in_work : int;  (* copies parked in a service queue *)
+  mutable accepted : bool;  (* a server received the first Submit *)
+  mutable dead : bool;  (* declared undeliverable: no resubmissions *)
+  mutable fence : float;
+      (* latest scheduled arrival of a wire message carrying the full
+         Message.t.  Compacting earlier would let a late Submit/Forward/
+         Deposit/Replicate re-open pruned dedup state (completed rounds,
+         retrieved and seen sets) and resurrect a retrieved message. *)
+}
+
 (* FIFO work queue of one server under the Exp(mu) service model. *)
 type srv_queue = {
   mutable busy : bool;
@@ -123,47 +152,20 @@ type 'ctrl t = {
   cat_submit : Dsim.Engine.category;
   cat_resubmit : Dsim.Engine.category;
   cat_service : Dsim.Engine.category;
-  n : int;  (* node count: (node, id) dedup keys pack into id * n + node *)
-  pendings : pending Dsim.Id_table.t;  (* by nkey (holder, id) *)
-  rounds : round Dsim.Id_table.t;
-      (* open replication rounds, keyed by coordinator *)
-  completed : unit Dsim.Id_table.t;
-      (* finished rounds: a retransmitted Deposit is re-acked instantly *)
-  dead : unit Dsim.Id_table.t;
-      (* declared undeliverable: no further resubmissions *)
-  submit_timers : unit Dsim.Id_table.t;
-      (* messages with an armed submit-driver timer: at most one each *)
-  in_work : int ref Dsim.Id_table.t;
-      (* copies sitting in a service queue between wire receipt and
-         phase execution — the window where a message is owned by
-         neither a pending nor a timer (see [compact]) *)
+  flights : flight Dsim.Id_table.t;  (* by message id *)
+  mutable pending_total : int;  (* pendings across all flights *)
   ledger : Ledger.t option;
   service_rng : Dsim.Rng.t;
   queues : srv_queue Dsim.Id_table.t;  (* by node *)
   queue_waits : Dsim.Stats.Summary.t;
   queue_wait_hist : Telemetry.Registry.histogram option;
   tracer : Telemetry.Tracer.t option;
-  submit_spans : unit Dsim.Id_table.t;
-      (* messages whose "submit" span was already emitted *)
-  hop_sends : (string * Netsim.Graph.node * float) Dsim.Id_table.t;
-      (* in-flight Forward/Deposit hops: span name, source, send time *)
-  fences : float Dsim.Id_table.t;
-      (* per id, the latest scheduled arrival time of any in-flight
-         wire message carrying the full Message.t.  Until that time
-         the id must not be compacted: a late Submit/Forward/Deposit/
-         Replicate arriving after the dedup state (completed rounds,
-         the replica group's retrieved set, the agents' seen sets) was
-         pruned would re-open deposit machinery and resurrect an
-         already-retrieved message as a fresh copy — a duplicate. *)
+  server_attr : (string * string) list array;
+      (* per node, the span attribute [("server", label)], built once so
+         an untraced deposit or queue wait allocates no list for it *)
 }
 
 let net t = t.net
-
-(* Pack a (node, message-id) pair into one int: ids are dense and
-   [node < n], so [id * n + node] is collision-free and the dedup
-   tables hash an immediate instead of a boxed tuple. *)
-let nkey t node id = (id * t.n) + node
-let id_of_nkey t k = k / t.n
 
 (* The message's interned recipient id, resolved through the system at
    most once and cached on the message itself. *)
@@ -209,8 +211,7 @@ let emit_span t msg ~name ~start ~finish attrs =
    when the service model is off). *)
 let through_queue t node ?msg work =
   let queue_wait_span m ~arrived ~started =
-    emit_span t m ~name:"queue_wait" ~start:arrived ~finish:started
-      [ ("server", node_label t node) ]
+    emit_span t m ~name:"queue_wait" ~start:arrived ~finish:started t.server_attr.(node)
   in
   match t.config.service_rate with
   | None ->
@@ -249,39 +250,75 @@ let now t = Dsim.Engine.now t.engine
 
 let first_active t nodes = List.find_opt (fun s -> Netsim.Net.is_up t.net s) nodes
 
-let is_dead t id = Dsim.Id_table.mem t.dead id
+(* The message's flight record, created on first touch. *)
+let flight t id =
+  match Dsim.Id_table.find t.flights id with
+  | f -> f
+  | exception Not_found ->
+      let f =
+        { pendings = []; rounds = []; completed = []; hops = []; submit_timer = false;
+          in_work = 0; accepted = false; dead = false; fence = neg_infinity }
+      in
+      Dsim.Id_table.add t.flights id f;
+      f
+
+let is_dead t id =
+  match Dsim.Id_table.find t.flights id with f -> f.dead | exception Not_found -> false
+
+(* The per-flight lists hold one entry per node and are scanned by
+   hand: no option, no closure on the per-event path. *)
+let rec pending_at holder = function
+  | [] -> raise Not_found
+  | p :: rest -> if p.holder = holder then p else pending_at holder rest
+
+let rec round_at coordinator = function
+  | [] -> raise Not_found
+  | r :: rest -> if r.coordinator = coordinator then r else round_at coordinator rest
+
+let rec hop_to dst = function
+  | [] -> raise Not_found
+  | h :: rest -> if h.h_dst = dst then h else hop_to dst rest
+
+(* [l] without the element physically equal to [x]; allocates nothing
+   when [x] heads the list. *)
+let rec remove_q x = function
+  | [] -> []
+  | y :: rest as l ->
+      if y == x then rest
+      else let rest' = remove_q x rest in if rest' == rest then l else y :: rest'
 
 (* Send a wire message that carries the full Message.t (Submit,
-   Forward, Deposit, Replicate) and fence its id against compaction
-   until the scheduled arrival has passed — see the [fences] field. *)
-let send_fenced ?bytes t ~src ~dst wire (id : Message.id) =
+   Forward, Deposit, Replicate) and fence its flight against
+   compaction until the scheduled arrival has passed. *)
+let send_fenced ?bytes t f ~src ~dst wire =
   match Netsim.Net.send_timed ?bytes t.net ~src ~dst wire with
   | None -> false
   | Some latency ->
       let until = now t +. latency in
-      (match Dsim.Id_table.find_opt t.fences id with
-      | Some f when f >= until -> ()
-      | _ -> Dsim.Id_table.replace t.fences id until);
+      if until > f.fence then f.fence <- until;
       true
 
 (* Remember an in-flight server→server hop so the receiving node can
-   close the transit span; each (destination, message) keeps only the
-   latest send — a retry supersedes the lost original. *)
-let record_hop t msg ~name ~src ~dst =
+   close the transit span; each destination keeps only the latest
+   send — a retry supersedes the lost original. *)
+let record_hop t f msg ~name ~src ~dst =
   if Option.is_some t.tracer && Option.is_some (Message.span msg) then
-    Dsim.Id_table.replace t.hop_sends (nkey t dst msg.Message.id) (name, src, now t)
+    let rest =
+      match hop_to dst f.hops with h -> remove_q h f.hops | exception Not_found -> f.hops
+    in
+    f.hops <- { h_dst = dst; h_name = name; h_src = src; h_sent = now t } :: rest
 
-let emit_hop t node ~time m =
-  match Dsim.Id_table.find_opt t.hop_sends (nkey t node m.Message.id) with
-  | Some (name, src, sent) ->
-      Dsim.Id_table.remove t.hop_sends (nkey t node m.Message.id);
-      emit_span t m ~name ~start:sent ~finish:time
-        [ ("src", node_label t src); ("dst", node_label t node) ]
-  | None -> ()
+let emit_hop t f node ~time m =
+  match hop_to node f.hops with
+  | h ->
+      f.hops <- remove_q h f.hops;
+      emit_span t m ~name:h.h_name ~start:h.h_sent ~finish:time
+        [ ("src", node_label t h.h_src); ("dst", node_label t node) ]
+  | exception Not_found -> ()
 
-let declare_dead t msg ~reason =
-  if not (Dsim.Id_table.mem t.dead msg.Message.id) then begin
-    Dsim.Id_table.replace t.dead msg.Message.id ();
+let declare_dead t f msg ~reason =
+  if not f.dead then begin
+    f.dead <- true;
     (match Message.span msg with
     | Some root ->
         Telemetry.Span.set_attr root "outcome" reason;
@@ -291,7 +328,11 @@ let declare_dead t msg ~reason =
     t.callbacks.on_undeliverable msg ~reason
   end
 
-let arm_retry t (p : pending) step =
+let drop_pending t f p =
+  f.pendings <- remove_q p f.pendings;
+  t.pending_total <- t.pending_total - 1
+
+let arm_retry t f (p : pending) step =
   (* One handler closure per pending, allocated here and reused by
      every re-arm: the steady-state retry tick — the dominant timer
      kind under faults — schedules into the event arena without
@@ -312,8 +353,8 @@ let arm_retry t (p : pending) step =
       end
       else begin
         count t "gave_up";
-        Dsim.Id_table.remove t.pendings (nkey t p.holder p.p_msg.Message.id);
-        declare_dead t p.p_msg ~reason:"retries exhausted"
+        drop_pending t f p;
+        declare_dead t f p.p_msg ~reason:"retries exhausted"
       end
   and fire () =
     ignore
@@ -322,31 +363,31 @@ let arm_retry t (p : pending) step =
   in
   fire ()
 
-let pending_for t ~holder msg step =
-  let key = nkey t holder msg.Message.id in
-  match Dsim.Id_table.find_opt t.pendings key with
-  | Some p -> p.acked <- false
-  | None ->
+(* Make [holder] responsible for pushing [msg] onward, retrying with
+   [step] until acknowledged; a no-op when it already is. *)
+let pending_for t f ~holder msg step =
+  match pending_at holder f.pendings with
+  | _ -> ()
+  | exception Not_found ->
       let p = { p_msg = msg; holder; attempts = 0; acked = false } in
-      Dsim.Id_table.replace t.pendings key p;
-      arm_retry t p step
+      f.pendings <- p :: f.pendings;
+      t.pending_total <- t.pending_total + 1;
+      arm_retry t f p step
 
-let ack_pending t ~holder id =
-  match Dsim.Id_table.find_opt t.pendings (nkey t holder id) with
-  | Some p ->
-      p.acked <- true;
-      Dsim.Id_table.remove t.pendings (nkey t holder id)
-  | None -> ()
+let ack_pending t f ~holder =
+  match pending_at holder f.pendings with
+  | p -> p.acked <- true; drop_pending t f p
+  | exception Not_found -> ()
 
 (* Acknowledge one deposit upstream: clear the coordinator's own
    pending (local path) or send a wire Ack to the server that pushed
    the Deposit. *)
-let ack_upstream t ~on ~upstream id =
+let ack_upstream t f ~on ~upstream id =
   match upstream with
-  | Local -> ack_pending t ~holder:on id
+  | Local -> ack_pending t f ~holder:on
   | Remote src -> ignore (Netsim.Net.send t.net ~src:on ~dst:src (Ack id))
 
-let send_replicates t (r : round) =
+let send_replicates t f (r : round) =
   List.iter
     (fun node ->
       if
@@ -356,17 +397,17 @@ let send_replicates t (r : round) =
       then begin
         incr t.cells.c_replicate_sends;
         ignore
-          (send_fenced ~bytes:(Message.size_bytes r.r_msg) t ~src:r.coordinator
-             ~dst:node (Replicate r.r_msg) r.r_msg.Message.id)
+          (send_fenced ~bytes:(Message.size_bytes r.r_msg) t f ~src:r.coordinator
+             ~dst:node (Replicate r.r_msg))
       end)
     r.chain
 
-let finish_round t (r : round) ~degraded =
+let finish_round t f (r : round) ~degraded =
   if not r.finished then begin
     r.finished <- true;
     let id = r.r_msg.Message.id in
-    Dsim.Id_table.remove t.rounds (nkey t r.coordinator id);
-    Dsim.Id_table.replace t.completed (nkey t r.coordinator id) ();
+    f.rounds <- remove_q r f.rounds;
+    f.completed <- r.coordinator :: f.completed;
     incr (if degraded then t.cells.c_degraded_acks else t.cells.c_quorum_acks);
     Option.iter (fun l -> Ledger.record_ack l r.r_msg ~degraded ~at:(now t)) t.ledger;
     emit_span t r.r_msg ~name:"deposit.replicate" ~start:r.started ~finish:(now t)
@@ -382,17 +423,17 @@ let finish_round t (r : round) ~degraded =
           (Netsim.Net.send t.net ~src:r.coordinator ~dst:host
              (Notify (r.r_msg.Message.recipient, id)))
     | None -> ());
-    List.iter (fun up -> ack_upstream t ~on:r.coordinator ~upstream:up id) r.upstreams
+    List.iter (fun up -> ack_upstream t f ~on:r.coordinator ~upstream:up id) r.upstreams
   end
 
-let arm_round_timer t (r : round) =
+let arm_round_timer t f (r : round) =
   (* Like [arm_retry]: one reusable handler per replication round. *)
   let rec handler () =
     if not r.finished then
-      if r.rounds_left <= 0 then finish_round t r ~degraded:true
+      if r.rounds_left <= 0 then finish_round t f r ~degraded:true
       else begin
         r.rounds_left <- r.rounds_left - 1;
-        send_replicates t r;
+        send_replicates t f r;
         fire ()
       end
   and fire () =
@@ -408,15 +449,14 @@ let arm_round_timer t (r : round) =
    chain holds the copy, or the bounded replicate-round budget runs
    out (degraded ack: at least the coordinator's copy is on disk, so
    mail is never lost, only under-replicated). *)
-let do_deposit t ~on ~upstream msg =
-  let key = nkey t on msg.Message.id in
-  if Dsim.Id_table.mem t.completed key then ack_upstream t ~on ~upstream msg.Message.id
+let do_deposit t f ~on ~upstream msg =
+  if List.mem on f.completed then ack_upstream t f ~on ~upstream msg.Message.id
   else
-    match Dsim.Id_table.find_opt t.rounds key with
-    | Some r ->
+    match round_at on f.rounds with
+    | r ->
         if not (List.mem upstream r.upstreams) then
           r.upstreams <- upstream :: r.upstreams
-    | None ->
+    | exception Not_found ->
         let cuid = t.callbacks.canonical_uid (ruid t msg) in
         let chain = t.callbacks.authority_of_uid cuid in
         let chain = if List.mem on chain then chain else on :: chain in
@@ -424,7 +464,7 @@ let do_deposit t ~on ~upstream msg =
         | Replica_group.Stored ->
             incr t.cells.c_deposits;
             emit_span t msg ~name:"deposit" ~start:(now t) ~finish:(now t)
-              [ ("server", node_label t on) ]
+              t.server_attr.(on)
         | Replica_group.Duplicate | Replica_group.Superseded -> ());
         let r =
           {
@@ -439,33 +479,36 @@ let do_deposit t ~on ~upstream msg =
             finished = false;
           }
         in
-        Dsim.Id_table.replace t.rounds key r;
-        if List.length r.stored >= r.needed then finish_round t r ~degraded:false
+        f.rounds <- r :: f.rounds;
+        if List.length r.stored >= r.needed then finish_round t f r ~degraded:false
         else begin
-          send_replicates t r;
-          arm_round_timer t r
+          send_replicates t f r;
+          arm_round_timer t f r
         end
 
+(* Push [msg] from [at_server] to the next server [target]: the holder
+   keeps a pending until the hop is acknowledged. *)
+let hand_off t f ~at_server msg ~target ~name wire retry =
+  pending_for t f ~holder:at_server msg retry;
+  msg.Message.forward_hops <- msg.Message.forward_hops + 1;
+  record_hop t f msg ~name ~src:at_server ~dst:target;
+  ignore (send_fenced ~bytes:(Message.size_bytes msg) t f ~src:at_server ~dst:target wire)
+
 (* Phase 3 (§3.1.2c): deposit into the first active server of a given
-   authority list. *)
-let rec deposit_with t ~at_server msg authority =
+   authority list; [retry] re-enters the phase that chose it. *)
+let rec deposit_with t f ~at_server msg authority ~retry =
   match first_active t authority with
   | None ->
       count t "deposit_stalled";
       count t "replica_unavailable_acks";
-      pending_for t ~holder:at_server msg (fun () -> deposit_phase t ~at_server msg)
+      pending_for t f ~holder:at_server msg retry
   | Some target when target = at_server ->
-      pending_for t ~holder:at_server msg (fun () -> deposit_phase t ~at_server msg);
-      do_deposit t ~on:at_server ~upstream:Local msg
+      pending_for t f ~holder:at_server msg retry;
+      do_deposit t f ~on:at_server ~upstream:Local msg
   | Some target ->
-      pending_for t ~holder:at_server msg (fun () -> deposit_phase t ~at_server msg);
-      msg.Message.forward_hops <- msg.Message.forward_hops + 1;
-      record_hop t msg ~name:"deposit.hop" ~src:at_server ~dst:target;
-      ignore
-        (send_fenced ~bytes:(Message.size_bytes msg) t ~src:at_server ~dst:target
-           (Deposit msg) msg.Message.id)
+      hand_off t f ~at_server msg ~target ~name:"deposit.hop" (Deposit msg) retry
 
-and deposit_phase t ~at_server msg =
+and deposit_phase t f ~at_server msg =
   let uid = ruid t msg in
   let cuid = t.callbacks.canonical_uid uid in
   if cuid <> uid then begin
@@ -474,11 +517,12 @@ and deposit_phase t ~at_server msg =
     msg.Message.recipient_uid <- cuid;
     t.callbacks.on_redirected msg ~old_name
   end;
-  deposit_with t ~at_server msg (t.callbacks.authority_of_uid cuid)
+  deposit_with t f ~at_server msg (t.callbacks.authority_of_uid cuid) ~retry:(fun () ->
+      deposit_phase t f ~at_server msg)
 
 (* Phase 2 (§3.1.2b): resolution and forwarding toward the
    recipient's region, short-circuited by the resolution cache. *)
-let rec resolve_phase t ~at_server msg =
+let rec resolve_phase t f ~at_server msg =
   let cuid = t.callbacks.canonical_uid (ruid t msg) in
   let recipient =
     if cuid = msg.Message.recipient_uid then msg.Message.recipient
@@ -488,7 +532,7 @@ let rec resolve_phase t ~at_server msg =
     String.equal (Naming.Name.region recipient)
       (Replica_group.region t.storage at_server)
   then
-    deposit_phase t ~at_server msg
+    deposit_phase t f ~at_server msg
   else begin
     match t.callbacks.cached_authority ~at:at_server recipient with
     | Some authority when List.exists (fun s -> Netsim.Net.is_up t.net s) authority ->
@@ -496,91 +540,61 @@ let rec resolve_phase t ~at_server msg =
            skipping the forwarding hop.  Retries re-enter
            [resolve_phase], so a stale entry degrades to a forward. *)
         incr t.cells.c_cache_hits;
-        (match first_active t authority with
-        | Some target when target <> at_server ->
-            pending_for t ~holder:at_server msg (fun () ->
-                resolve_phase t ~at_server msg);
-            msg.Message.forward_hops <- msg.Message.forward_hops + 1;
-            record_hop t msg ~name:"deposit.hop" ~src:at_server ~dst:target;
-            ignore
-              (send_fenced ~bytes:(Message.size_bytes msg) t ~src:at_server
-                 ~dst:target (Deposit msg) msg.Message.id)
-        | Some target ->
-            ignore target;
-            pending_for t ~holder:at_server msg (fun () ->
-                resolve_phase t ~at_server msg);
-            do_deposit t ~on:at_server ~upstream:Local msg
-        | None -> assert false)
+        deposit_with t f ~at_server msg authority ~retry:(fun () ->
+            resolve_phase t f ~at_server msg)
     | _ -> (
         let target_region = Naming.Name.region recipient in
         match t.callbacks.region_servers target_region with
         | [] ->
             count t "unresolvable";
-            declare_dead t msg ~reason:"unknown region"
+            declare_dead t f msg ~reason:"unknown region"
         | nodes -> (
             match first_active t nodes with
             | None ->
                 count t "forward_stalled";
-                pending_for t ~holder:at_server msg (fun () ->
-                    resolve_phase t ~at_server msg)
+                pending_for t f ~holder:at_server msg (fun () ->
+                    resolve_phase t f ~at_server msg)
             | Some target ->
                 t.callbacks.on_forward_resolved ~at:at_server recipient
                   (t.callbacks.authority_of_uid cuid);
-                pending_for t ~holder:at_server msg (fun () ->
-                    resolve_phase t ~at_server msg);
-                msg.Message.forward_hops <- msg.Message.forward_hops + 1;
-                record_hop t msg ~name:"forward.hop" ~src:at_server ~dst:target;
-                ignore
-                  (send_fenced ~bytes:(Message.size_bytes msg) t ~src:at_server
-                     ~dst:target (Forward msg) msg.Message.id)))
+                hand_off t f ~at_server msg ~target ~name:"forward.hop" (Forward msg)
+                  (fun () -> resolve_phase t f ~at_server msg)))
   end
-
-(* A copy parked in a service queue is owned by neither a pending nor
-   a timer; track it so [compact] never prunes dedup state out from
-   under it. *)
-let begin_work t (m : Message.t) =
-  match Dsim.Id_table.find_opt t.in_work m.Message.id with
-  | Some r -> incr r
-  | None -> Dsim.Id_table.replace t.in_work m.Message.id (ref 1)
-
-let end_work t (m : Message.t) =
-  match Dsim.Id_table.find_opt t.in_work m.Message.id with
-  | Some r ->
-      decr r;
-      if !r <= 0 then Dsim.Id_table.remove t.in_work m.Message.id
-  | None -> ()
 
 let handle_wire t node ~time ~src msg =
   match msg with
   | Submit m ->
       incr t.cells.c_submits_received;
-      if not (Dsim.Id_table.mem t.submit_spans m.Message.id) then begin
-        Dsim.Id_table.replace t.submit_spans m.Message.id ();
+      let f = flight t m.Message.id in
+      if not f.accepted then begin
+        f.accepted <- true;
         (* Connection setup: submission at the sender's host until the
            first server accepts the message. *)
         emit_span t m ~name:"submit" ~start:m.Message.submitted_at ~finish:time
-          [ ("server", node_label t node) ]
+          t.server_attr.(node)
       end;
-      begin_work t m;
+      f.in_work <- f.in_work + 1;
       through_queue t node ~msg:m (fun () ->
-          end_work t m;
-          resolve_phase t ~at_server:node m)
+          f.in_work <- f.in_work - 1;
+          resolve_phase t f ~at_server:node m)
   | Forward m ->
       ignore (Netsim.Net.send t.net ~src:node ~dst:src (Ack m.Message.id));
-      emit_hop t node ~time m;
-      begin_work t m;
+      let f = flight t m.Message.id in
+      emit_hop t f node ~time m;
+      f.in_work <- f.in_work + 1;
       through_queue t node ~msg:m (fun () ->
-          end_work t m;
-          deposit_phase t ~at_server:node m)
+          f.in_work <- f.in_work - 1;
+          deposit_phase t f ~at_server:node m)
   | Deposit m ->
       (* No immediate ack: the upstream's pending is cleared only once
          this coordinator's replication round reaches quorum (or
          degrades) — [finish_round] sends the Ack. *)
-      emit_hop t node ~time m;
-      begin_work t m;
+      let f = flight t m.Message.id in
+      emit_hop t f node ~time m;
+      f.in_work <- f.in_work + 1;
       through_queue t node ~msg:m (fun () ->
-          end_work t m;
-          do_deposit t ~on:node ~upstream:(Remote src) m)
+          f.in_work <- f.in_work - 1;
+          do_deposit t f ~on:node ~upstream:(Remote src) m)
   | Replicate m ->
       (* A replica write from a coordinator.  Always confirm — a
          Duplicate or Superseded copy still means this node (or the
@@ -592,14 +606,20 @@ let handle_wire t node ~time ~src msg =
           ());
       ignore (Netsim.Net.send t.net ~src:node ~dst:src (Replicated m.Message.id))
   | Replicated id -> (
-      match Dsim.Id_table.find_opt t.rounds (nkey t node id) with
-      | Some r when not r.finished ->
-          if not (List.mem src r.stored) then begin
-            r.stored <- src :: r.stored;
-            if List.length r.stored >= r.needed then finish_round t r ~degraded:false
-          end
-      | _ -> ())
-  | Ack id -> ack_pending t ~holder:node id
+      match Dsim.Id_table.find t.flights id with
+      | exception Not_found -> ()
+      | f -> (
+          match round_at node f.rounds with
+          | exception Not_found -> ()
+          | r ->
+              if not (List.mem src r.stored) then begin
+                r.stored <- src :: r.stored;
+                if List.length r.stored >= r.needed then finish_round t f r ~degraded:false
+              end))
+  | Ack id -> (
+      match Dsim.Id_table.find t.flights id with
+      | f -> ack_pending t f ~holder:node
+      | exception Not_found -> ())
   | Notify _ -> incr t.cells.c_notifications
   | Ctrl c -> t.callbacks.on_ctrl node ~time ~src c
 
@@ -609,25 +629,24 @@ let handle_wire t node ~time ~src msg =
    both a deferral and a resubmission timer on every invocation, so
    each round doubled the live timers (and the submit counters with
    them) for the whole length of an outage. *)
-let rec try_submit t msg sender_agent =
-  if (not (Message.is_deposited msg)) && not (is_dead t msg.Message.id) then begin
+let rec try_submit t f msg sender_agent =
+  if (not (Message.is_deposited msg)) && not f.dead then begin
     let rec attempt = function
       | [] ->
           (* No server reachable right now: defer the whole attempt. *)
           incr t.cells.c_submit_deferred;
-          arm_submit_timer t msg sender_agent ~delay:t.config.retry_timeout
+          arm_submit_timer t f msg sender_agent ~delay:t.config.retry_timeout
             ~resubmission:false
       | s :: rest ->
           incr t.cells.c_submit_attempts;
           if
             Netsim.Net.is_up t.net s
-            && send_fenced ~bytes:(Message.size_bytes msg) t
+            && send_fenced ~bytes:(Message.size_bytes msg) t f
                  ~src:(User_agent.host sender_agent) ~dst:s (Submit msg)
-                 msg.Message.id
           then
             (* Accepted for transmission: arm the end-to-end safety
                net in case the submission is lost downstream. *)
-            arm_submit_timer t msg sender_agent ~delay:t.config.resubmit_timeout
+            arm_submit_timer t f msg sender_agent ~delay:t.config.resubmit_timeout
               ~resubmission:true
           else begin
             (* Server down, or unreachable through downed relays. *)
@@ -638,17 +657,16 @@ let rec try_submit t msg sender_agent =
     attempt (t.callbacks.submit_servers sender_agent)
   end
 
-and arm_submit_timer t msg sender_agent ~delay ~resubmission =
-  let id = msg.Message.id in
-  if not (Dsim.Id_table.mem t.submit_timers id) then begin
-    Dsim.Id_table.replace t.submit_timers id ();
+and arm_submit_timer t f msg sender_agent ~delay ~resubmission =
+  if not f.submit_timer then begin
+    f.submit_timer <- true;
     let category = if resubmission then t.cat_resubmit else t.cat_submit in
     ignore
       (Dsim.Engine.schedule_after_cat t.engine category delay (fun () ->
-           Dsim.Id_table.remove t.submit_timers id;
-           if (not (Message.is_deposited msg)) && not (is_dead t id) then begin
+           f.submit_timer <- false;
+           if (not (Message.is_deposited msg)) && not f.dead then begin
              if resubmission then incr t.cells.c_resubmissions;
-             try_submit t msg sender_agent
+             try_submit t f msg sender_agent
            end))
   end
 
@@ -670,9 +688,9 @@ let submit t ~sender_agent ~msg =
   incr t.cells.c_submitted;
   ignore (ruid t msg);
   Option.iter (fun l -> Ledger.record_submit l msg ~at:(now t)) t.ledger;
-  try_submit t msg sender_agent
+  try_submit t (flight t msg.Message.id) msg sender_agent
 
-let pending_count t = Dsim.Id_table.length t.pendings
+let pending_count t = t.pending_total
 
 (* Health gauges the per-window monitors read: transfers still awaiting
    acknowledgement, plus service-queue backlog (waiting jobs and, when
@@ -688,58 +706,37 @@ let publish_gauges t reg =
   let set name v =
     Telemetry.Registry.set_gauge (Telemetry.Registry.gauge reg name) v
   in
-  set "pipeline_pending" (float_of_int (Dsim.Id_table.length t.pendings));
+  set "pipeline_pending" (float_of_int t.pending_total);
   set "queue_depth" (float_of_int depth);
   set "queue_depth_max" (float_of_int deepest)
 
-let dedup_entries t =
-  Dsim.Id_table.length t.completed + Dsim.Id_table.length t.dead
-  + Dsim.Id_table.length t.submit_spans + Dsim.Id_table.length t.hop_sends
+(* A flight stays while anything can still produce an event for its
+   id: a pending transfer, an open replication round, an armed submit
+   timer, a copy parked in a service queue, or a message-bearing send
+   that has not reached its scheduled arrival. *)
+let prunable t ~ledger id =
+  (match Dsim.Id_table.find t.flights id with
+  | exception Not_found -> true
+  | { pendings = []; rounds = []; submit_timer; in_work; fence; _ } ->
+      not (submit_timer || in_work > 0 || fence >= now t)
+  | _ -> false)
+  && Ledger.settled ledger id
 
-let prunable t ~ledger =
-  (* Ids still referenced by live pipeline machinery: a pending
-     transfer, a parked service-queue copy, an armed submit timer, an
-     open replication round, or a message-bearing wire send that has
-     not reached its scheduled arrival yet can all produce further
-     events for the id. *)
-  let live = Dsim.Id_table.create 64 in
-  Dsim.Id_table.iter (fun k _ -> Dsim.Id_table.replace live (id_of_nkey t k) ()) t.pendings;
-  Dsim.Id_table.iter (fun id _ -> Dsim.Id_table.replace live id ()) t.in_work;
-  Dsim.Id_table.iter (fun id _ -> Dsim.Id_table.replace live id ()) t.submit_timers;
-  Dsim.Id_table.iter (fun k _ -> Dsim.Id_table.replace live (id_of_nkey t k) ()) t.rounds;
-  let horizon = now t in
-  Dsim.Id_table.iter
-    (fun id until -> if until >= horizon then Dsim.Id_table.replace live id ())
-    t.fences;
-  fun id -> (not (Dsim.Id_table.mem live id)) && Ledger.settled ledger id
-
+(* Per forgotten flight the count adds its finished coordinators, its
+   dead and accepted marks and the hop markers no node received — the
+   [compacted] event count the artifacts record. *)
 let compact t keep_out =
-  let dropped = ref 0 in
-  (* Expired fences are dead weight regardless of the ledger verdict:
-     the send they covered has landed (or vanished) by now. *)
-  let horizon = now t in
-  let expired =
-    Dsim.Id_table.fold
-      (fun id until acc -> if until < horizon then id :: acc else acc)
-      t.fences []
+  let doomed =
+    Dsim.Id_table.fold (fun id _ acc -> if keep_out id then id :: acc else acc) t.flights []
     |> List.sort Int.compare
   in
-  List.iter (Dsim.Id_table.remove t.fences) expired;
-  let prune tbl id_of =
-    let doomed =
-      Dsim.Id_table.fold (fun k _ acc -> if keep_out (id_of k) then k :: acc else acc) tbl []
-    in
-    List.iter
-      (fun k ->
-        Dsim.Id_table.remove tbl k;
-        incr dropped)
-      doomed
-  in
-  prune t.completed (id_of_nkey t);
-  prune t.dead Fun.id;
-  prune t.submit_spans Fun.id;
-  prune t.hop_sends (id_of_nkey t);
-  !dropped
+  List.fold_left
+    (fun dropped id ->
+      let f = Dsim.Id_table.find t.flights id in
+      Dsim.Id_table.remove t.flights id;
+      dropped + List.length f.completed + Bool.to_int f.dead + Bool.to_int f.accepted
+      + List.length f.hops)
+    0 doomed
 
 let create ~engine ~graph ~counters ?metrics ?tracer ?bandwidth ?loss_rate
     ?ledger ?route_anchors ~storage config callbacks =
@@ -785,22 +782,17 @@ let create ~engine ~graph ~counters ?metrics ?tracer ?bandwidth ?loss_rate
       cat_submit = Dsim.Engine.category engine "pipeline.submit";
       cat_resubmit = Dsim.Engine.category engine "pipeline.resubmit";
       cat_service = Dsim.Engine.category engine "pipeline.service";
-      n = Netsim.Graph.node_count graph;
-      pendings = Dsim.Id_table.create 64;
-      rounds = Dsim.Id_table.create 64;
-      completed = Dsim.Id_table.create 64;
-      dead = Dsim.Id_table.create 16;
-      submit_timers = Dsim.Id_table.create 64;
-      in_work = Dsim.Id_table.create 64;
+      flights = Dsim.Id_table.create 64;
+      pending_total = 0;
       ledger;
       service_rng = Dsim.Rng.create config.service_seed;
       queues = Dsim.Id_table.create 16;
       queue_waits = Dsim.Stats.Summary.create ();
       queue_wait_hist;
       tracer;
-      submit_spans = Dsim.Id_table.create 64;
-      hop_sends = Dsim.Id_table.create 64;
-      fences = Dsim.Id_table.create 64;
+      server_attr =
+        Array.init (Netsim.Graph.node_count graph) (fun v ->
+            [ ("server", Netsim.Graph.label graph v) ]);
     }
   in
   List.iter

@@ -143,8 +143,7 @@ val create :
     ["degraded"] when the round exhausted its budget below quorum).
     Counter keys written: ["submitted"], ["submit_attempts"],
     ["submit_attempt_failures"], ["submit_deferred"],
-    ["submits_received"], ["deposits"], ["redirect... "] (via the
-    system's [canonical]), ["retries"], ["gave_up"],
+    ["submits_received"], ["deposits"], ["retries"], ["gave_up"],
     ["deposit_stalled"], ["forward_stalled"], ["unresolvable"],
     ["resubmissions"], ["notifications"],
     ["replica_replicate_sends"], ["replica_quorum_acks"],
@@ -160,8 +159,10 @@ val create :
     length; and a pending transfer whose holder is down does not burn
     retry-budget attempts — pending state survives holder crashes, so
     the budget only counts retries the holder could actually send.
-    A [Deposit] is re-acknowledged instantly from the completed-rounds
-    table, so retransmissions cannot re-open a finished round. *)
+    A retransmitted [Deposit] to a coordinator whose round already
+    finished is re-acknowledged at once from the message's flight
+    record, so it cannot re-open the round.  (["redirects"] is written
+    by the system's [canonical_uid], not by the pipeline.) *)
 
 val net : 'ctrl t -> 'ctrl wire Netsim.Net.t
 
@@ -193,22 +194,21 @@ val server_utilisation : 'ctrl t -> Netsim.Graph.node -> float
 (** Fraction of elapsed virtual time the server spent serving; 0 when
     the service model is off or the server handled nothing. *)
 
-val dedup_entries : 'ctrl t -> int
-(** Current size of the dedup/bookkeeping tables (completed rounds,
-    dead set, emitted submit spans, in-flight hop markers) — what
-    {!compact} bounds on long runs. *)
-
 val prunable : 'ctrl t -> ledger:Ledger.t -> Message.id -> bool
-(** [prunable t ~ledger] snapshots the ids still referenced by live
-    pipeline machinery (pending transfers, queued copies, armed
-    submit timers, open replication rounds) and returns a predicate:
-    an id may be pruned when it is not referenced {e and}
-    {!Ledger.settled} confirms its final outcome.  Build it once per
-    compaction round and share it with {!User_agent.compact} and
+(** [prunable t ~ledger id] reads the message's state at call time (no
+    snapshot is taken): the id may be pruned when {!Ledger.settled}
+    confirms its final outcome {e and} no live pipeline machinery
+    refers to it — no pending transfer, open replication round, armed
+    submit timer or copy queued for service, and no message-bearing
+    send still in flight (every Submit/Forward/Deposit/Replicate has
+    passed its scheduled arrival time).  Share one partial application
+    per compaction round with {!User_agent.compact} and
     {!Replica_group.compact}. *)
 
 val compact : 'ctrl t -> (Message.id -> bool) -> int
-(** [compact t prunable] drops every dedup/bookkeeping entry whose
-    message id satisfies the predicate, returning the number of
-    entries removed.  Safe to call at any time with a predicate from
-    {!prunable}. *)
+(** [compact t prunable] forgets every message whose id satisfies the
+    predicate.  It returns, summed over those messages, the number of
+    coordinators whose replication round finished, plus one if the
+    message was declared undeliverable, plus one if a server accepted
+    its submission, plus its traced hops not yet received.  Safe to
+    call at any time with a predicate from {!prunable}. *)

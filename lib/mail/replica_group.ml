@@ -348,8 +348,6 @@ let publish_gauges t ~users reg =
 let cleanup_all t ~now ~max_age =
   fold_holders (fun _ s acc -> acc + Server.cleanup s ~now ~max_age) t 0
 
-let tracked_ids t = Dsim.Id_table.length t.retrieved + Dsim.Id_table.length t.copies
-
 let compact t keep_out =
   let doomed =
     Dsim.Id_table.fold

@@ -132,10 +132,6 @@ val publish_gauges : t -> users:(unit -> int list) -> Telemetry.Registry.t -> un
 val cleanup_all : t -> now:float -> max_age:float -> int
 (** Run the archive clean-up policy over every holder. *)
 
-val tracked_ids : t -> int
-(** Size of the retrieved-set plus live copy table — what {!compact}
-    bounds. *)
-
 val compact : t -> (Message.id -> bool) -> int
 (** Drop retrieved-set entries for settled ids (predicate from
     {!Pipeline.prunable}); returns how many were removed.  Copy-table

@@ -504,6 +504,70 @@ let test_campaign_attribute () =
   check_campaign "attribute"
     (Mail.Scenario.run_attribute ~roam_probability:0.3 (hier_site 13))
 
+(* Compaction prunes only state no later event can read, so calling it
+   after every step must leave the run indistinguishable from one that
+   never compacts: same ledger verdict, same counters apart from
+   [compacted].  A liveness predicate that forgot in-flight sends (the
+   fence) would let a late arrival re-open pruned dedup state and
+   show up here as a counter drift or a duplicate. *)
+let compaction_run ~compact seed =
+  let config = { Mail.Syntax_system.default_config with replication = 4 } in
+  let sys = Mail.Syntax_system.create ~config (hier_site seed) in
+  let sched =
+    Netsim.Fault.compile ~salt:seed ~graph:(Mail.Syntax_system.graph sys)
+      ~servers:(Mail.Syntax_system.server_nodes sys) ~horizon:2000.
+      Netsim.Fault.standard
+  in
+  let net = Mail.Syntax_system.net sys in
+  Netsim.Fault.apply net sched;
+  let users = Array.of_list (Mail.Syntax_system.users sys) in
+  let n = Array.length users in
+  let rng = Dsim.Rng.create seed in
+  for i = 0 to 299 do
+    let sender = users.(Dsim.Rng.int rng n) in
+    let recipient = users.(Dsim.Rng.int rng n) in
+    ignore
+      (Mail.Syntax_system.submit_at sys ~at:(float_of_int (5 * i)) ~sender ~recipient ())
+  done;
+  for step = 1 to 400 do
+    let t = 5 * step in
+    Mail.Syntax_system.run_until sys (float_of_int t);
+    Array.iteri
+      (fun i u -> if (t + i) mod 7 = 0 then ignore (Mail.Syntax_system.check_mail sys u))
+      users;
+    if compact then ignore (Mail.Syntax_system.compact sys)
+  done;
+  Netsim.Fault.heal net sched;
+  Mail.Syntax_system.quiesce sys;
+  Array.iter (fun u -> ignore (Mail.Syntax_system.check_mail sys u)) users;
+  Mail.Syntax_system.quiesce sys;
+  (Mail.Ledger.check (Mail.Syntax_system.ledger sys), Mail.Syntax_system.counters sys)
+
+let test_compaction_unobservable () =
+  List.iter
+    (fun seed ->
+      let v, plain = compaction_run ~compact:false seed in
+      let vc, compacted = compaction_run ~compact:true seed in
+      let tag what = Printf.sprintf "seed %d: %s" seed what in
+      List.iter
+        (fun (v : Mail.Ledger.verdict) ->
+          Alcotest.(check bool) (tag "ledger ok") true v.Mail.Ledger.ok;
+          Alcotest.(check int) (tag "delivered") 300 v.Mail.Ledger.delivered;
+          Alcotest.(check int) (tag "lost") 0 v.Mail.Ledger.lost;
+          Alcotest.(check int) (tag "duplicates") 0 v.Mail.Ledger.duplicates)
+        [ v; vc ];
+      Alcotest.(check bool)
+        (tag "compaction dropped entries")
+        true
+        (Dsim.Stats.Counter.get compacted "compacted" > 0);
+      let others c =
+        List.filter (fun (k, _) -> k <> "compacted") (Dsim.Stats.Counter.to_list c)
+      in
+      Alcotest.(check (list (pair string int)))
+        (tag "counters match without compaction")
+        (others plain) (others compacted))
+    [ 1; 2; 3; 13; 29 ]
+
 let suite =
   [
     ( "fault",
@@ -540,5 +604,7 @@ let suite =
           test_pooled_reuse_never_aliases;
         Alcotest.test_case "location survives campaign" `Slow test_campaign_location;
         Alcotest.test_case "attribute survives campaign" `Slow test_campaign_attribute;
+        Alcotest.test_case "compaction is unobservable" `Slow
+          test_compaction_unobservable;
       ] );
   ]
