@@ -154,33 +154,6 @@ module Histogram = struct
       (bucket_counts t)
 end
 
-module Timeseries = struct
-  type t = {
-    mutable last_time : float;
-    mutable value : float;
-    mutable weighted_sum : float;
-    start : float;
-  }
-
-  let create ?(at = 0.) v =
-    { last_time = at; value = v; weighted_sum = 0.; start = at }
-
-  let update t ~at v =
-    if at < t.last_time then invalid_arg "Timeseries.update: time went backwards";
-    t.weighted_sum <- t.weighted_sum +. (t.value *. (at -. t.last_time));
-    t.last_time <- at;
-    t.value <- v
-
-  let value t = t.value
-
-  let time_average t ~at =
-    let span = at -. t.start in
-    if span <= 0. then t.value
-    else
-      let tail = t.value *. (at -. t.last_time) in
-      (t.weighted_sum +. tail) /. span
-end
-
 module Reservoir = struct
   type t = {
     sample : float array;

@@ -69,26 +69,6 @@ module Histogram : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Time-weighted average of a piecewise-constant signal, e.g. a queue
-    length sampled whenever it changes. *)
-module Timeseries : sig
-  type t
-
-  val create : ?at:float -> float -> t
-  (** [create ~at v] starts the signal at value [v] at time [at]
-      (default 0). *)
-
-  val update : t -> at:float -> float -> unit
-  (** [update ts ~at v]: the signal takes value [v] from time [at].
-      @raise Invalid_argument if [at] precedes the last update. *)
-
-  val value : t -> float
-  (** Current value of the signal. *)
-
-  val time_average : t -> at:float -> float
-  (** Average of the signal from its start through time [at]. *)
-end
-
 (** Bounded uniform sample (Vitter's algorithm R) for percentiles. *)
 module Reservoir : sig
   type t

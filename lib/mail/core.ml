@@ -12,7 +12,6 @@ type ('ctrl, 'state) t = {
       (* user names -> dense ids; the pipeline, storage and redirect
          hot paths all key on the id *)
   mutable agents_by_uid : User_agent.t option array;
-  spaces : (string, Naming.Name_space.t) Hashtbl.t;
   redirects : (Naming.Name.t, Naming.Name.t) Hashtbl.t;
   redirects_uid : int Dsim.Id_table.t;  (* mirror of [redirects], by id *)
   counters : Dsim.Stats.Counter.t;
@@ -61,7 +60,6 @@ let uid_of t name = Naming.Intern.intern t.intern name
 let name_of_uid t uid = Naming.Intern.name t.intern uid
 let find_agent t name = Hashtbl.find_opt t.agents name
 let iter_agents t f = Hashtbl.iter f t.agents
-let iter_spaces t f = Hashtbl.iter (fun _ sp -> f sp) t.spaces
 
 let region_servers t region =
   match Hashtbl.find_opt t.region_servers region with Some l -> l | None -> []
@@ -132,7 +130,6 @@ module Ops = struct
   let submitted t = t.submitted
   let storage t = t.storage
   let server_nodes t = Replica_group.nodes t.storage
-  let space t region = Hashtbl.find_opt t.spaces region
   let redirect_target t name = Hashtbl.find_opt t.redirects name
   let queue_wait_stats t = Pipeline.queue_wait_stats t.pipeline
   let server_utilisation t node = Pipeline.server_utilisation t.pipeline node
@@ -254,22 +251,18 @@ let default_hooks =
   }
 
 let register_user t ~name ~host ~authority =
+  if Hashtbl.mem t.agents name then
+    invalid_arg
+      (Printf.sprintf "Mail.Core.register_user: %s already registered"
+         (Naming.Name.to_string name));
   let uid = uid_of t name in
   let a = User_agent.create ~uid ~name ~host ~authority () in
   Hashtbl.replace t.agents name a;
   set_agent_uid t uid (Some a);
-  (match space t (Naming.Name.region name) with
-  | Some sp ->
-      Naming.Name_space.register sp name;
-      Naming.Name_space.assign_context sp (Naming.Name_space.context_of sp name) authority
-  | None -> ());
   a
 
 let unregister_user t name =
   let _ = agent t name in
-  (match space t (Naming.Name.region name) with
-  | Some sp -> Naming.Name_space.unregister sp name
-  | None -> ());
   Hashtbl.remove t.agents name;
   set_agent_uid t (uid_of t name) None
 
@@ -298,7 +291,7 @@ let rename t name ~new_host ~authority =
   count t "migrations";
   new_name
 
-let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max_retries
+let create ~design ~users_per_host ~retry_timeout ~resubmit_timeout ~max_retries
     ~mailbox_policy ~bandwidth ~service_rate ~loss_rate ~span_sample ~hooks ~authority state
     (site : Netsim.Topology.mail_site) =
   let engine = Dsim.Engine.create () in
@@ -309,11 +302,6 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
   Telemetry.Probe.attach_engine metrics engine;
   let intern = Naming.Intern.create ~capacity:256 () in
   let by_region = Hashtbl.create 4 in
-  let spaces = Hashtbl.create 4 in
-  let ensure_space region =
-    if not (Hashtbl.mem spaces region) then
-      Hashtbl.replace spaces region (Naming.Name_space.create scheme)
-  in
   let t_ref = ref None in
   let the_t () = match !t_ref with Some t -> t | None -> assert false in
   (* The replica group owns every mailbox holder; chain/liveness are
@@ -334,8 +322,7 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
       let existing =
         match Hashtbl.find_opt by_region region with Some l -> l | None -> []
       in
-      Hashtbl.replace by_region region (existing @ [ node ]);
-      ensure_space region)
+      Hashtbl.replace by_region region (existing @ [ node ]))
     site.servers;
   let callbacks =
     {
@@ -371,13 +358,7 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
   let pipeline =
     Pipeline.create ~engine ~graph:site.graph ~counters ~metrics ~tracer ?bandwidth
       ~loss_rate ~ledger ~route_anchors ~storage
-      {
-        Pipeline.default_pipeline_config with
-        retry_timeout;
-        resubmit_timeout;
-        max_retries;
-        service_rate;
-      }
+      { Pipeline.retry_timeout; resubmit_timeout; max_retries; service_rate }
       callbacks
   in
   let t =
@@ -391,7 +372,6 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
       agents = Hashtbl.create 64;
       intern;
       agents_by_uid = Array.make 256 None;
-      spaces;
       redirects = Hashtbl.create 4;
       redirects_uid = Dsim.Id_table.create 4;
       counters;
@@ -413,7 +393,6 @@ let create ~design ~scheme ~users_per_host ~retry_timeout ~resubmit_timeout ~max
     (fun (host, _population) ->
       let region = region_of_node site.graph host in
       let host_label = Netsim.Graph.label site.graph host in
-      ensure_space region;
       for k = 0 to users_per_host - 1 do
         let name = Naming.Name.make ~region ~host:host_label ~user:(Printf.sprintf "u%d" k) in
         ignore (register_user t ~name ~host ~authority:(authority t ~host ~slot:k name))

@@ -7,6 +7,10 @@
     machine.  A design is a [('ctrl, 'state) t]: ['ctrl] is its
     control-plane payload ({!Pipeline.wire}'s [Ctrl]), ['state] what
     only it keeps, and its {!hooks} the policy it plugs in.
+    The hooks are the one name → authority mapping: design 1 answers
+    with the agent's load-balanced chain, design 2 with the list of
+    the name's {!Naming.Name.hash_group}; the machine keeps no
+    per-region copy of it.
     {!Syntax_system} and {!Location_system} re-export {!Ops}. *)
 
 type ('ctrl, 'state) t
@@ -40,10 +44,6 @@ module Ops : sig
       load-balanced chain ([] for unknown names); design 2: the list of
       the name's hash group, identical for all users of one group and
       independent of any host. *)
-
-  val space : ('ctrl, 'state) t -> string -> Naming.Name_space.t option
-  (** The region's name space (partitioned [By_host] in design 1,
-      [By_hash] in design 2). *)
 
   val counters : ('ctrl, 'state) t -> Dsim.Stats.Counter.t
   (** Raw internal tallies; prefer {!metrics} for anything public. *)
@@ -201,7 +201,6 @@ val default_hooks : ('ctrl, 'state) hooks
 
 val create :
   design:string ->
-  scheme:Naming.Name_space.scheme ->
   users_per_host:int ->
   retry_timeout:float ->
   resubmit_timeout:float ->
@@ -222,11 +221,11 @@ val create :
   Netsim.Topology.mail_site ->
   ('ctrl, 'state) t
 (** Wire the shared machine over the site: telemetry with base label
-    [design], every server a storage holder and a member of its
-    region's name space (partitioned by [scheme]), the delivery
-    pipeline with the design's [hooks], recovery resync on server
-    restarts, and [users_per_host] users ["u0"], ["u1"], … per host,
-    each with authority list [authority t ~host ~slot name]. *)
+    [design], every server a storage holder listed under its region
+    ({!region_servers}), the delivery pipeline with the design's
+    [hooks], recovery resync on server restarts, and [users_per_host]
+    users ["u0"], ["u1"], … per host, each with authority list
+    [authority t ~host ~slot name]. *)
 
 val state : ('ctrl, 'state) t -> 'state
 val pipeline : ('ctrl, 'state) t -> 'ctrl Pipeline.t
@@ -243,7 +242,6 @@ val region_servers : ('ctrl, 'state) t -> string -> Netsim.Graph.node list
 val name_of_uid : ('ctrl, 'state) t -> int -> Naming.Name.t
 val find_agent : ('ctrl, 'state) t -> Naming.Name.t -> User_agent.t option
 val iter_agents : ('ctrl, 'state) t -> (Naming.Name.t -> User_agent.t -> unit) -> unit
-val iter_spaces : ('ctrl, 'state) t -> (Naming.Name_space.t -> unit) -> unit
 
 val register_user :
   ('ctrl, 'state) t ->
@@ -251,11 +249,12 @@ val register_user :
   host:Netsim.Graph.node ->
   authority:Netsim.Graph.node list ->
   User_agent.t
-(** Intern the name, create its agent and enter it in the region's
-    name space with [authority] as its context's servers. *)
+(** Intern the name and create its agent with [authority] as its
+    chain ({!User_agent.authority}).
+    @raise Invalid_argument if the name already has an agent. *)
 
 val unregister_user : ('ctrl, 'state) t -> Naming.Name.t -> unit
-(** Drop the user's agent and name-space entry (its mailboxes stay).
+(** Drop the user's agent (its mailboxes stay).
     @raise Invalid_argument on unknown users. *)
 
 val rename :

@@ -57,7 +57,7 @@ let group_authority t name =
       let s = Core.state t in
       let arr = Array.of_list servers in
       let n = Array.length arr in
-      let g = Naming.Name_space.hash_group ~groups:s.groups name in
+      let g = Naming.Name.hash_group ~groups:s.groups name in
       let start = g mod n in
       List.init (min s.config.replication n) (fun i -> arr.((start + i) mod n))
 
@@ -174,10 +174,6 @@ let rebalance_hash t ~groups =
         User_agent.set_authority a after
       end);
   s.groups <- groups;
-  Core.iter_spaces t (fun sp ->
-      match Naming.Name_space.scheme sp with
-      | Naming.Name_space.By_hash _ -> ignore (Naming.Name_space.rebalance_hash sp ~k:groups)
-      | Naming.Name_space.By_region | Naming.Name_space.By_host -> ());
   Core.count ~by:!moved t "hash_moves";
   !moved
 
@@ -203,9 +199,8 @@ let create ?(config = default_config) ?(design_label = "location")
   let { users_per_host; retry_timeout; resubmit_timeout; max_retries; mailbox_policy;
         bandwidth; service_rate; loss_rate; span_sample; _ } = config in
   let primary_hosts = Hashtbl.create 64 in
-  Core.create ~design:design_label ~scheme:(Naming.Name_space.By_hash config.hash_groups)
-    ~users_per_host ~retry_timeout ~resubmit_timeout ~max_retries ~mailbox_policy ~bandwidth
-    ~service_rate ~loss_rate ~span_sample ~hooks
+  Core.create ~design:design_label ~users_per_host ~retry_timeout ~resubmit_timeout
+    ~max_retries ~mailbox_policy ~bandwidth ~service_rate ~loss_rate ~span_sample ~hooks
     ~authority:(fun t ~host ~slot:_ name ->
       (* a user's primary host is the one it is created on *)
       Hashtbl.replace primary_hosts name host;

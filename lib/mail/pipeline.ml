@@ -12,22 +12,19 @@ type config = {
   retry_timeout : float;
   resubmit_timeout : float;
   max_retries : int;
-  replicate_timeout : float;
-  max_replicate_rounds : int;
   service_rate : float option;
-  service_seed : int;
 }
 
 let default_pipeline_config =
-  {
-    retry_timeout = 50.;
-    resubmit_timeout = 400.;
-    max_retries = 50;
-    replicate_timeout = 25.;
-    max_replicate_rounds = 3;
-    service_rate = None;
-    service_seed = 0;
-  }
+  { retry_timeout = 50.; resubmit_timeout = 400.; max_retries = 50; service_rate = None }
+
+(* A coordinator waits [replicate_timeout] for [Replicated]
+   confirmations before resending, for at most [max_replicate_rounds]
+   rounds before acking [Degraded]; service times draw from one stream
+   seeded [service_seed]. *)
+let replicate_timeout = 25.
+let max_replicate_rounds = 3
+let service_seed = 0
 
 (* Counter handles resolved once at wiring time ({!Dsim.Stats.Counter.cell}):
    the dominant tallies bump raw int refs instead of hashing a string
@@ -439,7 +436,7 @@ let arm_round_timer t f (r : round) =
   and fire () =
     ignore
       (Dsim.Engine.schedule_after_cat t.engine t.cat_replicate
-         t.config.replicate_timeout handler)
+         replicate_timeout handler)
   in
   fire ()
 
@@ -474,7 +471,7 @@ let do_deposit t f ~on ~upstream msg =
             needed = Replica_group.quorum_of chain;
             stored = [ on ];
             upstreams = [ upstream ];
-            rounds_left = t.config.max_replicate_rounds;
+            rounds_left = max_replicate_rounds;
             started = now t;
             finished = false;
           }
@@ -785,7 +782,7 @@ let create ~engine ~graph ~counters ?metrics ?tracer ?bandwidth ?loss_rate
       flights = Dsim.Id_table.create 64;
       pending_total = 0;
       ledger;
-      service_rng = Dsim.Rng.create config.service_seed;
+      service_rng = Dsim.Rng.create service_seed;
       queues = Dsim.Id_table.create 16;
       queue_waits = Dsim.Stats.Summary.create ();
       queue_wait_hist;

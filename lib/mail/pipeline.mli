@@ -38,23 +38,19 @@ type config = {
   retry_timeout : float;
   resubmit_timeout : float;
   max_retries : int;
-  replicate_timeout : float;
-      (** how long a coordinator waits for [Replicated] confirmations
-          before resending (or degrading). *)
-  max_replicate_rounds : int;
-      (** resend rounds before a below-quorum deposit acks
-          [Degraded]. *)
   service_rate : float option;
       (** [Some mu]: every server processes submits, forwards and
           deposits through a FIFO queue with Exp(mu) service times —
           the processing/queueing delay the paper's cost model charges
-          as [Q(ρ) + z].  [None] (default) makes processing free. *)
-  service_seed : int;  (** seed of the service-time stream. *)
+          as [Q(ρ) + z].  [None] (default) makes processing free.
+          Service times come from one stream with a fixed seed. *)
 }
 
 val default_pipeline_config : config
-(** retry 50, resubmit 400, max_retries 50, replicate 25 × 3 rounds,
-    no service model. *)
+(** retry 50, resubmit 400, max_retries 50, no service model.  The
+    quorum deposit's replication is fixed: a coordinator waits 25 time
+    units for [Replicated] confirmations before resending, for at most
+    3 rounds before a below-quorum deposit acks [Degraded]. *)
 
 type 'ctrl callbacks = {
   region_servers : string -> Netsim.Graph.node list;

@@ -133,10 +133,6 @@ let add_user t ~host ~user =
     Naming.Name.make ~region:(Core.region_of_node g host) ~host:(Netsim.Graph.label g host)
       ~user
   in
-  if Option.is_some (Core.find_agent t name) then
-    invalid_arg
-      (Printf.sprintf "Syntax_system.add_user: %s already exists"
-         (Naming.Name.to_string name));
   ignore (Core.register_user t ~name ~host ~authority:(nearest_chain t host));
   Core.count t "users_added";
   name
@@ -174,9 +170,8 @@ let create ?(config = default_config) (site : Netsim.Topology.mail_site) =
   Array.iteri (fun i h -> Hashtbl.replace host_index h i) problem.Loadbalance.Assignment.hosts;
   let { users_per_host; retry_timeout; resubmit_timeout; max_retries; mailbox_policy;
         bandwidth; service_rate; loss_rate; span_sample; _ } = config in
-  Core.create ~design:"syntax" ~scheme:Naming.Name_space.By_host ~users_per_host
-    ~retry_timeout ~resubmit_timeout ~max_retries ~mailbox_policy ~bandwidth ~service_rate
-    ~loss_rate ~span_sample ~hooks
+  Core.create ~design:"syntax" ~users_per_host ~retry_timeout ~resubmit_timeout ~max_retries
+    ~mailbox_policy ~bandwidth ~service_rate ~loss_rate ~span_sample ~hooks
     ~authority:(fun _ ~host ~slot _ ->
       Loadbalance.Replicas.chain_for replicas ~host:(Hashtbl.find host_index host)
         ~user_slot:slot)

@@ -1,9 +1,10 @@
 (** Design 1: the complete mail system with syntax-directed naming
     (§3.1), assembled over the simulated network.
 
-    The system wires together: per-region name spaces partitioned
-    [By_host]; authority chains assigned by the §3.1.1 load-balancing
-    algorithm (primary) plus {!Loadbalance.Replicas} secondaries;
+    The system wires together: per-user authority chains assigned by
+    the §3.1.1 load-balancing algorithm (primary) plus
+    {!Loadbalance.Replicas} secondaries, held by each user's agent and
+    answered from there (the design's only name → authority mapping);
     replicated mailbox storage ({!Replica_group}) with quorum deposit
     and failover GetMail; the three-phase delivery pipeline of §3.1.2
     (connection setup, name resolution and forwarding, deposit into

@@ -55,6 +55,28 @@ let compare a b =
 let hash n =
   (((String.hash n.region * 31) + String.hash n.host) * 31) + String.hash n.user
 
+(* FNV-1a over the bytes of a string, folded into [0, groups). The
+   host component is deliberately excluded so that names stay in the
+   same group when a user's primary host changes within a region
+   (design 2 requirement). *)
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
+let fnv1a s =
+  let h = ref fnv_offset in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h fnv_prime)
+    s;
+  !h
+
+let hash_group ~groups n =
+  if groups <= 0 then invalid_arg "Name.hash_group: groups <= 0";
+  let key = n.region ^ "\x00" ^ n.user in
+  let h = fnv1a key in
+  Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int groups))
+
 let pp ppf n = Format.pp_print_string ppf (to_string n)
 
 module Pattern = struct

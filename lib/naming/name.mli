@@ -35,6 +35,12 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+val hash_group : groups:int -> t -> int
+(** Design 2's hash sub-group (§3.2): FNV-1a over the region and
+    user tokens, folded into [0] … [groups - 1].  The host is left out, so
+    a user keeps its group when its primary host changes within the
+    region.  @raise Invalid_argument if [groups <= 0]. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** Syntax-directed patterns: each component may be a literal token or

@@ -24,12 +24,18 @@ val random_outages :
   outage list
 (** For each node, a Poisson process of outage starts with the given
     [rate] (per unit virtual time), each lasting Exp(1/mean_duration).
-    Overlapping outages on one node are merged by the net's idempotent
-    status flips.  [rate <= 0.] yields no outages. *)
+    [rate <= 0.] yields no outages.  Outages on one node may overlap,
+    and {!schedule_outages} does not merge them: {!Net.set_down} and
+    {!Net.set_up} are idempotent flips, so the node comes back up at
+    the end of the first window even while a later window still
+    covers it.  {!availability} counts the whole union as down, so on
+    overlapping schedules it under-reports the time the node was
+    actually up. *)
 
 val availability : outages:outage list -> node:Graph.node -> horizon:float -> float
-(** Fraction of [0, horizon] during which [node] is up under the given
-    schedule (overlaps collapsed). *)
+(** Fraction of [0, horizon] during which [node] is down in no window
+    of the schedule (overlaps collapsed into their union — not what
+    {!schedule_outages} makes the net do, see {!random_outages}). *)
 
 val group_availability :
   outages:outage list -> nodes:Graph.node list -> horizon:float -> float

@@ -293,8 +293,7 @@ let extra_for_degree ~m ~degree =
   max 0 (min target max_edges - (m - 1))
 
 let sized_hierarchy ~regions ~hosts_per_region ~servers_per_region
-    ?(gateways_per_region = 2) ?(degree = 6.0) ?(local_weight = (1.0, 3.0))
-    ?(backbone_weight = (5.0, 12.0)) () =
+    ?(gateways_per_region = 2) ?(degree = 6.0) () =
   if regions <= 0 then invalid_arg "Topology.sized_hierarchy: need regions";
   if hosts_per_region <= 0 || servers_per_region <= 0 then
     invalid_arg "Topology.sized_hierarchy: need hosts and servers";
@@ -309,8 +308,8 @@ let sized_hierarchy ~regions ~hosts_per_region ~servers_per_region
     gateways_per_region;
     intra_extra_edges = extra_for_degree ~m ~degree;
     backbone_extra_edges = max 0 (regions - 1);
-    local_weight;
-    backbone_weight;
+    local_weight = default_hierarchy.local_weight;
+    backbone_weight = default_hierarchy.backbone_weight;
   }
 
 let scale_site ~rng ?(users_per_host = 10) spec =

@@ -89,8 +89,6 @@ val sized_hierarchy :
   servers_per_region:int ->
   ?gateways_per_region:int ->
   ?degree:float ->
-  ?local_weight:float * float ->
-  ?backbone_weight:float * float ->
   unit ->
   hierarchy
 (** Hierarchy spec with the edge counts derived from a target average
@@ -98,7 +96,7 @@ val sized_hierarchy :
     random edges beyond its spanning tree to reach [degree] (default 6)
     on average, and the backbone gets [regions - 1] extra gateway
     links beyond its ring.  [gateways_per_region] defaults to 2; the
-    weight ranges default to {!default_hierarchy}'s.  This is how the
+    weight ranges are {!default_hierarchy}'s.  This is how the
     scale benchmark dials topology density.
     @raise Invalid_argument on non-positive counts or [degree < 2]. *)
 

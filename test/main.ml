@@ -6,7 +6,7 @@ let () =
    @ Test_graph.suite @ Test_shortest_path.suite
    @ Test_topology.suite @ Test_net.suite @ Test_route_cache.suite
    @ Test_failure.suite
-   @ Test_queueing.suite @ Test_name.suite @ Test_name_space.suite
+   @ Test_queueing.suite @ Test_name.suite
    @ Test_attribute.suite @ Test_directory.suite
    @ Test_fuzzy.suite @ Test_organisation.suite @ Test_loadbalance.suite
    @ Test_reconfigure.suite @ Test_replicas.suite @ Test_channel.suite

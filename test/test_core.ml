@@ -69,6 +69,46 @@ let unknown_recipient_rejected sys () =
    with Invalid_argument _ -> ());
   Alcotest.(check int) "nothing submitted" 0 (List.length (Ops.submitted sys))
 
+(* A name with an agent cannot be registered again. *)
+let duplicate_registration_rejected sys () =
+  let u = List.hd (Ops.users sys) in
+  let a = Ops.agent sys u in
+  let before = List.length (Ops.users sys) in
+  (try
+     ignore
+       (Mail.Core.register_user sys ~name:u ~host:(Mail.User_agent.host a)
+          ~authority:(Mail.User_agent.authority a));
+     Alcotest.fail "duplicate registration accepted"
+   with Invalid_argument _ -> ());
+  Alcotest.(check int) "user count unchanged" before (List.length (Ops.users sys))
+
+(* The design's [authority_of] hook and the agent's chain agree for
+   every user. *)
+let authority_matches_agents sys =
+  List.iter
+    (fun u ->
+      Alcotest.(check (list int))
+        (Naming.Name.to_string u)
+        (Mail.User_agent.authority (Ops.agent sys u))
+        (Ops.authority_of sys u))
+    (Ops.users sys)
+
+(* Removing a user frees its name: adding it back on the same host
+   succeeds and the new agent receives mail. *)
+let remove_then_add () =
+  let sys = syntax () in
+  let u = List.hd (Ops.users sys) in
+  let host = Mail.User_agent.host (Ops.agent sys u) in
+  Mail.Syntax_system.remove_user sys u;
+  let back = Mail.Syntax_system.add_user sys ~host ~user:(Naming.Name.user u) in
+  Alcotest.(check name) "same name" u back;
+  let sender = List.find (fun n -> not (Naming.Name.equal n u)) (Ops.users sys) in
+  let m = Ops.submit sys ~sender ~recipient:back () in
+  Ops.quiesce sys;
+  Alcotest.(check bool) "deposited" true (Mail.Message.is_deposited m);
+  Alcotest.(check int) "new agent retrieves it" 1
+    (Ops.check_mail sys back).Mail.User_agent.retrieved
+
 let suite =
   [
     ( "core",
@@ -85,5 +125,17 @@ let suite =
             unknown_recipient_rejected (syntax ()) ());
         Alcotest.test_case "design 2: unknown recipient rejected" `Quick (fun () ->
             unknown_recipient_rejected (location ()) ());
+        Alcotest.test_case "design 1: duplicate registration rejected" `Quick (fun () ->
+            duplicate_registration_rejected (syntax ()) ());
+        Alcotest.test_case "design 2: duplicate registration rejected" `Quick (fun () ->
+            duplicate_registration_rejected (location ()) ());
+        Alcotest.test_case "design 1: authority_of is the agent's chain" `Quick (fun () ->
+            authority_matches_agents (syntax ()));
+        Alcotest.test_case "design 2: authority_of is the agent's chain" `Quick (fun () ->
+            let sys = location () in
+            authority_matches_agents sys;
+            ignore (Mail.Location_system.rebalance_hash sys ~groups:3);
+            authority_matches_agents sys);
+        Alcotest.test_case "design 1: remove then add the same user" `Quick remove_then_add;
       ] );
   ]

@@ -136,6 +136,54 @@ let prop_intern_dense_ids =
              | None -> false)
            names)
 
+(* Design 2's hash sub-groups ({!Naming.Name.hash_group}). *)
+
+let n r h u = Naming.Name.make ~region:r ~host:h ~user:u
+
+let test_hash_host_independent () =
+  (* Design 2's key property: the hash group ignores the host. *)
+  let g = Naming.Name.hash_group ~groups:8 in
+  Alcotest.(check int) "host does not matter" (g (n "east" "h1" "alice"))
+    (g (n "east" "h2" "alice"));
+  (* but region and user do: over 100 users, some group differs *)
+  let differs f =
+    List.exists (fun i -> f (Printf.sprintf "u%d" i)) (List.init 100 Fun.id)
+  in
+  Alcotest.(check bool) "region matters" true
+    (differs (fun u -> g (n "east" "h1" u) <> g (n "west" "h1" u)));
+  Alcotest.(check bool) "user matters" true
+    (differs (fun u -> g (n "east" "h1" u) <> g (n "east" "h1" "alice")))
+
+let test_hash_group_range () =
+  for groups = 1 to 16 do
+    for i = 0 to 100 do
+      let g = Naming.Name.hash_group ~groups (n "r" "h" (Printf.sprintf "u%d" i)) in
+      if g < 0 || g >= groups then Alcotest.failf "group %d out of range" g
+    done
+  done
+
+let test_hash_spread () =
+  (* 400 users over 8 groups: no group should be empty or hold more
+     than half of all users. *)
+  let counts = Array.make 8 0 in
+  for i = 0 to 399 do
+    let g = Naming.Name.hash_group ~groups:8 (n "r" "h" (Printf.sprintf "u%d" i)) in
+    counts.(g) <- counts.(g) + 1
+  done;
+  Array.iteri
+    (fun i c ->
+      if c = 0 then Alcotest.failf "group %d empty" i;
+      if c > 200 then Alcotest.failf "group %d overloaded: %d" i c)
+    counts
+
+let prop_hash_deterministic =
+  QCheck.Test.make ~name:"hash_group is deterministic" ~count:200
+    QCheck.(pair (int_range 1 32) small_string)
+    (fun (groups, s) ->
+      let user = if Naming.Name.valid_token s then s else "fallback" in
+      let nm = n "r" "h" user in
+      Naming.Name.hash_group ~groups nm = Naming.Name.hash_group ~groups nm)
+
 let suite =
   [
     ( "name",
@@ -152,5 +200,9 @@ let suite =
         QCheck_alcotest.to_alcotest prop_hash_consistent_with_equal;
         QCheck_alcotest.to_alcotest prop_intern_roundtrip;
         QCheck_alcotest.to_alcotest prop_intern_dense_ids;
+        Alcotest.test_case "hash group ignores host" `Quick test_hash_host_independent;
+        Alcotest.test_case "hash group in range" `Quick test_hash_group_range;
+        Alcotest.test_case "hash spreads load" `Quick test_hash_spread;
+        QCheck_alcotest.to_alcotest prop_hash_deterministic;
       ] );
   ]

@@ -84,22 +84,6 @@ module Histogram = struct
         ignore (Dsim.Stats.Histogram.create ~lo:0. ~hi:1. ~buckets:0))
 end
 
-module Timeseries = struct
-  let test_time_average () =
-    let ts = Dsim.Stats.Timeseries.create 0. in
-    (* 0 on [0,10), 10 on [10,20): average over [0,20] is 5. *)
-    Dsim.Stats.Timeseries.update ts ~at:10. 10.;
-    Alcotest.(check bool) "value" true (Dsim.Stats.Timeseries.value ts = 10.);
-    let avg = Dsim.Stats.Timeseries.time_average ts ~at:20. in
-    Alcotest.(check bool) "average" true (feq avg 5.)
-
-  let test_backwards_time () =
-    let ts = Dsim.Stats.Timeseries.create ~at:5. 1. in
-    Alcotest.check_raises "backwards"
-      (Invalid_argument "Timeseries.update: time went backwards") (fun () ->
-        Dsim.Stats.Timeseries.update ts ~at:4. 2.)
-end
-
 module Reservoir = struct
   let test_small_exact () =
     let r = Dsim.Stats.Reservoir.create ~capacity:100 (Dsim.Rng.create 1) in
@@ -134,8 +118,6 @@ let suite =
         Alcotest.test_case "counter" `Quick Counter.test_basic;
         Alcotest.test_case "histogram buckets" `Quick Histogram.test_buckets;
         Alcotest.test_case "histogram bad args" `Quick Histogram.test_bad_args;
-        Alcotest.test_case "timeseries average" `Quick Timeseries.test_time_average;
-        Alcotest.test_case "timeseries backwards" `Quick Timeseries.test_backwards_time;
         Alcotest.test_case "reservoir exact small" `Quick Reservoir.test_small_exact;
         Alcotest.test_case "reservoir representative" `Slow
           Reservoir.test_sampling_is_representative;

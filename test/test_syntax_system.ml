@@ -14,12 +14,7 @@ let test_construction () =
       let auth = Mail.User_agent.authority (Mail.Syntax_system.agent sys u) in
       Alcotest.(check int) "replication" 3 (List.length auth);
       Alcotest.(check int) "distinct" 3 (List.length (List.sort_uniq compare auth)))
-    (Mail.Syntax_system.users sys);
-  (* the regional name space knows every user *)
-  match Mail.Syntax_system.space sys "r0" with
-  | Some sp -> Alcotest.(check int) "registered" 30
-      (List.length (Naming.Name_space.names sp))
-  | None -> Alcotest.fail "missing region space"
+    (Mail.Syntax_system.users sys)
 
 let test_basic_delivery () =
   let sys = make () in
