@@ -353,7 +353,9 @@ let default_hot_set =
     ( "Dsim.Engine",
       [ "exec"; "step"; "step_uninstrumented"; "settle_head"; "drain"; "run";
         "schedule_at"; "schedule_after"; "schedule_after_cat"; "next_time";
-        "advance" ] );
+        "advance"; "schedule_at_cat"; "heap_push"; "lane_push"; "drop_heap";
+        "drop_lane"; "min_lane"; "head_before"; "settle_heap"; "settle_lane";
+        "head_time"; "due_after" ] );
     ("Dsim.Heap", [ "push"; "pop"; "peek"; "sift_up"; "sift_down" ]);
     ("Netsim.Net", [ "send"; "send_raw"; "send_timed"; "route" ]);
     ( "Mail.Pipeline",
@@ -371,7 +373,8 @@ let default_hot_set =
         "ack_pending";
         "finish_round";
       ] );
-    ("Mail.Replica_group", [ "write"; "fetch"; "serve"; "observe_latencies" ]);
+    ( "Mail.Replica_group",
+      [ "write"; "fetch"; "serve"; "observe_latencies"; "unfetched"; "add_unfetched" ] );
     ("Mail.Server", [ "take" ]);
     ( "Mail.User_agent",
       [
@@ -387,6 +390,8 @@ let default_hot_set =
         "poll_every";
         "first_alive";
         "finish";
+        "marked";
+        "remove_pus";
       ] );
     ( "Telemetry.Registry",
       [ "incr"; "set_counter"; "set_gauge"; "add_gauge"; "observe"; "find_or_create" ] );

@@ -7,9 +7,22 @@
     events.  There is no real concurrency: determinism is total given
     the same seed and schedule.
 
-    The queue is a flat structure-of-arrays arena ({!Heap.Arena}):
-    scheduling an event stores a time, a sequence number and an
-    interned category id in preallocated scalar arrays, so the steady
+    The queue is a binary heap plus one FIFO lane per non-default
+    category.  Every event takes a sequence number from the heap's one
+    counter ({!Heap.Arena.take_seq}), and the only order that matters
+    is (time, sequence number) — the order a single heap holding every
+    event pops in.  An event at or after its category's lane tail is
+    appended to that lane; any other event, and every event of the
+    default category, goes to the heap.  Appended events carry ever
+    larger sequence numbers, so each lane is sorted by (time, sequence
+    number) and the least queued event is the lesser of the heap top
+    and the least lane head (cached).  Execution order is therefore
+    exactly the single heap's: ascending time, FIFO among equal times.
+    Fixed-delay timers, time-sorted up-front schedules and recurring
+    sweeps cost O(1) per push and pop on their lanes; only
+    out-of-order events pay a heap sift.  Actions wait in one payload
+    slot array, and the heap ({!Heap.Arena}) and lanes hold slot
+    indices next to unboxed times and sequence numbers, so the steady
     state allocates nothing beyond the caller's action closure. *)
 
 type t
@@ -66,15 +79,17 @@ val every :
     @raise Invalid_argument if [period <= 0.]. *)
 
 val cancel : t -> event_id -> unit
-(** Cancel a pending event; cancelling an already-fired, already
-    cancelled or unknown event is a no-op.  Checking that the id is
-    still queued scans the queue (O({!pending})), so cancellation is
-    for rare callers, not per-event paths.
+(** Cancel a pending event, wherever it waits (heap or lane);
+    cancelling an already-fired, already cancelled or unknown event is
+    a no-op.  Checking that the id is still queued scans the heap and
+    every lane (O({!pending})), so cancellation is for rare callers,
+    not per-event paths.  A cancelled event stays queued as a tombstone
+    that popping skips, so the order of the rest is unchanged.
     @raise Invalid_argument on a negative id. *)
 
 val pending : t -> int
-(** Number of live events still queued; cancelled events are
-    excluded. *)
+(** Number of live events still queued, heap and lanes together;
+    cancelled events are excluded. *)
 
 (** {1 Inline events}
 

@@ -94,38 +94,39 @@ let to_sorted_list h =
   Array.to_list (Array.map (fun e -> (e.prio, e.value)) entries)
 
 (* Flat structure-of-arrays arena heap: priorities live in an unboxed
-   [float array], sequence numbers and integer tags in [int array]s,
-   and the payload in its own array.  Pushing and popping move plain
-   words between preallocated arrays — no entry record, no boxed
-   float, no allocation at all once the arena has grown to its working
-   size.  This is the engine's event queue: at millions of events the
-   per-entry record of the generic heap above is the dominant
-   steady-state allocation. *)
+   [float array], sequence numbers and integer tags in [int array]s.
+   Pushing and popping move plain words between preallocated arrays —
+   no entry record, no boxed float, no write barrier, no allocation at
+   all once the arena has grown to its working size.  A caller with a
+   payload stores it in its own slot array and pushes the slot index
+   as the tag, so a sift moves three scalars per level instead of a
+   pointer.  This is the engine's event queue and Dijkstra's frontier. *)
 module Arena = struct
-  type 'a t = {
+  type t = {
     mutable prios : float array;
     mutable seqs : int array;
     mutable tags : int array;
-    mutable values : 'a array;
     mutable size : int;
     mutable next_seq : int;
-    dummy : 'a;  (* slot filler so popped payloads don't leak *)
   }
 
-  let create ?(capacity = 64) ~dummy () =
+  let create ?(capacity = 64) () =
     if capacity < 1 then invalid_arg "Heap.Arena.create: capacity must be positive";
     {
       prios = Array.make capacity 0.;
       seqs = Array.make capacity 0;
       tags = Array.make capacity 0;
-      values = Array.make capacity dummy;
       size = 0;
       next_seq = 0;
-      dummy;
     }
 
   let length h = h.size
   let is_empty h = h.size = 0
+
+  let take_seq h =
+    let seq = h.next_seq in
+    h.next_seq <- seq + 1;
+    seq
 
   let grow h =
     let cap = 2 * Array.length h.prios in
@@ -137,20 +138,18 @@ module Arena = struct
     h.seqs <- seqs;
     let tags = Array.make cap 0 in
     Array.blit h.tags 0 tags 0 h.size;
-    h.tags <- tags;
-    let values = Array.make cap h.dummy in
-    Array.blit h.values 0 values 0 h.size;
-    h.values <- values
+    h.tags <- tags
 
   (* Hole insertion: walk the parent chain down into the hole until the
      new entry fits, then write it once.  A freshly pushed entry always
-     has the largest sequence number, so on equal priorities it stays
-     below its parent — FIFO among ties, exactly like the boxed heap. *)
-  let push h ~prio ~tag value =
+     has the largest sequence number ever issued (sequence numbers
+     handed out by [take_seq] never enter the arena), so on equal
+     priorities it stays below its parent — FIFO among ties, exactly
+     like the boxed heap. *)
+  let push h ~prio ~tag =
     if Float.is_nan prio then invalid_arg "Heap.Arena.push: NaN priority";
     if h.size = Array.length h.prios then grow h;
-    let seq = h.next_seq in
-    h.next_seq <- seq + 1;
+    let seq = take_seq h in
     let i = ref h.size in
     h.size <- h.size + 1;
     let continue = ref true in
@@ -160,7 +159,6 @@ module Arena = struct
         h.prios.(!i) <- h.prios.(parent);
         h.seqs.(!i) <- h.seqs.(parent);
         h.tags.(!i) <- h.tags.(parent);
-        h.values.(!i) <- h.values.(parent);
         i := parent
       end
       else continue := false
@@ -168,12 +166,13 @@ module Arena = struct
     h.prios.(!i) <- prio;
     h.seqs.(!i) <- seq;
     h.tags.(!i) <- tag;
-    h.values.(!i) <- value;
     seq
 
   let top_prio h =
     if h.size = 0 then invalid_arg "Heap.Arena.top_prio: empty";
     h.prios.(0)
+
+  let prios h = h.prios
 
   let top_seq h =
     if h.size = 0 then invalid_arg "Heap.Arena.top_seq: empty";
@@ -182,10 +181,6 @@ module Arena = struct
   let top_tag h =
     if h.size = 0 then invalid_arg "Heap.Arena.top_tag: empty";
     h.tags.(0)
-
-  let top h =
-    if h.size = 0 then invalid_arg "Heap.Arena.top: empty";
-    h.values.(0)
 
   let mem_seq h seq =
     let rec go i = i < h.size && (h.seqs.(i) = seq || go (i + 1)) in
@@ -199,9 +194,7 @@ module Arena = struct
     h.size <- last;
     if last > 0 then begin
       (* Sift the former last entry down from the root into the hole. *)
-      let prio = h.prios.(last) and seq = h.seqs.(last) in
-      let tag = h.tags.(last) and value = h.values.(last) in
-      h.values.(last) <- h.dummy;
+      let prio = h.prios.(last) and seq = h.seqs.(last) and tag = h.tags.(last) in
       let i = ref 0 in
       let continue = ref true in
       while !continue do
@@ -222,7 +215,6 @@ module Arena = struct
             h.prios.(!i) <- h.prios.(c);
             h.seqs.(!i) <- h.seqs.(c);
             h.tags.(!i) <- h.tags.(c);
-            h.values.(!i) <- h.values.(c);
             i := c
           end
           else continue := false
@@ -230,8 +222,6 @@ module Arena = struct
       done;
       h.prios.(!i) <- prio;
       h.seqs.(!i) <- seq;
-      h.tags.(!i) <- tag;
-      h.values.(!i) <- value
+      h.tags.(!i) <- tag
     end
-    else h.values.(0) <- h.dummy
 end

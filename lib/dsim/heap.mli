@@ -42,46 +42,59 @@ val to_sorted_list : 'a t -> (float * 'a) list
 (** Non-destructive snapshot in ascending priority (FIFO among ties). *)
 
 (** Flat structure-of-arrays min-heap: unboxed [float array] priorities,
-    [int array] sequence numbers and tags, payloads in their own array.
+    [int array] sequence numbers and tags, and no payload array.
     Pushing and popping move plain words between preallocated arrays,
-    so the steady state allocates nothing — this arena backs the
-    simulation engine's event queue.  Order is identical to the boxed
-    heap above: ascending priority, FIFO among ties. *)
+    so the steady state allocates nothing and a sift pays no write
+    barrier.  A caller with a payload keeps it in its own slot array
+    and pushes the slot index as the tag (the simulation engine's
+    event queue does); Dijkstra's frontier pushes the node itself.
+    Order is identical to the boxed heap above: ascending priority,
+    FIFO among ties. *)
 module Arena : sig
-  type 'a t
+  type t
 
-  val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-  (** Preallocates all four backing arrays at [capacity] (default 64)
-      entries; the arena doubles past the hint automatically.  [dummy]
-      fills vacated payload slots so popped values are not retained.
+  val create : ?capacity:int -> unit -> t
+  (** Preallocates the three backing arrays at [capacity] (default 64)
+      entries; the arena doubles past the hint automatically.
       @raise Invalid_argument if [capacity < 1]. *)
 
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
+  val length : t -> int
+  val is_empty : t -> bool
 
-  val push : 'a t -> prio:float -> tag:int -> 'a -> int
-  (** Insert a payload with an integer [tag] riding along; returns the
-      entry's sequence number (dense from 0, the FIFO tie-break key).
+  val push : t -> prio:float -> tag:int -> int
+  (** Insert an entry with an integer [tag] riding along; returns the
+      entry's sequence number (the FIFO tie-break key).
       @raise Invalid_argument if [prio] is NaN. *)
 
-  val top_prio : 'a t -> float
+  val take_seq : t -> int
+  (** Issue the next sequence number without inserting anything.  A
+      caller that keeps some entries outside the arena (the engine's
+      FIFO lanes) numbers them from the same counter, so one
+      (priority, sequence) order spans the arena and its own queues:
+      sequence numbers are dense from 0 across [push] and [take_seq]. *)
+
+  val top_prio : t -> float
   (** Priority of the minimum entry.  @raise Invalid_argument when empty. *)
 
-  val top_seq : 'a t -> int
+  val prios : t -> float array
+  (** The backing priority array: index 0 holds the minimum's priority
+      when the arena is non-empty.  A [float] returned by {!top_prio}
+      from another compilation unit is boxed at every call, so a caller
+      on a per-event path reads [(prios h).(0)] instead, allocation
+      free.  Read-only, and valid until the next {!push}, which may
+      replace the array. *)
+
+  val top_seq : t -> int
   (** Sequence number of the minimum entry. *)
 
-  val top_tag : 'a t -> int
+  val top_tag : t -> int
   (** Tag of the minimum entry. *)
 
-  val top : 'a t -> 'a
-  (** Payload of the minimum entry. *)
-
-  val mem_seq : 'a t -> int -> bool
+  val mem_seq : t -> int -> bool
   (** Whether the entry with this sequence number is still queued: a
       linear scan, for rare callers (cancellation), never per event. *)
 
-  val drop : 'a t -> unit
+  val drop : t -> unit
   (** Remove the minimum entry (read it with the [top_*] accessors
-      first — dropping clears the payload slot).
-      @raise Invalid_argument when empty. *)
+      first).  @raise Invalid_argument when empty. *)
 end

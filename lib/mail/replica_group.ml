@@ -35,6 +35,10 @@ type t = {
   is_up : Netsim.Graph.node -> bool;
   copies : copy_state Dsim.Id_table.t;  (* by message id *)
   retrieved : unit Dsim.Id_table.t;  (* by message id *)
+  mutable unfetched : int array;
+      (* by interned user id: unfetched copies summed over every
+         holder, kept in step with each [Server.store]/[take]/[purge]
+         so an empty poll is answered without probing the holder. *)
   resync_queue : Message.id list ref Dsim.Id_table.t;
       (* per down-holder, ids retrieved elsewhere while it was out —
          queued at fetch time so a recovery resync walks its own stale
@@ -65,6 +69,7 @@ let create ?(mailbox_policy = Mailbox.Delete_on_retrieve) ?ledger ?tracer ?metri
     is_up;
     copies = Dsim.Id_table.create 256;
     retrieved = Dsim.Id_table.create 256;
+    unfetched = [||];
     resync_queue = Dsim.Id_table.create 16;
     counters;
     ledger;
@@ -151,6 +156,19 @@ let rec mem_node (x : int) = function
   | [] -> false
   | y :: tl -> y = x || mem_node x tl
 
+let unfetched t ~uid =
+  if uid >= 0 && uid < Array.length t.unfetched then t.unfetched.(uid) else 0
+
+let grow_unfetched t uid =
+  let len = Array.length t.unfetched in
+  let grown = Array.make (max (2 * len) (uid + 1)) 0 in
+  Array.blit t.unfetched 0 grown 0 len;
+  t.unfetched <- grown
+
+let add_unfetched t uid n =
+  if uid >= Array.length t.unfetched then grow_unfetched t uid;
+  t.unfetched.(uid) <- t.unfetched.(uid) + n
+
 let write t ~on msg ~at =
   let id = msg.Message.id in
   if Dsim.Id_table.mem t.retrieved id then Superseded
@@ -166,6 +184,7 @@ let write t ~on msg ~at =
     if mem_node on c.nodes then Duplicate
     else begin
       Server.store (holder t on) msg ~at;
+      add_unfetched t msg.Message.recipient_uid 1;
       observe_latencies t msg;
       c.nodes <- on :: c.nodes;
       Option.iter (fun l -> Ledger.record_deposit l msg ~at) t.ledger;
@@ -183,10 +202,11 @@ let no_copies t id = not (Dsim.Id_table.mem t.copies id)
 
 (* Drop the copy of [id] held on [node] without serving it.  [kind]
    names the counter: purge-on-fetch vs recovery resync. *)
-let purge_copy t ~kind ~node (c : copy_state) id =
+let purge_copy t ~kind ~node ~at (c : copy_state) id =
   let dropped = Server.purge (holder t node) ~uid:c.owner_uid id in
   if dropped > 0 then begin
-    Option.iter (fun l -> Ledger.record_purge l id ~at:0.) t.ledger;
+    add_unfetched t c.owner_uid (-dropped);
+    Option.iter (fun l -> Ledger.record_purge l id ~at) t.ledger;
     count ~by:dropped t kind
   end;
   c.nodes <- List.filter (fun n -> n <> node) c.nodes;
@@ -227,7 +247,7 @@ let serve t ~on ~uid name ~at msgs =
              recorded copy until [note_recovery] resyncs them. *)
           let live = List.filter t.is_up c.nodes |> List.sort Int.compare in
           List.iter
-            (fun node -> purge_copy t ~kind:"replica_purges" ~node c m.Message.id)
+            (fun node -> purge_copy t ~kind:"replica_purges" ~node ~at c m.Message.id)
             live;
           if c.nodes = [] then Dsim.Id_table.remove t.copies m.Message.id
           else
@@ -249,16 +269,24 @@ let serve t ~on ~uid name ~at msgs =
     msgs;
   msgs
 
-(* An empty take — most polls — returns at once: no chain lookup, no
-   closure.  Skipping [chain_of] there changes nothing: every design's
-   [authority_of_uid] hook only reads state.  The one write behind
-   [chain_of] is [Core]'s [redirects] count for a uid renamed away,
-   which only a stale agent of a migrated user could poll with, and a
-   poll that served nothing followed no redirect. *)
+(* An empty poll — most polls — returns at once: a user with no
+   unfetched copy on any holder is answered from [unfetched] after the
+   holder check, with no mailbox probe, no chain lookup and no closure.
+   A non-zero count still probes the polled holder, which may hold
+   none of the copies.  Skipping [chain_of] on an empty answer changes
+   nothing: every design's [authority_of_uid] hook only reads state.
+   The one write behind [chain_of] is [Core]'s [redirects] count for a
+   uid renamed away, which only a stale agent of a migrated user could
+   poll with, and a poll that served nothing followed no redirect. *)
 let fetch t ~on ~uid name ~at =
-  match Server.take (holder t on) ~uid ~at with
-  | [] -> []
-  | msgs -> serve t ~on ~uid name ~at msgs
+  let h = holder t on in
+  if unfetched t ~uid = 0 then []
+  else
+    match Server.take h ~uid ~at with
+    | [] -> []
+    | msgs ->
+        t.unfetched.(uid) <- t.unfetched.(uid) - List.length msgs;
+        serve t ~on ~uid name ~at msgs
 
 let note_recovery t ~node ~at =
   Server.note_recovery (holder t node) ~at;
@@ -275,7 +303,7 @@ let note_recovery t ~node ~at =
         (fun id ->
           match Dsim.Id_table.find_opt t.copies id with
           | Some c when Dsim.Id_table.mem t.retrieved id && mem_node node c.nodes ->
-              purge_copy t ~kind:"replica_resyncs" ~node c id
+              purge_copy t ~kind:"replica_resyncs" ~node ~at c id
           | _ -> ())
         (List.sort_uniq Int.compare !q)
 

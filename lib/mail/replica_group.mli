@@ -97,8 +97,21 @@ val fetch :
     other chain members are purged now, down members at resync.
     Serving while the chain's primary is down counts a
     [replica_failovers] and, for a sampled uid, emits the failover
-    span.  A poll of an empty mailbox returns [[]] without consulting
-    [chain_of]. *)
+    span.  When {!unfetched} is 0 — the user has no copy on any holder,
+    the common case of a check — the poll returns [[]] in O(1) after
+    the holder check, probing no mailbox; any empty poll returns [[]]
+    without consulting [chain_of].
+    @raise Invalid_argument if [on] is not a holder, whatever the
+    count. *)
+
+val unfetched : t -> uid:int -> int
+(** Unfetched copies of the user's mail summed over every holder — by
+    construction [Σ Server.pending_for ~uid] over {!nodes}.  The group
+    keeps it in one dense [int array] by interned user id (8 bytes per
+    user), adjusted around each holder mutation it makes:
+    {!Server.store} adds one, {!Server.take} subtracts the copies it
+    returned and {!Server.purge} the copies it dropped.  0 for an id
+    that never received mail. *)
 
 val note_recovery : t -> node:Netsim.Graph.node -> at:float -> unit
 (** The holder rejoined: bump its [LastStartTime] and purge every copy

@@ -13,7 +13,18 @@
     owns every holder of a system.  The old holder-centric surface
     ([deposit]/[fetch] called directly by the pipeline and views) was
     replaced by the primitive triple {!store} / {!take} / {!purge} the
-    group composes. *)
+    group composes.
+
+    These three are the only calls that change a holder's unfetched
+    copies, and each reports its exact effect: [store] adds one copy,
+    [take] removes exactly the copies it returns, [purge] exactly the
+    number it returns.  {!Replica_group} keeps its per-user count of
+    unfetched copies across all holders ({!Replica_group.unfetched})
+    from these deltas, so for every user the count equals the sum of
+    {!pending_for} over the holders, and a GetMail poll of a user whose
+    count is 0 is answered without calling {!take}.  [cleanup] only
+    drops archived (already fetched) copies and leaves the count
+    alone. *)
 
 type t
 

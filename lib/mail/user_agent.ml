@@ -52,10 +52,19 @@ type server_view = {
 
 type check_stats = { polls : int; failed_polls : int; retrieved : int }
 
+(* PUS membership and removal specialised to ints, so the per-poll
+   calls skip the polymorphic comparator.  A server is marked at most
+   once, so removing its one entry equals filtering it out. *)
+let rec marked (s : int) = function [] -> false | x :: tl -> x = s || marked s tl
+
+let rec unmark (s : int) = function
+  | [] -> []
+  | x :: tl -> if x = s then tl else x :: unmark s tl
+
 (* A server already marked keeps its place; a newly marked one joins
-   the end of the FIFO. *)
-let add_pus t s = if not (List.mem s t.pus) then t.pus <- t.pus @ [ s ]
-let remove_pus t s = if List.mem s t.pus then t.pus <- List.filter (fun x -> x <> s) t.pus
+   the end of the FIFO.  Removing an unmarked server rebuilds nothing. *)
+let add_pus t s = if not (marked s t.pus) then t.pus <- t.pus @ [ s ]
+let remove_pus t s = if marked s t.pus then t.pus <- unmark s t.pus
 
 (* Keep only messages not already retrieved (duplicates can arrive
    when a deposit retry raced a lost acknowledgement).  The ledger, if

@@ -129,11 +129,11 @@ let compile g =
 
 type scratch = {
   mutable settled : Bytes.t;
-  queue : unit Dsim.Heap.Arena.t;
+  queue : Dsim.Heap.Arena.t;
 }
 
 let scratch ?(capacity = 256) n =
-  { settled = Bytes.make (max 1 n) '\000'; queue = Dsim.Heap.Arena.create ~capacity ~dummy:() () }
+  { settled = Bytes.make (max 1 n) '\000'; queue = Dsim.Heap.Arena.create ~capacity () }
 
 let bit_set bits i =
   Char.code (Bytes.unsafe_get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -153,7 +153,7 @@ let dijkstra_flat ~adj ?edge_down ws source =
     match edge_down with None -> (false, Bytes.empty) | Some b -> (true, b)
   in
   dist.(source) <- 0.;
-  ignore (Dsim.Heap.Arena.push q ~prio:0. ~tag:source ());
+  ignore (Dsim.Heap.Arena.push q ~prio:0. ~tag:source);
   while not (Dsim.Heap.Arena.is_empty q) do
     let d = Dsim.Heap.Arena.top_prio q in
     let u = Dsim.Heap.Arena.top_tag q in
@@ -175,7 +175,7 @@ let dijkstra_flat ~adj ?edge_down ws source =
             dist.(v) <- nd;
             prev.(v) <- u;
             via.(v) <- adj.adj_edge.(i);
-            ignore (Dsim.Heap.Arena.push q ~prio:nd ~tag:v ())
+            ignore (Dsim.Heap.Arena.push q ~prio:nd ~tag:v)
           end
         end
       done

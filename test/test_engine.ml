@@ -172,6 +172,163 @@ let test_advance () =
   Alcotest.(check (list (pair string int))) "profile"
     [ ("event", 1); ("sweep", 1) ] (Dsim.Engine.profile e)
 
+(* --- the heap + lanes queue against a one-list reference ------------
+
+   A schedule is a tree of operations: the top level runs at time 0
+   before [run], and each queued event runs its children when it fires.
+   Categories 1-3 have lanes: 1 is a fixed-delay timer, 2 draws small
+   delays (many equal-time ties), 3 draws wide delays (out-of-order
+   pushes into its own lane); 0 is the default category (heap only).
+   [Cancel k] cancels the k-th event pushed so far (mod the count), so
+   it hits lane-held, heap-held, fired and already cancelled events
+   alike; [Inline] is the scenario sweep's pattern — run inline when
+   strictly before [next_time], otherwise queue.  The reference keeps
+   every pending event in one list sorted by (time, push index): the
+   order one heap holding everything pops in. *)
+
+type op =
+  | Push of { cat : int; delay : int; kids : op list }
+  | Cancel of int
+  | Inline of { cat : int; delay : int; kids : op list }
+
+let op_delay cat delay = if cat = 1 then 2. else float_of_int delay
+
+let rec pp_op = function
+  | Push { cat; delay; kids } ->
+      Printf.sprintf "Push(%d,%d,[%s])" cat delay (String.concat ";" (List.map pp_op kids))
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Inline { cat; delay; kids } ->
+      Printf.sprintf "Inline(%d,%d,[%s])" cat delay
+        (String.concat ";" (List.map pp_op kids))
+
+let gen_ops =
+  let open QCheck.Gen in
+  let rec op depth =
+    let kids = if depth = 0 then return [] else list_size (int_range 0 3) (op (depth - 1)) in
+    let delay cat = if cat = 3 then int_range 0 40 else int_range 0 5 in
+    frequency
+      [
+        ( 6,
+          int_range 0 3 >>= fun cat ->
+          delay cat >>= fun delay ->
+          kids >|= fun kids -> Push { cat; delay; kids } );
+        (1, nat >|= fun k -> Cancel k);
+        ( 2,
+          int_range 1 3 >>= fun cat ->
+          delay cat >>= fun delay ->
+          kids >|= fun kids -> Inline { cat; delay; kids } );
+      ]
+  in
+  list_size (int_range 1 25) (op 3)
+
+let cat_names = [| "event"; "timer"; "ties"; "wide" |]
+
+(* What one run observed: each execution as (time, category, push
+   index or -1 inline, pending at entry), then the final counts. *)
+type observed = {
+  log : (float * int * int * int) list;
+  final_pending : int;
+  profile : (string * int) list;
+  executed : int;
+}
+
+let run_engine ops =
+  let e = Dsim.Engine.create ~capacity:4 () in
+  let cats = Array.map (Dsim.Engine.category e) cat_names in
+  let ids = ref [||] and pushed = ref 0 and log = ref [] in
+  let record cat label = log := (Dsim.Engine.now e, cat, label, Dsim.Engine.pending e) :: !log in
+  let rec exec_ops ops = List.iter exec_op ops
+  and push cat at kids =
+    let k = !pushed in
+    let id =
+      Dsim.Engine.schedule_at_cat e cats.(cat) at (fun () ->
+          record cat k;
+          exec_ops kids)
+    in
+    ids := Array.append !ids [| id |];
+    incr pushed
+  and exec_op = function
+    | Push { cat; delay; kids } -> push cat (Dsim.Engine.now e +. op_delay cat delay) kids
+    | Cancel k -> if !pushed > 0 then Dsim.Engine.cancel e !ids.(k mod !pushed)
+    | Inline { cat; delay; kids } ->
+        let at = Dsim.Engine.now e +. op_delay cat delay in
+        if at < Dsim.Engine.next_time e then begin
+          Dsim.Engine.advance e cats.(cat) at;
+          record cat (-1);
+          exec_ops kids
+        end
+        else push cat at kids
+  in
+  exec_ops ops;
+  Dsim.Engine.run e;
+  {
+    log = List.rev !log;
+    final_pending = Dsim.Engine.pending e;
+    profile = Dsim.Engine.profile e;
+    executed = Dsim.Engine.events_executed e;
+  }
+
+let run_reference ops =
+  (* pending: (time, push index, category, kids), sorted *)
+  let queue = ref [] and pushed = ref 0 and clock = ref 0. and log = ref [] in
+  let counts = Array.make (Array.length cat_names) 0 in
+  let before (t1, k1, _, _) (t2, k2, _, _) = t1 < t2 || (t1 = t2 && k1 < k2) in
+  let rec insert x = function
+    | [] -> [ x ]
+    | y :: tl as l -> if before x y then x :: l else y :: insert x tl
+  in
+  let record cat label =
+    counts.(cat) <- counts.(cat) + 1;
+    log := (!clock, cat, label, List.length !queue) :: !log
+  in
+  let rec exec_ops ops = List.iter exec_op ops
+  and push cat at kids =
+    queue := insert (at, !pushed, cat, kids) !queue;
+    incr pushed
+  and exec_op = function
+    | Push { cat; delay; kids } -> push cat (!clock +. op_delay cat delay) kids
+    | Cancel k ->
+        if !pushed > 0 then
+          queue := List.filter (fun (_, j, _, _) -> j <> k mod !pushed) !queue
+    | Inline { cat; delay; kids } ->
+        let at = !clock +. op_delay cat delay in
+        let next = match !queue with (t, _, _, _) :: _ -> t | [] -> infinity in
+        if at < next then begin
+          clock := at;
+          record cat (-1);
+          exec_ops kids
+        end
+        else push cat at kids
+  in
+  exec_ops ops;
+  let rec drain () =
+    match !queue with
+    | [] -> ()
+    | (at, k, cat, kids) :: rest ->
+        queue := rest;
+        clock := at;
+        record cat k;
+        exec_ops kids;
+        drain ()
+  in
+  drain ();
+  let profile =
+    Array.to_list (Array.mapi (fun i n -> (cat_names.(i), n)) counts)
+    |> List.filter (fun (_, n) -> n > 0)
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  {
+    log = List.rev !log;
+    final_pending = 0;
+    profile;
+    executed = Array.fold_left ( + ) 0 counts;
+  }
+
+let prop_lanes_match_one_queue =
+  QCheck.Test.make ~name:"heap + lanes run in one-queue (time, seq) order" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops)) gen_ops)
+    (fun ops -> run_engine ops = run_reference ops)
+
 let suite =
   [
     ( "engine",
@@ -192,5 +349,6 @@ let suite =
           test_cancel_fired_is_noop;
         Alcotest.test_case "next_time" `Quick test_next_time;
         Alcotest.test_case "advance" `Quick test_advance;
+        QCheck_alcotest.to_alcotest prop_lanes_match_one_queue;
       ] );
   ]

@@ -568,6 +568,93 @@ let test_compaction_unobservable () =
         (others plain) (others compacted))
     [ 1; 2; 3; 13; 29 ]
 
+(* [Replica_group]'s per-user unfetched count answers empty polls
+   without probing a holder, so it must equal, at every moment, the
+   copies the holders really keep: the sum of [Server.pending_for]
+   over every holder, for every user.  Drive the standard campaign
+   (crashes, link cuts, a partition and a burst, so copies are written,
+   fetched, purged on fetch and purged by recovery resync) with
+   periodic checks, and compare after every step.  A poll of a
+   non-holder must still raise even when the count short-cuts the
+   answer. *)
+let unfetched_count_run seed =
+  let config = { Mail.Syntax_system.default_config with replication = 4 } in
+  let sys = Mail.Syntax_system.create ~config (hier_site seed) in
+  let sched =
+    Netsim.Fault.compile ~salt:seed ~graph:(Mail.Syntax_system.graph sys)
+      ~servers:(Mail.Syntax_system.server_nodes sys) ~horizon:2000.
+      Netsim.Fault.standard
+  in
+  let net = Mail.Syntax_system.net sys in
+  Netsim.Fault.apply net sched;
+  let rg = Mail.Syntax_system.storage sys in
+  let holders = Mail.Replica_group.nodes rg in
+  let non_holder =
+    List.hd (Netsim.Graph.nodes_of_kind (Mail.Syntax_system.graph sys) Netsim.Graph.Host)
+  in
+  let users = Array.of_list (Mail.Syntax_system.users sys) in
+  let uids = Array.map (fun u -> Mail.User_agent.uid (Mail.Syntax_system.agent sys u)) users in
+  let n = Array.length users in
+  let stored = ref 0 and raised = ref 0 in
+  let check_counts what =
+    Array.iteri
+      (fun i uid ->
+        let held =
+          List.fold_left
+            (fun acc node ->
+              acc + Mail.Server.pending_for (Mail.Replica_group.holder rg node) ~uid)
+            0 holders
+        in
+        let count = Mail.Replica_group.unfetched rg ~uid in
+        if count <> held then
+          Alcotest.failf "seed %d, %s: %s has count %d but holders keep %d" seed what
+            (Naming.Name.to_string users.(i)) count held;
+        stored := max !stored count;
+        if count = 0 then
+          match
+            Mail.Replica_group.fetch rg ~on:non_holder ~uid users.(i)
+              ~at:(Mail.Syntax_system.now sys)
+          with
+          | _ -> Alcotest.failf "seed %d: fetch on non-holder %d answered" seed non_holder
+          | exception Invalid_argument _ -> incr raised)
+      uids
+  in
+  check_counts "start";
+  let rng = Dsim.Rng.create seed in
+  for i = 0 to 299 do
+    let sender = users.(Dsim.Rng.int rng n) in
+    let recipient = users.(Dsim.Rng.int rng n) in
+    ignore
+      (Mail.Syntax_system.submit_at sys ~at:(float_of_int (5 * i)) ~sender ~recipient ())
+  done;
+  for step = 1 to 400 do
+    let t = 5 * step in
+    Mail.Syntax_system.run_until sys (float_of_int t);
+    check_counts (Printf.sprintf "t=%d" t);
+    Array.iteri
+      (fun i u -> if (t + i) mod 7 = 0 then ignore (Mail.Syntax_system.check_mail sys u))
+      users;
+    check_counts (Printf.sprintf "t=%d after checks" t)
+  done;
+  Netsim.Fault.heal net sched;
+  Mail.Syntax_system.quiesce sys;
+  Array.iter (fun u -> ignore (Mail.Syntax_system.check_mail sys u)) users;
+  check_counts "after the final checks";
+  let c = Mail.Syntax_system.counters sys in
+  (!stored, !raised, Dsim.Stats.Counter.get c "replica_purges",
+   Dsim.Stats.Counter.get c "replica_resyncs")
+
+let test_unfetched_count_matches_holders () =
+  List.iter
+    (fun seed ->
+      let stored, raised, purges, resyncs = unfetched_count_run seed in
+      let tag what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check bool) (tag "copies were held") true (stored > 0);
+      Alcotest.(check bool) (tag "non-holder polls raised") true (raised > 0);
+      Alcotest.(check bool) (tag "purge on fetch exercised") true (purges > 0);
+      Alcotest.(check bool) (tag "recovery resync exercised") true (resyncs > 0))
+    [ 13; 29 ]
+
 let suite =
   [
     ( "fault",
@@ -606,5 +693,7 @@ let suite =
         Alcotest.test_case "attribute survives campaign" `Slow test_campaign_attribute;
         Alcotest.test_case "compaction is unobservable" `Slow
           test_compaction_unobservable;
+        Alcotest.test_case "unfetched count matches holders" `Slow
+          test_unfetched_count_matches_holders;
       ] );
   ]

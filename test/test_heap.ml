@@ -113,6 +113,72 @@ let prop_heap_matches_sort =
       in
       drain [] = expected)
 
+(* The arena against a sorted reference: random pushes (small integer
+   priorities, so ties are common), drops and [take_seq] reservations
+   interleaved.  Every drop must remove the least (prio, seq) entry and
+   surface its tag; reserved sequence numbers never enter the arena but
+   still order later pushes after them. *)
+type arena_op = A_push of int * int | A_take | A_drop
+
+let prop_arena_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      list
+        (frequency
+           [
+             (5, map2 (fun p tag -> A_push (p, tag)) (int_range 0 15) small_nat);
+             (1, return A_take);
+             (3, return A_drop);
+           ]))
+  in
+  let print ops =
+    String.concat " "
+      (List.map
+         (function
+           | A_push (p, tag) -> Printf.sprintf "push(%d,%d)" p tag
+           | A_take -> "take"
+           | A_drop -> "drop")
+         ops)
+  in
+  QCheck.Test.make ~name:"arena pops in (prio, seq) order with tags" ~count:300
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let h = Dsim.Heap.Arena.create ~capacity:1 () in
+      let next = ref 0 and model = ref [] in
+      let before (p1, s1, _) (p2, s2, _) = p1 < p2 || (p1 = p2 && s1 < s2) in
+      let rec insert x = function
+        | [] -> [ x ]
+        | y :: tl as l -> if before x y then x :: l else y :: insert x tl
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | A_push (p, tag) ->
+              let seq = Dsim.Heap.Arena.push h ~prio:(float_of_int p) ~tag in
+              model := insert (float_of_int p, seq, tag) !model;
+              incr next;
+              seq = !next - 1
+          | A_take ->
+              let seq = Dsim.Heap.Arena.take_seq h in
+              incr next;
+              seq = !next - 1
+          | A_drop -> (
+              match !model with
+              | [] -> Dsim.Heap.Arena.is_empty h
+              | (p, seq, tag) :: rest ->
+                  let ok =
+                    Dsim.Heap.Arena.top_prio h = p
+                    && Dsim.Heap.Arena.top_seq h = seq
+                    && Dsim.Heap.Arena.top_tag h = tag
+                  in
+                  Dsim.Heap.Arena.drop h;
+                  model := rest;
+                  ok))
+          && Dsim.Heap.Arena.length h = List.length !model
+          && Dsim.Heap.Arena.mem_seq h (!next - 1)
+             = List.exists (fun (_, s, _) -> s = !next - 1) !model)
+        ops)
+
 let suite =
   [
     ( "heap",
@@ -128,5 +194,6 @@ let suite =
         Alcotest.test_case "to_sorted_list" `Quick test_to_sorted_list;
         QCheck_alcotest.to_alcotest prop_pop_sorted;
         QCheck_alcotest.to_alcotest prop_heap_matches_sort;
+        QCheck_alcotest.to_alcotest prop_arena_matches_reference;
       ] );
   ]
