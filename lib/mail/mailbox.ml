@@ -28,32 +28,34 @@ let deposit t msg =
 let pending t = t.npending
 let archived t = List.length t.archived
 
+let rec total_size acc = function [] -> acc | m :: rest -> total_size (acc + size m) rest
+
 let retrieve_all t =
   let msgs = List.rev t.pending in
   t.pending <- [];
   t.npending <- 0;
   (match t.policy with
   | Archive -> t.archived <- List.rev_append msgs t.archived
-  | Delete_on_retrieve ->
-      List.iter (fun m -> t.bytes <- t.bytes - size m) msgs);
+  | Delete_on_retrieve -> t.bytes <- t.bytes - total_size 0 msgs);
   msgs
 
 let peek t = List.rev t.pending
 
+(* A pending list without its copies of message [id], which leave the
+   tallies.  The common case, a single pending copy, allocates
+   nothing. *)
+let[@tail_mod_cons] rec without t id = function
+  | [] -> []
+  | (m : Message.t) :: rest when m.Message.id = id ->
+      t.npending <- t.npending - 1;
+      t.bytes <- t.bytes - size m;
+      without t id rest
+  | m :: rest -> m :: without t id rest
+
 let remove_pending t id =
-  let removed = ref 0 in
-  t.pending <-
-    List.filter
-      (fun (m : Message.t) ->
-        if m.Message.id = id then begin
-          incr removed;
-          t.bytes <- t.bytes - size m;
-          false
-        end
-        else true)
-      t.pending;
-  t.npending <- t.npending - !removed;
-  !removed
+  let before = t.npending in
+  t.pending <- without t id t.pending;
+  before - t.npending
 
 let cleanup t ~now ~max_age =
   let fresh, stale =

@@ -3,7 +3,9 @@ type t = {
   region : string;
   mailbox_policy : Mailbox.policy;
   mutable last_start : float;
-  mailboxes : Mailbox.t Dsim.Id_table.t;  (* keyed by interned user id *)
+  mailboxes : Mailbox.t Dsim.Id_table.t;
+      (* keyed by interned user id; under [Delete_on_retrieve] only the
+         users with pending mail *)
   mutable stores : int;
   (* Running holder-wide totals, kept in step around every mailbox
      mutation so per-window sampling never walks the mailbox table. *)
@@ -36,20 +38,35 @@ let mailbox t ~uid name =
       Dsim.Id_table.add t.mailboxes uid mb;
       mb
 
-(* Run one mailbox mutation, folding its effect into the holder-wide
-   running totals. *)
-let tracked t mb f =
-  let b0 = Mailbox.storage_bytes mb and p0 = Mailbox.pending mb in
-  let r = f () in
-  t.bytes_total <- t.bytes_total + Mailbox.storage_bytes mb - b0;
-  t.pending_total <- t.pending_total + Mailbox.pending mb - p0;
-  r
+(* Fold one mailbox mutation into the holder-wide running totals,
+   given the mailbox's bytes and pending count from before it.  (Two
+   ints rather than a closure around the mutation: this runs on every
+   store, take and purge.) *)
+let account t mb ~bytes ~pending =
+  t.bytes_total <- t.bytes_total + Mailbox.storage_bytes mb - bytes;
+  t.pending_total <- t.pending_total + Mailbox.pending mb - pending
+
+(* A [Delete_on_retrieve] mailbox that [take] or [purge] empties holds
+   nothing, so it leaves the table; the next [store] creates it again.
+   [Archive] mailboxes stay, keeping their retained copies. *)
+let release t ~uid mb =
+  match t.mailbox_policy with
+  | Delete_on_retrieve -> if Mailbox.pending mb = 0 then Dsim.Id_table.remove t.mailboxes uid
+  | Archive -> ()
 
 let store t msg ~at =
   let mb = mailbox t ~uid:msg.Message.recipient_uid msg.Message.recipient in
-  tracked t mb (fun () -> Mailbox.deposit mb msg);
+  let bytes = Mailbox.storage_bytes mb and pending = Mailbox.pending mb in
+  Mailbox.deposit mb msg;
+  account t mb ~bytes ~pending;
   t.stores <- t.stores + 1;
   Message.mark_deposited msg ~at ~on:t.node
+
+let rec mark_retrieved ~at = function
+  | [] -> ()
+  | m :: rest ->
+      Message.mark_retrieved m ~at;
+      mark_retrieved ~at rest
 
 (* The GetMail poll.  Most polls find an empty mailbox: that path
    touches no totals and allocates nothing (no option, no closure). *)
@@ -58,14 +75,22 @@ let take t ~uid ~at =
   | exception Not_found -> []
   | mb when Mailbox.pending mb = 0 -> []
   | mb ->
-      let msgs = tracked t mb (fun () -> Mailbox.retrieve_all mb) in
-      List.iter (fun m -> Message.mark_retrieved m ~at) msgs;
+      let bytes = Mailbox.storage_bytes mb and pending = Mailbox.pending mb in
+      let msgs = Mailbox.retrieve_all mb in
+      account t mb ~bytes ~pending;
+      release t ~uid mb;
+      mark_retrieved ~at msgs;
       msgs
 
 let purge t ~uid id =
-  match Dsim.Id_table.find_opt t.mailboxes uid with
-  | None -> 0
-  | Some mb -> tracked t mb (fun () -> Mailbox.remove_pending mb id)
+  match Dsim.Id_table.find t.mailboxes uid with
+  | exception Not_found -> 0
+  | mb ->
+      let bytes = Mailbox.storage_bytes mb and pending = Mailbox.pending mb in
+      let dropped = Mailbox.remove_pending mb id in
+      account t mb ~bytes ~pending;
+      release t ~uid mb;
+      dropped
 
 let pending_for t ~uid =
   match Dsim.Id_table.find_opt t.mailboxes uid with
@@ -82,5 +107,9 @@ let storage_bytes t = t.bytes_total
 
 let cleanup t ~now ~max_age =
   Dsim.Id_table.fold
-    (fun _ mb acc -> acc + tracked t mb (fun () -> Mailbox.cleanup mb ~now ~max_age))
+    (fun _ mb acc ->
+      let bytes = Mailbox.storage_bytes mb and pending = Mailbox.pending mb in
+      let dropped = Mailbox.cleanup mb ~now ~max_age in
+      account t mb ~bytes ~pending;
+      acc + dropped)
     t.mailboxes 0

@@ -43,7 +43,7 @@ val note_recovery : t -> at:float -> unit
     holder). *)
 
 val store : t -> Message.t -> at:float -> unit
-(** Write one copy into the recipient's mailbox (created on first use,
+(** Write one copy into the recipient's mailbox (created if absent,
     keyed by the message's interned [recipient_uid]) and mark the
     message deposited ({!Message.mark_deposited} is first-copy-wins,
     so replica copies do not skew latency). *)
@@ -51,16 +51,24 @@ val store : t -> Message.t -> at:float -> unit
 val take : t -> uid:int -> at:float -> Message.t list
 (** Drain-and-return the user's pending mail (by interned id), marking
     each message retrieved.  An absent or empty mailbox returns [[]]
-    without touching the holder. *)
+    without touching the holder.  Under [Delete_on_retrieve] the
+    drained mailbox is dropped; the next {!store} creates it again. *)
 
 val purge : t -> uid:int -> Message.id -> int
 (** Drop an unfetched pending copy of one message — the replica-group
     maintenance call after another chain member already served it.
-    Returns the number of copies dropped. *)
+    Returns the number of copies dropped.  Under [Delete_on_retrieve]
+    a mailbox left empty is dropped, as by {!take}. *)
 
 val pending_for : t -> uid:int -> int
 val total_pending : t -> int
+
 val mailbox_count : t -> int
+(** Mailboxes holding mail or an archive: under [Delete_on_retrieve]
+    the users with pending mail here, since an emptied mailbox is
+    dropped; under [Archive] every user ever stored for, since a
+    mailbox keeps its retained copies (even once {!cleanup} has
+    dropped them all). *)
 
 val stores : t -> int
 (** Total copies ever stored here. *)

@@ -155,7 +155,8 @@ let dijkstra_flat ~adj ?edge_down ws source =
   dist.(source) <- 0.;
   ignore (Dsim.Heap.Arena.push q ~prio:0. ~tag:source);
   while not (Dsim.Heap.Arena.is_empty q) do
-    let d = Dsim.Heap.Arena.top_prio q in
+    (* [top_prio] would box its float across the module boundary. *)
+    let d = (Dsim.Heap.Arena.prios q).(0) in
     let u = Dsim.Heap.Arena.top_tag q in
     Dsim.Heap.Arena.drop q;
     if Bytes.get settled u = '\000' && d <= dist.(u) then begin

@@ -340,6 +340,30 @@ let test_compaction_bounds_tables () =
     true (dropped >= 20);
   Alcotest.(check int) "second pass finds nothing" 0 (Mail.Syntax_system.compact sys)
 
+(* Compaction visits the agents that hold a dedup table and are still
+   registered: a user with no mail holds none, and a user migrated away
+   leaves its old agent, table and all, outside the system's
+   compaction. *)
+let test_compaction_skips_migrated () =
+  let sys = Mail.Syntax_system.create (Netsim.Topology.paper_fig1 ()) in
+  let users = Array.of_list (Mail.Syntax_system.users sys) in
+  let agent = Mail.Syntax_system.agent sys in
+  let stay = users.(10) and leave = users.(11) in
+  List.iter
+    (fun r -> ignore (Mail.Syntax_system.submit_at sys ~at:0. ~sender:users.(0) ~recipient:r ()))
+    [ stay; leave ];
+  Mail.Syntax_system.quiesce sys;
+  List.iter (fun u -> ignore (Mail.Syntax_system.check_mail sys u)) [ stay; leave ];
+  Alcotest.(check bool) "no mail, no table" false
+    (Mail.User_agent.holds_table (agent users.(12)));
+  let old = agent leave in
+  Alcotest.(check int) "leaver saw its message" 1 (Mail.User_agent.seen_size old);
+  let new_host = Mail.User_agent.host (agent users.(0)) in
+  ignore (Mail.Syntax_system.migrate_user sys leave ~new_host);
+  ignore (Mail.Syntax_system.compact sys);
+  Alcotest.(check int) "registered agent compacted" 0 (Mail.User_agent.seen_size (agent stay));
+  Alcotest.(check int) "migrated-away agent left alone" 1 (Mail.User_agent.seen_size old)
+
 (* --- the invariant under a full campaign, all three designs ---------- *)
 
 let hier_site seed =
@@ -679,6 +703,8 @@ let suite =
         Alcotest.test_case "PUS list keeps FIFO order" `Quick test_pus_fifo_order;
         Alcotest.test_case "compaction bounds dedup tables" `Quick
           test_compaction_bounds_tables;
+        Alcotest.test_case "compaction skips migrated-away agents" `Quick
+          test_compaction_skips_migrated;
       ] );
     ( "fault-campaign",
       [

@@ -128,6 +128,58 @@ let test_server_mailbox_count_and_cleanup () =
   let dropped = Mail.Server.cleanup srv ~now:1000. ~max_age:10. in
   Alcotest.(check int) "archives cleaned" 2 dropped
 
+(* A Delete_on_retrieve holder keeps mailboxes only for users with
+   pending mail: one drained by [take] or emptied by [purge] leaves the
+   table, and the next [store] creates it again with the totals right.
+   A mailbox [purge] leaves mail in stays. *)
+let test_server_releases_empty_mailboxes () =
+  let srv = Mail.Server.create ~node:1 ~region:"r" () in
+  let carol id =
+    Mail.Message.create ~id ~sender:(nm "bob") ~recipient:(nm "carol") ~recipient_uid:2
+      ~subject:"s" ~body:"hello" ~submitted_at:0. ()
+  in
+  Mail.Server.store srv (msg ~id:1 ()) ~at:0.;
+  Mail.Server.store srv (carol 2) ~at:0.;
+  Mail.Server.store srv (carol 3) ~at:0.;
+  Alcotest.(check int) "two mailboxes" 2 (Mail.Server.mailbox_count srv);
+  Alcotest.(check int) "taken" 1 (List.length (Mail.Server.take srv ~uid:1 ~at:1.));
+  Alcotest.(check int) "drained mailbox dropped" 1 (Mail.Server.mailbox_count srv);
+  Alcotest.(check int) "purged one of two" 1 (Mail.Server.purge srv ~uid:2 2);
+  Alcotest.(check int) "mailbox with mail kept" 1 (Mail.Server.mailbox_count srv);
+  Alcotest.(check int) "purged the last" 1 (Mail.Server.purge srv ~uid:2 3);
+  Alcotest.(check int) "purged-empty mailbox dropped" 0 (Mail.Server.mailbox_count srv);
+  Alcotest.(check int) "nothing pending" 0 (Mail.Server.total_pending srv);
+  Alcotest.(check int) "no bytes held" 0 (Mail.Server.storage_bytes srv);
+  Alcotest.(check int) "purge after release" 0 (Mail.Server.purge srv ~uid:2 3);
+  Alcotest.(check (list int)) "take after release" []
+    (List.map (fun m -> m.Mail.Message.id) (Mail.Server.take srv ~uid:1 ~at:2.));
+  Mail.Server.store srv (msg ~id:4 ()) ~at:3.;
+  Mail.Server.store srv (msg ~id:5 ()) ~at:3.;
+  let one = Mail.Mailbox.create (nm "bob") in
+  Mail.Mailbox.deposit one (msg ~id:4 ());
+  Alcotest.(check int) "recreated" 1 (Mail.Server.mailbox_count srv);
+  Alcotest.(check int) "pending after recreate" 2 (Mail.Server.total_pending srv);
+  Alcotest.(check int) "pending for bob" 2 (Mail.Server.pending_for srv ~uid:1);
+  Alcotest.(check int) "bytes after recreate" (2 * Mail.Mailbox.storage_bytes one)
+    (Mail.Server.storage_bytes srv);
+  Alcotest.(check (list int)) "served in deposit order" [ 4; 5 ]
+    (List.map (fun m -> m.Mail.Message.id) (Mail.Server.take srv ~uid:1 ~at:4.));
+  Alcotest.(check int) "stores counted" 5 (Mail.Server.stores srv)
+
+(* Archive mailboxes keep their retained copies, so they stay. *)
+let test_server_keeps_archive_mailboxes () =
+  let srv = Mail.Server.create ~mailbox_policy:Mail.Mailbox.Archive ~node:1 ~region:"r" () in
+  Mail.Server.store srv (msg ~id:1 ()) ~at:0.;
+  Mail.Server.store srv (msg ~id:2 ()) ~at:0.;
+  Alcotest.(check int) "purged" 1 (Mail.Server.purge srv ~uid:1 2);
+  Alcotest.(check int) "taken" 1 (List.length (Mail.Server.take srv ~uid:1 ~at:1.));
+  Alcotest.(check int) "archive mailbox stays" 1 (Mail.Server.mailbox_count srv);
+  Alcotest.(check int) "nothing pending" 0 (Mail.Server.total_pending srv);
+  Alcotest.(check bool) "archived bytes held" true (Mail.Server.storage_bytes srv > 0);
+  Mail.Server.store srv (msg ~id:3 ()) ~at:2.;
+  Alcotest.(check int) "same mailbox" 1 (Mail.Server.mailbox_count srv);
+  Alcotest.(check int) "pending again" 1 (Mail.Server.pending_for srv ~uid:1)
+
 (* Holders sit in an array indexed by node id: every node outside it,
    below it or in a gap raises the same error as before. *)
 let test_holder_lookup () =
@@ -177,5 +229,9 @@ let suite =
         Alcotest.test_case "mailboxes and cleanup" `Quick
           test_server_mailbox_count_and_cleanup;
         Alcotest.test_case "holder lookup by node id" `Quick test_holder_lookup;
+        Alcotest.test_case "emptied mailboxes released" `Quick
+          test_server_releases_empty_mailboxes;
+        Alcotest.test_case "archive mailboxes kept" `Quick
+          test_server_keeps_archive_mailboxes;
       ] );
   ]
