@@ -43,7 +43,13 @@ type t = {
       (* per down-holder, ids retrieved elsewhere while it was out —
          queued at fetch time so a recovery resync walks its own stale
          set instead of scanning the whole copy table. *)
-  counters : Dsim.Stats.Counter.t;
+  c_copy_writes : int ref;
+  c_purges : int ref;
+  c_resyncs : int ref;
+  c_failovers : int ref;
+      (* counter handles resolved once in [create]
+         ({!Dsim.Stats.Counter.cell}): a bump is an int-ref update, not
+         a string hash per copy write, purge or failover *)
   ledger : Ledger.t option;
   tracer : Telemetry.Tracer.t option;
   mutable agent_view : User_agent.server_view option;
@@ -71,7 +77,10 @@ let create ?(mailbox_policy = Mailbox.Delete_on_retrieve) ?ledger ?tracer ?metri
     retrieved = Dsim.Id_table.create 256;
     unfetched = [||];
     resync_queue = Dsim.Id_table.create 16;
-    counters;
+    c_copy_writes = Dsim.Stats.Counter.cell counters "replica_copy_writes";
+    c_purges = Dsim.Stats.Counter.cell counters "replica_purges";
+    c_resyncs = Dsim.Stats.Counter.cell counters "replica_resyncs";
+    c_failovers = Dsim.Stats.Counter.cell counters "replica_failovers";
     ledger;
     tracer;
     agent_view = None;
@@ -106,8 +115,6 @@ let observe_latencies t m =
           m.Message.latency_observed <- m.Message.latency_observed lor 2;
           Telemetry.Registry.observe e2e l
       | _ -> ())
-
-let count ?by t key = Dsim.Stats.Counter.incr ?by t.counters key
 
 let find_holder t node =
   if node >= 0 && node < Array.length t.holders then t.holders.(node) else None
@@ -188,7 +195,7 @@ let write t ~on msg ~at =
       observe_latencies t msg;
       c.nodes <- on :: c.nodes;
       Option.iter (fun l -> Ledger.record_deposit l msg ~at) t.ledger;
-      count t "replica_copy_writes";
+      incr t.c_copy_writes;
       Stored
     end
   end
@@ -200,14 +207,14 @@ let copies t id =
 
 let no_copies t id = not (Dsim.Id_table.mem t.copies id)
 
-(* Drop the copy of [id] held on [node] without serving it.  [kind]
-   names the counter: purge-on-fetch vs recovery resync. *)
-let purge_copy t ~kind ~node ~at (c : copy_state) id =
+(* Drop the copy of [id] held on [node] without serving it, adding the
+   copies dropped to [counter]: purge-on-fetch or recovery resync. *)
+let purge_copy t ~counter ~node ~at (c : copy_state) id =
   let dropped = Server.purge (holder t node) ~uid:c.owner_uid id in
   if dropped > 0 then begin
     add_unfetched t c.owner_uid (-dropped);
     Option.iter (fun l -> Ledger.record_purge l id ~at) t.ledger;
-    count ~by:dropped t kind
+    counter := !counter + dropped
   end;
   c.nodes <- List.filter (fun n -> n <> node) c.nodes;
   if c.nodes = [] then Dsim.Id_table.remove t.copies id
@@ -220,7 +227,7 @@ let serve t ~on ~uid name ~at msgs =
      member while the user's primary is down. *)
   (match t.chain_of uid with
   | primary :: _ when primary <> on && not (t.is_up primary) ->
-      count t "replica_failovers";
+      incr t.c_failovers;
       (match t.tracer with
       | Some tracer when Telemetry.Tracer.sampled tracer uid ->
           ignore
@@ -247,7 +254,7 @@ let serve t ~on ~uid name ~at msgs =
              recorded copy until [note_recovery] resyncs them. *)
           let live = List.filter t.is_up c.nodes |> List.sort Int.compare in
           List.iter
-            (fun node -> purge_copy t ~kind:"replica_purges" ~node ~at c m.Message.id)
+            (fun node -> purge_copy t ~counter:t.c_purges ~node ~at c m.Message.id)
             live;
           if c.nodes = [] then Dsim.Id_table.remove t.copies m.Message.id
           else
@@ -303,7 +310,7 @@ let note_recovery t ~node ~at =
         (fun id ->
           match Dsim.Id_table.find_opt t.copies id with
           | Some c when Dsim.Id_table.mem t.retrieved id && mem_node node c.nodes ->
-              purge_copy t ~kind:"replica_resyncs" ~node ~at c id
+              purge_copy t ~counter:t.c_resyncs ~node ~at c id
           | _ -> ())
         (List.sort_uniq Int.compare !q)
 

@@ -77,6 +77,9 @@ val nodes : t -> Netsim.Graph.node list
 
 val region : t -> Netsim.Graph.node -> string
 val last_start : t -> Netsim.Graph.node -> float
+(** The holder's [LastStartTime]: [neg_infinity] until its first
+    {!note_recovery}. *)
+
 val chain : t -> int -> Netsim.Graph.node list
 (** By interned user id. *)
 
@@ -114,8 +117,11 @@ val unfetched : t -> uid:int -> int
     that never received mail. *)
 
 val note_recovery : t -> node:Netsim.Graph.node -> at:float -> unit
-(** The holder rejoined: bump its [LastStartTime] and purge every copy
-    it holds whose id was retrieved during the outage. *)
+(** The holder rejoined: set its [LastStartTime] to [at] and purge
+    every copy it holds whose id was retrieved during the outage.
+    Only recoveries move [LastStartTime]: a holder never recovered
+    reads [neg_infinity] ({!Server.last_start}), so GetMail stops at
+    it from a user's first check. *)
 
 val copies : t -> Message.id -> Netsim.Graph.node list
 (** Holders with an unfetched copy of the id, sorted. *)

@@ -18,7 +18,7 @@ let create ?(mailbox_policy = Mailbox.Delete_on_retrieve) ~node ~region () =
     node;
     region;
     mailbox_policy;
-    last_start = 0.;
+    last_start = neg_infinity;
     mailboxes = Dsim.Id_table.create 16;
     stores = 0;
     pending_total = 0;

@@ -4,9 +4,9 @@
     recipients, sending, buffering, relaying and delivering messages
     to the mail recipients".  This module is the storage primitive of
     one holder: the mailboxes of the users it holds copies for, and
-    [LastStartTime] — the time it last recovered or initialised, which
-    the GetMail algorithm compares against each user's
-    [LastCheckingTime].
+    [LastStartTime] — the time it last recovered, [neg_infinity] if it
+    never did, which the GetMail algorithm compares against each
+    user's [LastCheckingTime].
 
     A holder never acts alone any more: replication, copy tracking and
     purge/resync policy live one layer up in {!Replica_group}, which
@@ -35,7 +35,21 @@ val node : t -> Netsim.Graph.node
 val region : t -> string
 
 val last_start : t -> float
-(** [LastStartTime]: 0 until the first recovery. *)
+(** [LastStartTime]: [neg_infinity] until the first recovery — "up
+    since before any user registered" — then the time of the latest
+    one.  So a holder that has not restarted since the run began is
+    stable ([LastCheckingTime > LastStartTime]) for every check of
+    every user, the first included.
+
+    That is safe.  A holder that is up and never restarted was never
+    down, so it was up at every deposit, and a deposit goes to the
+    first {e up} member of the recipient's chain
+    ([Pipeline.deposit_with]).  Every message for the user therefore
+    has a copy on this holder or on an earlier chain member; the
+    GetMail scan that reached this holder polled each earlier member
+    that is up and put each one that is down in
+    [PreviouslyUnavailableServers], to be drained when it recovers
+    ({!User_agent.get_mail}). *)
 
 val note_recovery : t -> at:float -> unit
 (** Called when the holder's node comes back up (via

@@ -10,6 +10,18 @@
     checking time are remembered and drained when they recover, which
     is what makes the scheme lossless.
 
+    The stop test is strict, and an agent starts with
+    [LastCheckingTime = 0].  A holder that never restarted reports
+    [LastStartTime = neg_infinity] ({!Server.last_start}), so it is
+    stable from the user's first check: under normal conditions every
+    check, the first included, is one poll.  The argument that this
+    loses nothing: a server that is up and never restarted was up at
+    every deposit, and a deposit goes to the first up chain member, so
+    every message for the user has a copy on that server, on an
+    earlier member the scan polled, or on a down member the scan put
+    in the PUS.  A server that did restart at or after the last check
+    is not stable, and the scan goes on past it.
+
     The module is decoupled from any concrete system through
     {!server_view} so designs 1 and 2 (and the tests) can reuse it. *)
 

@@ -16,6 +16,11 @@
 # that claims to preserve behaviour — a refactor — is proved to leave
 # every artifact byte-identical to REF.
 #
+# An artifact that differs is reported by scripts/artifact_diff.py
+# (python3): the JSON paths that moved with their values in the first
+# and the second run (REF and the working tree under --against), and
+# for TRACE.jsonl the line count per span name.
+#
 # Usage: scripts/check_determinism.sh [--against REF]   (from the repository root)
 set -eu
 
@@ -90,6 +95,9 @@ for artifact in BENCH.json TRACE.jsonl LEDGER.json SCALE.json \
   else
     echo "determinism: FAIL — $artifact differs $what" >&2
     cmp "$WORK/run1/$artifact" "$WORK/run2/$artifact" >&2 || true
+    # Name the fields that moved (first run → second run).
+    python3 "$ROOT/scripts/artifact_diff.py" \
+      "$WORK/run1/$artifact" "$WORK/run2/$artifact" >&2 || true
     status=1
   fi
 done

@@ -276,6 +276,27 @@ let test_check_sweep_schedule () =
   Alcotest.(check bool) "the horizon cuts the last round" true
     (last_round <> [] && List.length last_round < n)
 
+(* C1's deterministic core: with no failures every check of every
+   user, the first included, is exactly one poll, on designs 1 and 2.
+   No server ever restarts, so each reads LastStartTime = -inf and the
+   primary is stable from a user's first check. *)
+let test_c1_exact_one_poll () =
+  let check_design label (o : Mail.Scenario.outcome) =
+    let counter = Telemetry.Registry.get_counter o.Mail.Scenario.metrics in
+    let checks = counter "checks" in
+    Alcotest.(check bool) (label ^ ": users checked") true (checks > 0);
+    Alcotest.(check int) (label ^ ": one poll per check") checks (counter "polls");
+    Alcotest.(check int) (label ^ ": no failed polls") 0 (counter "failed_polls");
+    Alcotest.(check int) (label ^ ": all retrieved") 0
+      o.Mail.Scenario.report.Mail.Evaluation.unretrieved;
+    Alcotest.(check (float 0.)) (label ^ ": polls/check") 1.
+      o.Mail.Scenario.final_polls_per_check
+  in
+  check_design "design 1" (Mail.Scenario.run_syntax (fig1 ()) small_spec);
+  check_design "design 2"
+    (Mail.Scenario.run_location ~roam_probability:0.0 (hier_site 11)
+       { small_spec with mail_count = 80 })
+
 let suite =
   [
     ( "scenario",
@@ -303,5 +324,7 @@ let suite =
           test_check_counters_match_rounds;
         Alcotest.test_case "check sweep follows the per-user schedule" `Quick
           test_check_sweep_schedule;
+        Alcotest.test_case "C1 exact: no failures, one poll per check" `Quick
+          test_c1_exact_one_poll;
       ] );
   ]

@@ -445,6 +445,173 @@ let prop_compact_matches_reference =
       && left = Dsim.Id_table.length reference
       && fresh = ref_removed)
 
+(* A server that never restarted reads LastStartTime = -inf, the real
+   initial value of [Mail.Server.last_start]: the primary is stable for
+   the user's first check, so that check is one poll. *)
+let fresh_start = Mail.Server.last_start (Mail.Server.create ~node:0 ~region:"east" ())
+
+let test_never_restarted_stable_first_check () =
+  let w = world () in
+  Array.fill w.started 0 3 fresh_start;
+  w.alive.(1) <- false;
+  w.boxes.(0) <- [ msg 1 ];
+  let a = agent () in
+  let st = Mail.User_agent.get_mail a ~view:(view w) ~now:10. in
+  Alcotest.(check int) "one poll" 1 st.Mail.User_agent.polls;
+  Alcotest.(check int) "no failed polls" 0 st.Mail.User_agent.failed_polls;
+  Alcotest.(check int) "mail retrieved" 1 st.Mail.User_agent.retrieved
+
+(* Exhaustive small-scope check of the §3.1.2c retrieval claims
+   (Jackson's small-scope hypothesis): every op sequence up to a bound
+   over the three-server world, each replayed from a fresh world.
+
+   - The clock starts at 0, the agent's LastCheckingTime, and only
+     [Tick] moves it (by 10).  Every op between two ticks happens at
+     the same instant, so LastStartTime/LastCheckingTime ties are
+     covered; an op that keeps the time unchanged would change nothing
+     and is not enumerated.
+   - Servers start at a fresh holder's [Mail.Server.last_start];
+     [Recover] records the current time.
+   - [Deposit] puts a new message on the first up server, the
+     pipeline's deposit rule; with every server down it waits for the
+     next [Recover].
+   - Ops that change nothing are skipped: a crash of a down server, a
+     recovery of an up one.
+
+   Each check must poll at most the chain's three servers, and a check
+   with no crash before it exactly one, the first check included.
+   After the ops, every server recovers and the user checks once more:
+   every deposited message must then be in the inbox exactly once.
+
+   Sequences are tried shortest first, so the first violation found is
+   a minimal op list.  The tier-1 bound is 6 ops; set
+   GETMAIL_SCOPE_DEPTH for a deeper run (8 takes about 2 s, 9 about 16 s). *)
+module Scope = struct
+  type op = Crash of int | Recover of int | Deposit | Check | Tick
+
+  let show = function
+    | Crash s -> Printf.sprintf "crash %d" s
+    | Recover s -> Printf.sprintf "recover %d" s
+    | Deposit -> "deposit"
+    | Check -> "check"
+    | Tick -> "tick 10"
+
+  let show_ops ops = "[" ^ String.concat "; " (List.map show ops) ^ "]"
+
+  (* The ops that change something, given the bit set of up servers. *)
+  let moves up =
+    List.init 3 (fun s -> if up land (1 lsl s) <> 0 then Crash s else Recover s)
+    @ [ Deposit; Check; Tick ]
+
+  let after up = function
+    | Crash s -> up land lnot (1 lsl s)
+    | Recover s -> up lor (1 lsl s)
+    | Deposit | Check | Tick -> up
+
+  exception Violation of string
+
+  let run strategy ops =
+    let w = world () in
+    Array.fill w.started 0 3 fresh_start;
+    let a = agent () in
+    let clock = ref 0. and crashed = ref false and deposited = ref 0 in
+    let waiting = ref [] in
+    let fail fmt =
+      Printf.ksprintf (fun why -> raise (Violation (show_ops ops ^ ": " ^ why))) fmt
+    in
+    let deposit m =
+      match List.find_opt (fun s -> w.alive.(s)) [ 0; 1; 2 ] with
+      | Some s -> w.boxes.(s) <- w.boxes.(s) @ [ m ]
+      | None -> waiting := !waiting @ [ m ]
+    in
+    let check () =
+      let st = strategy a ~view:(view w) ~now:!clock in
+      let polls = st.Mail.User_agent.polls in
+      if polls > 3 then fail "%d polls on a chain of 3" polls;
+      if (not !crashed) && polls <> 1 then fail "%d polls with no crash before the check" polls
+    in
+    let apply = function
+      | Crash s ->
+          w.alive.(s) <- false;
+          crashed := true
+      | Recover s ->
+          w.alive.(s) <- true;
+          w.started.(s) <- !clock;
+          let held = !waiting in
+          waiting := [];
+          List.iter deposit held
+      | Deposit ->
+          deposit (msg !deposited);
+          incr deposited
+      | Check -> check ()
+      | Tick -> clock := !clock +. 10.
+    in
+    List.iter apply ops;
+    List.iter (fun s -> if not w.alive.(s) then apply (Recover s)) [ 0; 1; 2 ];
+    check ();
+    let inbox =
+      List.sort Int.compare (List.map (fun m -> m.Mail.Message.id) (Mail.User_agent.inbox a))
+    in
+    if inbox <> List.init !deposited Fun.id then
+      fail "inbox holds [%s] of %d deposited"
+        (String.concat "; " (List.map string_of_int inbox))
+        !deposited
+
+  (* Every sequence of at most [depth] ops, by iterative deepening:
+     the first violation and how many sequences were replayed. *)
+  let search strategy ~depth =
+    let replayed = ref 0 in
+    let rec exactly k rev up =
+      if k = 0 then begin
+        incr replayed;
+        match run strategy (List.rev rev) with
+        | () -> None
+        | exception Violation why -> Some why
+      end
+      else List.find_map (fun op -> exactly (k - 1) (op :: rev) (after up op)) (moves up)
+    in
+    let rec deepen k =
+      if k > depth then None
+      else match exactly k [] 0b111 with Some why -> Some why | None -> deepen (k + 1)
+    in
+    let found = deepen 0 in
+    (found, !replayed)
+
+  let depth =
+    match Sys.getenv_opt "GETMAIL_SCOPE_DEPTH" with
+    | Some d -> int_of_string d
+    | None -> 6
+
+  let get_mail a ~view ~now = Mail.User_agent.get_mail a ~view ~now
+  let naive_check a ~view ~now = Mail.User_agent.naive_check a ~view ~now
+end
+
+(* Six moves at every step: 1 + 6 + ... + 6^depth sequences. *)
+let test_small_scope_get_mail () =
+  let found, replayed = Scope.search Scope.get_mail ~depth:Scope.depth in
+  Option.iter (Alcotest.failf "GetMail violates §3.1.2c: %s") found;
+  let rec sequences k = if k < 0 then 0 else 1 + (6 * sequences (k - 1)) in
+  Alcotest.(check int) "every sequence replayed" (sequences Scope.depth) replayed
+
+(* The checker's teeth: the naive strategy loses mail, and the minimal
+   op list it finds is the test below. *)
+let test_small_scope_finds_naive_loss () =
+  match Scope.search Scope.naive_check ~depth:Scope.depth with
+  | Some why, _ ->
+      Alcotest.(check string) "minimal counterexample"
+        "[crash 0; deposit]: inbox holds [] of 1 deposited" why
+  | None, _ -> Alcotest.fail "naive_check lost nothing"
+
+(* The minimal counterexample: mail deposited on server 1 while 0 is
+   down is never found by a strategy that polls only the first up
+   server once 0 is back; GetMail's PUS finds it. *)
+let test_naive_loses_after_one_crash () =
+  let ops = Scope.[ Crash 0; Deposit ] in
+  (match Scope.run Scope.naive_check ops with
+  | () -> Alcotest.fail "naive_check kept the mail"
+  | exception Scope.Violation _ -> ());
+  Scope.run Scope.get_mail ops
+
 let suite =
   [
     ( "user_agent",
@@ -474,5 +641,13 @@ let suite =
         Alcotest.test_case "no accepted mail, no dedup table" `Quick test_no_mail_no_table;
         Alcotest.test_case "compaction visits table holders" `Quick test_compact_holders;
         QCheck_alcotest.to_alcotest prop_compact_matches_reference;
+        Alcotest.test_case "never-restarted server is stable on the first check" `Quick
+          test_never_restarted_stable_first_check;
+        Alcotest.test_case "small scope: GetMail loses nothing, one poll when calm" `Quick
+          test_small_scope_get_mail;
+        Alcotest.test_case "small scope: finds naive's loss" `Quick
+          test_small_scope_finds_naive_loss;
+        Alcotest.test_case "naive loses: crash 0; deposit" `Quick
+          test_naive_loses_after_one_crash;
       ] );
   ]
