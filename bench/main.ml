@@ -91,6 +91,12 @@ let figure_f2 () =
 (* C1: polls per retrieval vs server availability.                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Random server crashes: [rate] per server per unit time, each
+   repaired after an exponential time of mean 150. *)
+let crashes rate =
+  Some
+    { Netsim.Fault.seed = 0; faults = [ Netsim.Fault.Crashes { rate; repair = Exp_mean 150. } ] }
+
 let experiment_c1 () =
   section "C1: GetMail polls per retrieval vs failure rate (§5 claim: ~1)";
   Printf.printf "%10s %12s %12s %12s %12s %12s\n" "fail-rate" "availability"
@@ -100,7 +106,7 @@ let experiment_c1 () =
       let spec =
         {
           Mail.Scenario.default_spec with
-          failure_rate = rate;
+          faults = crashes rate;
           seed = 42;
           duration = 5000.;
           mail_count = 300;
@@ -119,7 +125,7 @@ let experiment_c1 () =
       let spec =
         {
           Mail.Scenario.default_spec with
-          failure_rate = rate;
+          faults = crashes rate;
           seed = 100;
           duration = 5000.;
           mail_count = 300;
@@ -148,7 +154,7 @@ let experiment_c2 () =
       let spec =
         {
           Mail.Scenario.default_spec with
-          failure_rate = 0.002;
+          faults = crashes 0.002;
           seed = 7;
           retrieval = mode;
           duration = 5000.;
@@ -649,8 +655,10 @@ let experiment_c14 () =
                     (Naming.Name.make ~region:"r" ~host:"h" ~user))))
       done;
       if r > 1 then
-        Netsim.Failure.schedule_outage (Mail.Name_store.net store)
-          { Netsim.Failure.node = r - 1; start = 300.; duration = 200. };
+        Netsim.Fault.(
+          apply (Mail.Name_store.net store)
+            { windows = [ { target = Node (r - 1); kind = "crash"; start = 300.; duration = 200. } ];
+              horizon = 1100. });
       Dsim.Engine.run engine;
       Printf.printf "%6d %10d %14d %12d %10d\n" r writes
         (Mail.Name_store.update_messages store)
@@ -847,7 +855,7 @@ let dump_bench_json () =
       seed = 11;
       mail_count = 200;
       duration = 4000.;
-      failure_rate = 0.002;
+      faults = crashes 0.002;
     }
   in
   let syntax =
@@ -875,7 +883,7 @@ let dump_bench_json () =
      region partition and a correlated burst, with the §3.1.2c ledger
      verdict recorded next to the availability it cost. *)
   let campaign = Netsim.Fault.standard in
-  let fault_spec = { spec with failure_rate = 0.; faults = Some campaign } in
+  let fault_spec = { spec with faults = Some campaign } in
   let fault_runs =
     [
       ("syntax", Mail.Scenario.run_syntax (hier_site 3 3) fault_spec);

@@ -51,7 +51,7 @@ let balance_cmd =
 (* --- getmail ----------------------------------------------------------- *)
 
 let getmail_cmd =
-  let run seed failure_rate duration mail_count policy faults metrics_file
+  let run seed duration mail_count policy faults metrics_file
       trace_file trace_summary resolution timeseries_file stable =
     let retrieval =
       match policy with
@@ -73,7 +73,6 @@ let getmail_cmd =
       {
         Mail.Scenario.default_spec with
         seed;
-        failure_rate;
         duration;
         mail_count;
         retrieval;
@@ -112,8 +111,8 @@ let getmail_cmd =
     | Some file ->
         with_output ~what:"trace" file (fun oc ->
             (* One JSON object per line — spans, then monitor alerts,
-               then random server outages — each tagged with a "type"
-               so consumers can split the stream. *)
+               then server outages (the campaign's node windows) — each
+               tagged with a "type" so consumers can split the stream. *)
             let module J = Telemetry.Json in
             let emit kind json =
               let line =
@@ -134,18 +133,19 @@ let getmail_cmd =
                   (Telemetry.Monitor.alerts m))
               o.Mail.Scenario.monitor;
             List.iter
-              (fun (w : Netsim.Failure.outage) ->
-                emit "outage"
-                  (J.Obj
-                     [
-                       ("node", J.Int w.node);
-                       ("start", J.Float w.start);
-                       ("finish", J.Float (w.start +. w.duration));
-                     ]))
-              o.Mail.Scenario.outages)
-  in
-  let rate =
-    Arg.(value & opt float 0. & info [ "failure-rate" ] ~doc:"Server outage rate.")
+              (fun (w : Netsim.Fault.window) ->
+                match w.target with
+                | Netsim.Fault.Node node ->
+                    emit "outage"
+                      (J.Obj
+                         [
+                           ("node", J.Int node);
+                           ("kind", J.String w.kind);
+                           ("start", J.Float w.start);
+                           ("finish", J.Float (w.start +. w.duration));
+                         ])
+                | Netsim.Fault.Link _ -> ())
+              o.Mail.Scenario.fault_schedule.Netsim.Fault.windows)
   in
   let duration = Cmdline.duration in
   let count = Cmdline.messages in
@@ -162,7 +162,8 @@ let getmail_cmd =
       & info [ "faults" ] ~docv:"CAMPAIGN"
           ~doc:
             ("Deterministic fault campaign, e.g. \
-              $(b,crash:0.002/150,link:0.001,partition:regionA,burst:0.3). "
+              $(b,crash:0.002/150,link:0.001,partition:regionA,burst:0.3); \
+              random server outages alone are $(b,crash:RATE/150). "
            ^ Cmdline.campaign_syntax_doc))
   in
   let metrics_file =
@@ -178,7 +179,8 @@ let getmail_cmd =
          object per line, tagged type=span (per-message and per-check trace \
          spans and fault windows), type=alert (each standard health-rule \
          alert; needs sampling, see $(b,--sample-resolution)) or type=outage \
-         (each random server outage: node, start, finish)."
+         (each server window of the $(b,--faults) campaign, crash and burst \
+         alike: node, kind, start, finish)."
   in
   let trace_summary =
     Arg.(
@@ -191,7 +193,7 @@ let getmail_cmd =
   Cmd.v
     (Cmd.info "getmail" ~doc:"Drive a design-1 scenario and report §4 metrics (C1/C2).")
     Term.(
-      const run $ seed_arg $ rate $ duration $ count $ policy $ faults
+      const run $ seed_arg $ duration $ count $ policy $ faults
       $ metrics_file $ trace_file $ trace_summary $ Cmdline.resolution
       $ Cmdline.timeseries_file $ Cmdline.stable)
 
@@ -697,8 +699,10 @@ let store_cmd =
                [ i ]))
     done;
     if replicas > 1 then
-      Netsim.Failure.schedule_outage (Mail.Name_store.net store)
-        { Netsim.Failure.node = replicas - 1; start = 300.; duration = 200. };
+      Netsim.Fault.(
+        apply (Mail.Name_store.net store)
+          { windows = [ { target = Node (replicas - 1); kind = "crash"; start = 300.; duration = 200. } ];
+            horizon = 1000. });
     Dsim.Engine.run engine;
     Printf.printf "replicas          %d\n" replicas;
     Printf.printf "writes            %d\n" writes;

@@ -32,11 +32,12 @@ let () =
   (* Two scheduled outages: S1 early, S2 later, overlapping nothing. *)
   let servers = Mail.Syntax_system.server_nodes sys in
   let s1 = List.nth servers 0 and s2 = List.nth servers 1 in
-  Netsim.Failure.schedule_outages net
-    [
-      { Netsim.Failure.node = s1; start = 500.; duration = 400. };
-      { Netsim.Failure.node = s2; start = 1500.; duration = 600. };
-    ];
+  Netsim.Fault.(
+    apply net
+      { windows =
+          [ { target = Node s1; kind = "crash"; start = 500.; duration = 400. };
+            { target = Node s2; kind = "crash"; start = 1500.; duration = 600. } ];
+        horizon = 3000. });
   Printf.printf "scheduled outages: S1 down [500,900), S2 down [1500,2100)\n";
 
   (* Students check mailboxes every 250 time units. *)

@@ -5,8 +5,6 @@ type spec = {
   duration : float;
   mail_count : int;
   check_period : float;
-  failure_rate : float;
-  mean_outage : float;
   sender_skew : float;
   retrieval : retrieval_mode;
   faults : Netsim.Fault.campaign option;
@@ -20,8 +18,6 @@ let default_spec =
     duration = 5000.;
     mail_count = 300;
     check_period = 100.;
-    failure_rate = 0.;
-    mean_outage = 150.;
     sender_skew = 0.9;
     retrieval = Get_mail;
     faults = None;
@@ -40,7 +36,7 @@ type outcome = {
   engine_events : int;
   metrics : Telemetry.Registry.t;
   tracer : Telemetry.Tracer.t;
-  outages : Netsim.Failure.outage list;
+  fault_schedule : Netsim.Fault.schedule;
   timeseries : Telemetry.Timeseries.t option;
   monitor : Telemetry.Monitor.t option;
 }
@@ -73,7 +69,8 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
     (module M : System.S with type t = s) (sys : s) spec =
   let rng = Dsim.Rng.create spec.seed in
   let traffic_rng = Dsim.Rng.split rng in
-  let failure_rng = Dsim.Rng.split rng in
+  (* Unused, but keeps [roam_rng] the third stream of the run seed. *)
+  ignore (Dsim.Rng.split rng : Dsim.Rng.t);
   let roam_rng = Dsim.Rng.split rng in
   let engine = M.engine sys in
   let users = M.users sys in
@@ -136,18 +133,12 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   in
   if n_users > 0 && next_check.(0) < spec.duration then
     ignore (Dsim.Engine.schedule_at_cat engine cat_check next_check.(0) sweep);
-  (* Failure injection on servers. *)
-  let outages =
-    Netsim.Failure.random_outages ~rng:failure_rng ~nodes:(M.server_nodes sys)
-      ~rate:spec.failure_rate ~mean_duration:spec.mean_outage ~horizon:spec.duration
-  in
-  Netsim.Failure.schedule_outages (M.net sys) outages;
   (* Fault campaign, if any: compiled deterministically from the
      campaign's own seed (salted with the run seed) and armed on the
      network; every effective status flip is tallied by fault kind. *)
   let fault_schedule =
     match spec.faults with
-    | None -> None
+    | None -> { Netsim.Fault.windows = []; horizon = spec.duration }
     | Some campaign ->
         let sched =
           Netsim.Fault.compile ~salt:spec.seed ~graph:(M.graph sys)
@@ -172,7 +163,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
                  ~attrs:[ ("kind", w.kind); ("target", fault_target w.target) ]
                  ()))
           sched.Netsim.Fault.windows;
-        Some sched
+        sched
   in
   (* Periodic compaction keeps dedup/bookkeeping tables bounded on
      long runs; it only touches state the ledger proved settled. *)
@@ -210,19 +201,12 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   in
   (* Run, restore, drain, final checks. *)
   Dsim.Engine.run ~until:spec.duration engine;
-  Option.iter (Netsim.Fault.heal (M.net sys)) fault_schedule;
-  List.iter (fun n -> Netsim.Net.set_up (M.net sys) n) (M.server_nodes sys);
+  Netsim.Fault.heal (M.net sys) fault_schedule;
   M.quiesce sys;
   Array.iteri (fun i _ -> check i) users_arr;
   M.quiesce sys;
   ignore (M.compact sys);
   let report = Evaluation.of_system (module M) sys in
-  let fault_outages =
-    match fault_schedule with
-    | None -> []
-    | Some sched -> Netsim.Fault.node_outages sched
-  in
-  let all_outages = outages @ fault_outages in
   (* Raw infrastructure health: mean single-node uptime. *)
   let server_uptime =
     let nodes = M.server_nodes sys in
@@ -230,9 +214,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
     else
       List.fold_left
         (fun acc node ->
-          acc
-          +. Netsim.Failure.availability ~outages:all_outages ~node
-               ~horizon:spec.duration)
+          acc +. Netsim.Fault.availability fault_schedule ~node)
         0. nodes
       /. float_of_int (List.length nodes)
   in
@@ -247,10 +229,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
       match Hashtbl.find_opt memo chain with
       | Some a -> a
       | None ->
-          let a =
-            Netsim.Failure.group_availability ~outages:all_outages ~nodes:chain
-              ~horizon:spec.duration
-          in
+          let a = Netsim.Fault.group_availability fault_schedule ~nodes:chain in
           Hashtbl.replace memo chain a;
           a
     in
@@ -280,11 +259,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   set "ledger_ok" (if ledger_verdict.Ledger.ok then 1. else 0.);
   set "ledger_lost" (float_of_int ledger_verdict.Ledger.lost);
   set "ledger_duplicates" (float_of_int ledger_verdict.Ledger.duplicates);
-  set "fault_windows"
-    (float_of_int
-       (match fault_schedule with
-       | None -> 0
-       | Some sched -> List.length sched.Netsim.Fault.windows));
+  set "fault_windows" (float_of_int (List.length fault_schedule.Netsim.Fault.windows));
   (* One final window after drain and the end-of-run gauges above, so
      the series always closes on the settled state (and a sampled run
      has at least one window even when duration < resolution). *)
@@ -306,7 +281,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
     engine_events = Dsim.Engine.events_executed engine;
     metrics;
     tracer = M.tracer sys;
-    outages;
+    fault_schedule;
     timeseries;
     monitor;
   }

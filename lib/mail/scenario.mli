@@ -3,10 +3,11 @@
     not tabulate — reproduced here for experiments C1, C2 and C6.
 
     A scenario drives a system with Poisson mail traffic between
-    Zipf-skewed users, periodic mailbox checks, and random server
-    outages; at the horizon all servers are restored, the engine
-    drains, and every user performs a final check so that the paper's
-    losslessness claim can be asserted exactly. *)
+    Zipf-skewed users, periodic mailbox checks, and an optional
+    {!Netsim.Fault} campaign (random server crashes are its [Crashes]
+    process, e.g. [crash:0.002/150]); at the horizon every fault is
+    healed, the engine drains, and every user performs a final check
+    so that the paper's losslessness claim can be asserted exactly. *)
 
 (** How users retrieve mail — the C2 comparison axis. *)
 type retrieval_mode =
@@ -20,14 +21,13 @@ type spec = {
   mail_count : int;  (** total messages to inject over the run. *)
   check_period : float;
       (** per-user mailbox-check interval (schedule: {!drive}). *)
-  failure_rate : float;  (** outage starts per server per unit time. *)
-  mean_outage : float;  (** mean outage duration. *)
   sender_skew : float;  (** Zipf exponent for sender activity. *)
   retrieval : retrieval_mode;
   faults : Netsim.Fault.campaign option;
       (** optional deterministic fault campaign (crashes, link cuts,
           partitions, bursts — see {!Netsim.Fault}), compiled with
-          [~salt:seed] and armed on top of the legacy random outages. *)
+          [~salt:seed] against the horizon [duration] and armed on the
+          system's network. *)
   sampling : float option;
       (** virtual-time resolution of the observability sampler: when
           set, a periodic engine event (category ["scenario.sample"])
@@ -42,9 +42,8 @@ type spec = {
 }
 
 val default_spec : spec
-(** seed 1, duration 5000, 300 messages, checks every 100, no
-    failures, skew 0.9, GetMail, no fault campaign, no sampling, no
-    monitors. *)
+(** seed 1, duration 5000, 300 messages, checks every 100, skew 0.9,
+    GetMail, no fault campaign, no sampling, no monitors. *)
 
 (** Per-scenario aggregates beyond the generic report. *)
 type outcome = {
@@ -53,7 +52,7 @@ type outcome = {
       (** mailbox availability under replication: mean over users of
           the fraction of the horizon during which at least one member
           of their authority chain was up
-          ({!Netsim.Failure.group_availability}).  With replication 1
+          ({!Netsim.Fault.group_availability} over [fault_schedule]).  With replication 1
           this degenerates to the per-primary uptime. *)
   server_uptime : float;
       (** raw infrastructure health: mean single-node uptime across
@@ -89,11 +88,12 @@ type outcome = {
           submission, one ["getmail.check"] trace per retrieval round
           (feed to {!Telemetry.Critical_path.analyze} or export via
           {!Telemetry.Tracer.to_jsonl} / [to_chrome]). *)
-  outages : Netsim.Failure.outage list;
-      (** the rate-driven random server outages the run scheduled
-          ([spec.failure_rate]; [[]] when it is 0).  Fault-campaign
-          windows are not listed here: they are ["fault"] spans on
-          [tracer] and [fault_<kind>] counters. *)
+  fault_schedule : Netsim.Fault.schedule;
+      (** the compiled fault campaign the run armed (no windows without
+          [spec.faults]; horizon [spec.duration]).  Its [Node] windows
+          are the server outages [availability] and [server_uptime]
+          measure; every window is also a ["fault"] span on [tracer],
+          and each effective down flip a [fault_<kind>] count. *)
   timeseries : Telemetry.Timeseries.t option;
       (** the windowed metric series recorded by the sampler;
           [Some _] exactly when [spec.sampling] was set.  Export with
@@ -113,10 +113,9 @@ val drive :
 (** The one scenario driver, shared by every design through
     {!System.S}: inject the mail workload, arm phase-shifted periodic
     checks (calling [on_check_tick] just before each — the roaming
-    hook of designs 2/3), schedule random server outages and the fault
-    campaign (if any), run to the horizon, heal all faults and restore
-    all servers, drain, final-check every user, compact, check the
-    delivery ledger, and snapshot metrics.  Fault windows are tallied
+    hook of designs 2/3), arm the fault campaign (if any), run to the
+    horizon, heal every fault, drain, final-check every user, compact,
+    check the delivery ledger, and snapshot metrics.  Fault windows are tallied
     per kind as [fault_<kind>] counters and emitted as ["fault"] spans
     on the tracer.
 

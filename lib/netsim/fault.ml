@@ -1,13 +1,12 @@
-(* Deterministic fault campaigns: a declarative generalisation of
-   {!Failure} from independent node outages to link cuts, region
-   partitions, crash/restart schedules with configurable repair
-   distributions, and correlated burst failures.
+(* Deterministic fault campaigns: node crash/restart processes with
+   configurable repair distributions, link cuts, region partitions and
+   correlated burst failures — the one way a node or link goes down.
 
    A campaign is a pure value; [compile] expands it against a concrete
    topology into a [schedule] of timed down/up windows using only the
    campaign's own seeded RNG stream, so the same campaign on the same
    graph always produces the same faults.  [apply] arms the windows on
-   a live network. *)
+   a live network, and [availability] measures what they cost. *)
 
 type repair = Fixed of float | Exp_mean of float
 
@@ -35,8 +34,8 @@ let draw_repair rng = function
   | Fixed d -> d
   | Exp_mean m -> Dsim.Rng.exponential rng (1. /. m)
 
-(* Poisson-process fault starts on one target, as in
-   [Failure.random_outages], but with a pluggable repair law. *)
+(* Poisson-process fault starts on one target, each lasting a draw of
+   the repair law. *)
 let poisson_windows rng ~rate ~repair ~horizon ~kind target =
   if rate <= 0. then []
   else begin
@@ -59,6 +58,14 @@ let boundary_edges graph region =
 
 let compile ?(salt = 0) ~graph ~servers ~horizon campaign =
   if horizon <= 0. then invalid_arg "Fault.compile: horizon must be positive";
+  (* A window opening at or after the horizon would fire during the
+     post-heal drain, outside what the run measures. *)
+  let before_horizon what start =
+    if start >= horizon then
+      invalid_arg
+        (Printf.sprintf "Fault.compile: %s start %g is not before the horizon %g" what
+           start horizon)
+  in
   let rng = Dsim.Rng.create (campaign.seed lxor (salt * 0x9e3779b9)) in
   let expand fault =
     match fault with
@@ -75,12 +82,14 @@ let compile ?(salt = 0) ~graph ~servers ~horizon campaign =
         if not (List.mem region (Graph.regions graph)) then
           invalid_arg (Printf.sprintf "Fault.compile: unknown region %S" region);
         let start = Option.value start ~default:(horizon /. 3.) in
+        before_horizon "partition" start;
         let duration = Option.value duration ~default:(horizon /. 4.) in
         List.map
           (fun (u, v, _) -> { target = Link (u, v); kind = "partition"; start; duration })
           (boundary_edges graph region)
     | Burst { fraction; at; duration } ->
         let at = Option.value at ~default:(horizon /. 2.) in
+        before_horizon "burst" at;
         let duration = Option.value duration ~default:(horizon /. 10.) in
         let pool = Array.of_list servers in
         Dsim.Rng.shuffle rng pool;
@@ -96,13 +105,70 @@ let compile ?(salt = 0) ~graph ~servers ~horizon campaign =
   let windows = List.concat_map expand campaign.faults in
   { windows; horizon }
 
-let node_outages sched =
-  List.filter_map
-    (fun w ->
-      match w.target with
-      | Node node -> Some { Failure.node; start = w.start; duration = w.duration }
-      | Link _ -> None)
-    sched.windows
+(* --- availability --- *)
+
+(* The node's windows clipped to [0, horizon], sorted, with overlaps
+   merged into disjoint intervals — exactly the time [apply]'s depth
+   count keeps the node down. *)
+let down_intervals sched node =
+  let horizon = sched.horizon in
+  let mine =
+    List.filter_map
+      (fun w ->
+        match w.target with
+        | Node v when v = node -> Some (w.start, Float.min horizon (w.start +. w.duration))
+        | Node _ | Link _ -> None)
+      sched.windows
+    |> List.filter (fun (s, e) -> s < horizon && e > s)
+    |> List.sort (fun (s1, e1) (s2, e2) ->
+           match Float.compare s1 s2 with 0 -> Float.compare e1 e2 | c -> c)
+  in
+  let rec merge acc = function
+    | [] -> List.rev acc
+    | (s, e) :: rest ->
+        let rec absorb e = function
+          | (s', e') :: more when s' <= e -> absorb (Float.max e e') more
+          | more -> (e, more)
+        in
+        let e, more = absorb e rest in
+        merge ((s, e) :: acc) more
+  in
+  merge [] mine
+
+let measure intervals = List.fold_left (fun acc (s, e) -> acc +. (e -. s)) 0. intervals
+
+let availability sched ~node =
+  let horizon = sched.horizon in
+  if horizon <= 0. then 1.
+  else (horizon -. measure (down_intervals sched node)) /. horizon
+
+(* Intersection of two sorted disjoint interval lists. *)
+let intersect a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], _ | _, [] -> List.rev acc
+    | (s1, e1) :: ra, (s2, e2) :: rb ->
+        let s = Float.max s1 s2 and e = Float.min e1 e2 in
+        let acc = if s < e then (s, e) :: acc else acc in
+        if e1 <= e2 then go acc ra b else go acc a rb
+  in
+  go [] a b
+
+let group_availability sched ~nodes =
+  let horizon = sched.horizon in
+  if horizon <= 0. then 1.
+  else
+    match nodes with
+    | [] -> 0.
+    | first :: rest ->
+        (* The group is down only while every member is down: intersect
+           the members' downtime interval sets. *)
+        let all_down =
+          List.fold_left
+            (fun acc node -> if acc = [] then [] else intersect acc (down_intervals sched node))
+            (down_intervals sched first) rest
+        in
+        (horizon -. measure all_down) /. horizon
 
 (* --- apply --- *)
 

@@ -1,12 +1,14 @@
-(** Declarative, deterministic fault campaigns.
+(** Declarative, deterministic fault campaigns — the one way a node or
+    link goes down.
 
-    {!Failure} injects independent random node outages; this module
-    generalises it into a {e campaign}: a pure description of several
-    fault processes that is expanded ({!compile}) against a concrete
-    topology into a reproducible schedule of down/up windows, and then
-    armed ({!apply}) on a live {!Net.t}.  Campaigns drive the
-    no-lost-mail invariant checks of §3.1.2c: the delivery pipeline
-    must not lose or duplicate mail under any of these faults.
+    A {e campaign} is a pure description of several fault processes
+    that is expanded ({!compile}) against a concrete topology into a
+    reproducible schedule of down/up windows, armed ({!apply}) on a
+    live {!Net.t}, and measured ({!availability}).  Campaigns drive the
+    GetMail availability sweeps (experiments C1/C2, as [Crashes]) and
+    the no-lost-mail invariant checks of §3.1.2c: the delivery pipeline
+    must not lose or duplicate mail under any of these faults.  A fixed
+    outage is a hand-written one-window {!schedule}.
 
     Four fault processes are supported:
 
@@ -70,12 +72,22 @@ val compile :
     runs): same campaign, graph, servers and horizon — same schedule.
     Node faults ([Crashes], [Burst]) target [servers]; link faults
     target the graph's edges.
-    @raise Invalid_argument on a non-positive horizon or an unknown
-    partition region. *)
+    @raise Invalid_argument on a non-positive horizon, an unknown
+    partition region, or a [Partition]/[Burst] start at or after the
+    horizon. *)
 
-val node_outages : schedule -> Failure.outage list
-(** The node-level windows as classic outages, for
-    {!Failure.availability}. *)
+val availability : schedule -> node:Graph.node -> float
+(** Fraction of [0, horizon] during which no [Node node] window covers
+    [node].  Overlapping windows count once, as their union — the time
+    {!apply}'s depth count keeps the node down.  Windows are clipped at
+    the horizon; a non-positive horizon yields 1. *)
+
+val group_availability : schedule -> nodes:Graph.node list -> float
+(** Fraction of [0, horizon] during which {e at least one} of [nodes]
+    is up — the availability a replica group offers its users: the
+    group is only unavailable while every chain member is down
+    simultaneously.  [nodes = []] yields 0 (no server can ever
+    serve). *)
 
 val apply :
   ?on_event:(time:float -> window -> bool -> unit) ->

@@ -1,12 +1,18 @@
-(* Tests for failure injection. *)
+(* Tests for node outages: fixed and Poisson crash windows of
+   {!Netsim.Fault}, armed on a net and measured by its availability. *)
 
 type msg = unit
+
+let crash ?(node = 0) start duration =
+  { Netsim.Fault.target = Netsim.Fault.Node node; kind = "crash"; start; duration }
+
+let schedule windows = { Netsim.Fault.windows; horizon = 100. }
 
 let test_outage_flips_status () =
   let g = Netsim.Topology.line ~n:2 ~weight:1. in
   let engine = Dsim.Engine.create () in
   let net : msg Netsim.Net.t = Netsim.Net.create ~engine g in
-  Netsim.Failure.schedule_outage net { Netsim.Failure.node = 1; start = 5.; duration = 3. };
+  Netsim.Fault.apply net (schedule [ crash ~node:1 5. 3. ]);
   let probes = ref [] in
   List.iter
     (fun t ->
@@ -25,18 +31,26 @@ let test_negative_rejected () =
   let engine = Dsim.Engine.create () in
   let net : msg Netsim.Net.t = Netsim.Net.create ~engine g in
   Alcotest.check_raises "negative"
-    (Invalid_argument "Failure.schedule_outage: negative time") (fun () ->
-      Netsim.Failure.schedule_outage net
-        { Netsim.Failure.node = 0; start = -1.; duration = 1. })
+    (Invalid_argument "Fault.apply: negative time in window") (fun () ->
+      Netsim.Fault.apply net (schedule [ crash (-1.) 1. ]))
 
-let test_random_outages_rate () =
-  let rng = Dsim.Rng.create 42 in
-  let outages =
-    Netsim.Failure.random_outages ~rng ~nodes:[ 0; 1; 2 ] ~rate:0.01 ~mean_duration:5.
-      ~horizon:10000.
+let crash_windows ~rate ~servers ~horizon =
+  let graph = Netsim.Topology.line ~n:3 ~weight:1. in
+  let campaign =
+    {
+      Netsim.Fault.seed = 42;
+      faults = [ Netsim.Fault.Crashes { rate; repair = Netsim.Fault.Exp_mean 5. } ];
+    }
   in
-  (* Expect roughly 100 outage starts per node. *)
-  let per_node n = List.length (List.filter (fun o -> o.Netsim.Failure.node = n) outages) in
+  (Netsim.Fault.compile ~graph ~servers ~horizon campaign).Netsim.Fault.windows
+
+let test_random_crash_rate () =
+  let windows = crash_windows ~rate:0.01 ~servers:[ 0; 1; 2 ] ~horizon:10000. in
+  (* Expect roughly 100 crash starts per node. *)
+  let per_node n =
+    List.length
+      (List.filter (fun (w : Netsim.Fault.window) -> w.target = Netsim.Fault.Node n) windows)
+  in
   List.iter
     (fun n ->
       let c = per_node n in
@@ -44,49 +58,53 @@ let test_random_outages_rate () =
     [ 0; 1; 2 ];
   (* All within the horizon. *)
   List.iter
-    (fun o ->
-      if o.Netsim.Failure.start < 0. || o.Netsim.Failure.start >= 10000. then
-        Alcotest.fail "outage outside horizon")
-    outages
+    (fun (w : Netsim.Fault.window) ->
+      if w.start < 0. || w.start >= 10000. then Alcotest.fail "outage outside horizon")
+    windows
 
 let test_zero_rate_empty () =
-  let rng = Dsim.Rng.create 1 in
   Alcotest.(check int) "no outages" 0
-    (List.length
-       (Netsim.Failure.random_outages ~rng ~nodes:[ 0; 1 ] ~rate:0. ~mean_duration:5.
-          ~horizon:100.))
+    (List.length (crash_windows ~rate:0. ~servers:[ 0; 1 ] ~horizon:100.))
 
 let test_availability () =
-  let outages =
-    [
-      { Netsim.Failure.node = 0; start = 10.; duration = 10. };
-      { Netsim.Failure.node = 0; start = 15.; duration = 10. };
-      (* overlaps the first; union is [10, 25] *)
-      { Netsim.Failure.node = 1; start = 0.; duration = 50. };
-    ]
+  let sched =
+    schedule
+      [
+        crash ~node:0 10. 10.;
+        crash ~node:0 15. 10.;
+        (* overlaps the first; union is [10, 25] *)
+        crash ~node:1 0. 50.;
+      ]
   in
   Alcotest.(check (float 1e-9)) "merged downtime" 0.85
-    (Netsim.Failure.availability ~outages ~node:0 ~horizon:100.);
-  Alcotest.(check (float 1e-9)) "half down" 0.5
-    (Netsim.Failure.availability ~outages ~node:1 ~horizon:100.);
+    (Netsim.Fault.availability sched ~node:0);
+  Alcotest.(check (float 1e-9)) "half down" 0.5 (Netsim.Fault.availability sched ~node:1);
   Alcotest.(check (float 1e-9)) "unaffected node" 1.0
-    (Netsim.Failure.availability ~outages ~node:2 ~horizon:100.)
+    (Netsim.Fault.availability sched ~node:2)
 
 let test_availability_clips_horizon () =
-  let outages = [ { Netsim.Failure.node = 0; start = 90.; duration = 100. } ] in
   Alcotest.(check (float 1e-9)) "clipped" 0.9
-    (Netsim.Failure.availability ~outages ~node:0 ~horizon:100.)
+    (Netsim.Fault.availability (schedule [ crash 90. 100. ]) ~node:0)
+
+(* A group is down only while every member is: node 0 is down over
+   [10, 30] and node 1 over the union [20, 55], so the pair is down
+   over [20, 30]. *)
+let test_group_availability () =
+  let sched = schedule [ crash ~node:0 10. 20.; crash ~node:1 20. 20.; crash ~node:1 25. 30. ] in
+  Alcotest.(check (float 1e-9)) "both down 10 of 100" 0.9
+    (Netsim.Fault.group_availability sched ~nodes:[ 0; 1 ]);
+  Alcotest.(check (float 1e-9)) "one member is its availability"
+    (Netsim.Fault.availability sched ~node:1)
+    (Netsim.Fault.group_availability sched ~nodes:[ 1 ]);
+  Alcotest.(check (float 0.)) "no member never serves" 0.
+    (Netsim.Fault.group_availability sched ~nodes:[])
 
 let prop_availability_in_unit_interval =
   QCheck.Test.make ~name:"availability always lies in [0,1]" ~count:100
     QCheck.(list_of_size (Gen.int_range 0 20) (pair (float_range 0. 100.) (float_range 0. 50.)))
     (fun specs ->
-      let outages =
-        List.map
-          (fun (start, duration) -> { Netsim.Failure.node = 0; start; duration })
-          specs
-      in
-      let a = Netsim.Failure.availability ~outages ~node:0 ~horizon:100. in
+      let sched = schedule (List.map (fun (start, duration) -> crash start duration) specs) in
+      let a = Netsim.Fault.availability sched ~node:0 in
       a >= -1e-9 && a <= 1. +. 1e-9)
 
 let suite =
@@ -95,11 +113,13 @@ let suite =
       [
         Alcotest.test_case "outage flips status" `Quick test_outage_flips_status;
         Alcotest.test_case "negative times rejected" `Quick test_negative_rejected;
-        Alcotest.test_case "random outage rate" `Quick test_random_outages_rate;
+        Alcotest.test_case "random outage rate" `Quick test_random_crash_rate;
         Alcotest.test_case "zero rate" `Quick test_zero_rate_empty;
         Alcotest.test_case "availability with overlaps" `Quick test_availability;
         Alcotest.test_case "availability clips at horizon" `Quick
           test_availability_clips_horizon;
         QCheck_alcotest.to_alcotest prop_availability_in_unit_interval;
+        Alcotest.test_case "group availability intersects members" `Quick
+          test_group_availability;
       ] );
   ]

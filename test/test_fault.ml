@@ -679,6 +679,30 @@ let test_unfetched_count_matches_holders () =
       Alcotest.(check bool) (tag "recovery resync exercised") true (resyncs > 0))
     [ 13; 29 ]
 
+(* A partition or burst opening at or after the horizon would fire
+   during the post-heal drain, where nothing measures it: [compile]
+   rejects it like an unknown region, and accepts one opening just
+   before. *)
+let test_window_past_horizon_rejected () =
+  let g, a1, a2, b1, b2 = two_region_graph () in
+  let compile spec =
+    Netsim.Fault.compile ~graph:g ~servers:[ a1; a2; b1; b2 ] ~horizon:5000.
+      (Netsim.Fault.parse spec)
+  in
+  List.iter
+    (fun (spec, msg) ->
+      Alcotest.check_raises spec (Invalid_argument msg) (fun () -> ignore (compile spec)))
+    [
+      ("burst:1@6000+100", "Fault.compile: burst start 6000 is not before the horizon 5000");
+      ("burst:0.5@5000+10", "Fault.compile: burst start 5000 is not before the horizon 5000");
+      ( "partition:rb@5000+10",
+        "Fault.compile: partition start 5000 is not before the horizon 5000" );
+    ];
+  Alcotest.(check int) "a burst just before the horizon is kept" 4
+    (List.length (compile "burst:1@4999+100").Netsim.Fault.windows);
+  Alcotest.(check int) "so is a partition" 1
+    (List.length (compile "partition:rb@4999+100").Netsim.Fault.windows)
+
 let suite =
   [
     ( "fault",
@@ -688,6 +712,8 @@ let suite =
         Alcotest.test_case "partition targets boundary" `Quick test_partition_targets_boundary;
         Alcotest.test_case "link cut reroutes" `Quick test_link_cut_reroutes;
         Alcotest.test_case "overlapping windows depth-counted" `Quick test_apply_depth_counting;
+        Alcotest.test_case "windows past the horizon rejected" `Quick
+          test_window_past_horizon_rejected;
       ] );
     ( "ledger",
       [

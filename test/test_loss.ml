@@ -119,7 +119,10 @@ let prop_scenario_lossless =
           duration = 1500.;
           mail_count = 60;
           check_period = 120.;
-          failure_rate = float_of_int rate_step *. 0.001;
+          faults =
+            Some
+              (Netsim.Fault.parse
+                 (Printf.sprintf "crash:%g/150" (float_of_int rate_step *. 0.001)));
         }
       in
       let o = Mail.Scenario.run_syntax (Netsim.Topology.paper_fig1 ()) spec in

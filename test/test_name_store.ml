@@ -144,8 +144,10 @@ let prop_random_ops_converge =
       if replicas > 1 then begin
         let victim = 1 + Dsim.Rng.int rng (replicas - 1) in
         let start = Dsim.Rng.float rng 300. in
-        Netsim.Failure.schedule_outage (Mail.Name_store.net store)
-          { Netsim.Failure.node = victim; start; duration = Dsim.Rng.float rng 200. }
+        let duration = Dsim.Rng.float rng 200. in
+        Netsim.Fault.(
+          apply (Mail.Name_store.net store)
+            { windows = [ { target = Node victim; kind = "crash"; start; duration } ]; horizon = 500. })
       end;
       Dsim.Engine.run engine;
       Mail.Name_store.converged store)
