@@ -80,17 +80,22 @@ let current_location t name =
 
 let retrieval_cost_stats t = (Core.state t).retrieval_costs
 
+(* The nearest server that is up now, if any. *)
+let nearest_up_server t host =
+  List.find_opt (fun s -> Netsim.Net.is_up (net t) s) (nearest_servers t host)
+
 (* §3.2.2c: the user's host talks to the nearest active server, which
    relays the polls to the authority servers.  The communication cost
    of one retrieval is the host↔relay round trip plus the relay's
    round trips to each polled authority server; a roamed user far from
    their hash group pays visibly more ("remote access is usually slow
-   and imposes large overhead"). *)
+   and imposes large overhead").  No sample is recorded while every
+   server is down. *)
 let record_retrieval_cost t a (stats : User_agent.check_stats) =
   let host = User_agent.host a in
-  match nearest_servers t host with
-  | [] -> ()
-  | relay :: _ ->
+  match nearest_up_server t host with
+  | None -> ()
+  | Some relay ->
       let d_host_relay = Netsim.Net.distance (net t) host relay in
       let polled =
         (* approximate the polled set: the first [polls] servers of
@@ -119,7 +124,7 @@ let login t name ~host =
   Core.count t "logins";
   (* Inform the nearest active server; it gossips the new location to
      its regional peers so any of them can route the alert signal. *)
-  (match List.find_opt (fun s -> Netsim.Net.is_up (net t) s) (nearest_servers t host) with
+  (match nearest_up_server t host with
   | None -> Core.count t "login_unserved"
   | Some nearest ->
       ignore

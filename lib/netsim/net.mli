@@ -3,10 +3,13 @@
     A network wraps a {!Graph.t} with per-node up/down status, per-node
     receive handlers, and two send primitives:
 
-    - {!send} routes over the zero-load shortest path; the end-to-end
-      latency is the path distance.  The message is dropped when the
-      source is down, the destination is unreachable or down at
-      delivery time, or an intermediate node is down at send time.
+    - {!send} routes over the zero-load shortest path among the links
+      up and through the nodes up; the end-to-end latency is the path
+      distance.  A down node is never a relay, so a crashed server is
+      routed around like a cut link; it can still be a destination.
+      The message is dropped when the source is down, no path exists
+      over the links and relays up, or the destination is down at
+      delivery time.
     - {!send_neighbor} crosses exactly one edge — the primitive the
       distributed MST automaton uses.  Per-edge delivery is FIFO
       (fixed latency per edge + deterministic engine tie-breaks), which
@@ -48,8 +51,14 @@ val is_up : 'msg t -> Graph.node -> bool
 val set_up : 'msg t -> Graph.node -> unit
 val set_down : 'msg t -> Graph.node -> unit
 (** Status changes fire the {!on_status_change} listeners with the
-    current virtual time.  Messages already in flight towards a node
-    that goes down are dropped at delivery time. *)
+    current virtual time.  A down node relays nothing — routes detour
+    around it as around a cut link — but it is still reached as a
+    destination, and a send to it is accepted and dropped on arrival.
+    Like a link flip, a node flip only appends to the route cache's
+    flip log; only trees that route through the node do repair work.
+    Messages already in flight towards a node that goes down are
+    dropped at delivery time; messages in flight through it are not
+    recalled.  Idempotent. *)
 
 val on_status_change : 'msg t -> (time:float -> Graph.node -> bool -> unit) -> unit
 (** Register a listener called after every status flip ([true] = up). *)
@@ -69,8 +78,8 @@ val set_link_up : 'msg t -> Graph.node -> Graph.node -> unit
     pending flip can change the path of a routed send; other sends
     read the stale tree, whose answer for their path is provably the
     current one (docs/PERF.md).  Routing answers are those of a fresh
-    Dijkstra over the current links.  Messages already in flight
-    across the link are not recalled.
+    Dijkstra over the current links and relays.  Messages already in
+    flight across the link are not recalled.
     Idempotent.
     @raise Invalid_argument if the nodes are not adjacent. *)
 
@@ -79,8 +88,9 @@ val links_down : 'msg t -> (Graph.node * Graph.node) list
     sorted. *)
 
 val distance : 'msg t -> Graph.node -> Graph.node -> float
-(** Zero-load shortest-path distance ([infinity] if disconnected).
-    Cached per source. *)
+(** Zero-load shortest-path distance over the links up and through the
+    nodes up ([infinity] if disconnected).  Either endpoint may be
+    down.  Cached per source. *)
 
 val hops : 'msg t -> Graph.node -> Graph.node -> int
 (** Edge count of the shortest path ([-1] if unreachable). *)
@@ -119,25 +129,32 @@ val route_invalidations : 'msg t -> int
 val route_repair_nodes : 'msg t -> int
 
 val tree : 'msg t -> Graph.node -> Shortest_path.tree
-(** The shortest-path tree rooted at the node, honouring the links
-    currently down — served from the route cache (counts as a hit or a
-    recompute like any routing query).  The returned arrays are the
-    cache's own: treat them as read-only.  This is the observable the
-    oracle test compares byte-for-byte against a fresh Dijkstra. *)
+(** The shortest-path tree rooted at the node, honouring the links and
+    nodes currently down: paths use only links up and continue only
+    through nodes up, so a down node other than the root is reached
+    (it has a distance and a predecessor) but has no tree children.
+    The root itself may be down.  Served from the route cache (counts
+    as a hit or a recompute like any routing query).  The returned
+    arrays are the cache's own: treat them as read-only, and read them
+    before the next send or query.  This is the observable the oracle
+    test compares byte-for-byte against a fresh Dijkstra under that
+    transit rule. *)
 
 val send : ?bytes:int -> 'msg t -> src:Graph.node -> dst:Graph.node -> 'msg -> bool
-(** Routed send as described above.  Returns [false] iff the message
-    was dropped immediately (source down, no route, or a relay on the
-    path is down right now); a [true] send can still be dropped later
-    if the destination is down at delivery time.  [bytes] (default 0)
-    adds a serialisation delay of [bytes / bandwidth] per hop. *)
+(** Routed send as described above: the shortest path over the links
+    up whose relays are all up, detouring around down nodes.  Returns
+    [false] iff the message was dropped immediately (source down, or no
+    such path); a down destination is accepted, and a [true] send is
+    dropped later if the destination is down at delivery time.
+    [bytes] (default 0) adds a serialisation delay of
+    [bytes / bandwidth] per hop. *)
 
 val send_timed :
   ?bytes:int -> 'msg t -> src:Graph.node -> dst:Graph.node -> 'msg -> float option
 (** {!send}, but a successful transmission also reports the scheduled
-    arrival latency — a deterministic upper bound on how long the
-    message can still be in flight.  [None] iff {!send} would return
-    [false].  A message lost to random in-flight loss still reports
+    arrival latency (over the detour, when a node on the shortest path
+    is down) — a deterministic upper bound on how long the message can
+    still be in flight.  [None] iff {!send} would return [false].  A message lost to random in-flight loss still reports
     its would-be latency (the caller's fence stays conservative).
     Senders whose dedup state is compactable use this to fence
     compaction past every possible late arrival. *)

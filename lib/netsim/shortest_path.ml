@@ -138,7 +138,7 @@ let scratch ?(capacity = 256) n =
 let bit_set bits i =
   Char.code (Bytes.unsafe_get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let dijkstra_flat ~adj ?edge_down ws source =
+let dijkstra_flat ~adj ?edge_down ?up ws source =
   let n = adj.adj_n in
   if source < 0 || source >= n then
     invalid_arg "Shortest_path.dijkstra_flat: bad source";
@@ -152,6 +152,7 @@ let dijkstra_flat ~adj ?edge_down ws source =
   let filtered, down =
     match edge_down with None -> (false, Bytes.empty) | Some b -> (true, b)
   in
+  let up = match up with None -> [||] | Some a -> a in
   dist.(source) <- 0.;
   ignore (Dsim.Heap.Arena.push q ~prio:0. ~tag:source);
   while not (Dsim.Heap.Arena.is_empty q) do
@@ -161,25 +162,29 @@ let dijkstra_flat ~adj ?edge_down ws source =
     Dsim.Heap.Arena.drop q;
     if Bytes.get settled u = '\000' && d <= dist.(u) then begin
       Bytes.set settled u '\001';
-      let du = dist.(u) in
-      for i = adj.adj_index.(u) to adj.adj_index.(u + 1) - 1 do
-        let v = adj.adj_dst.(i) in
-        if
-          Bytes.get settled v = '\000'
-          && ((not filtered) || not (bit_set down adj.adj_edge.(i)))
-        then begin
-          let nd = du +. adj.adj_weight.(i) in
-          (* Strict improvement, or equal cost through a smaller
-             predecessor: identical tie-break to [dijkstra], so both
-             implementations return byte-identical trees. *)
-          if nd < dist.(v) || (nd = dist.(v) && u < prev.(v)) then begin
-            dist.(v) <- nd;
-            prev.(v) <- u;
-            via.(v) <- adj.adj_edge.(i);
-            ignore (Dsim.Heap.Arena.push q ~prio:nd ~tag:v)
+      (* A down node is reached but relays nothing, unless it is the
+         source. *)
+      if u = source || Array.length up = 0 || up.(u) then begin
+        let du = dist.(u) in
+        for i = adj.adj_index.(u) to adj.adj_index.(u + 1) - 1 do
+          let v = adj.adj_dst.(i) in
+          if
+            Bytes.get settled v = '\000'
+            && ((not filtered) || not (bit_set down adj.adj_edge.(i)))
+          then begin
+            let nd = du +. adj.adj_weight.(i) in
+            (* Strict improvement, or equal cost through a smaller
+               predecessor: identical tie-break to [dijkstra], so both
+               implementations return byte-identical trees. *)
+            if nd < dist.(v) || (nd = dist.(v) && u < prev.(v)) then begin
+              dist.(v) <- nd;
+              prev.(v) <- u;
+              via.(v) <- adj.adj_edge.(i);
+              ignore (Dsim.Heap.Arena.push q ~prio:nd ~tag:v)
+            end
           end
-        end
-      done
+        done
+      end
     end
   done;
   ({ source; dist; prev }, via)

@@ -82,13 +82,17 @@ val scratch : ?capacity:int -> int -> scratch
     on demand. *)
 
 val dijkstra_flat :
-  adj:adjacency -> ?edge_down:Bytes.t -> scratch -> Graph.node ->
-  tree * int array
+  adj:adjacency -> ?edge_down:Bytes.t -> ?up:bool array -> scratch ->
+  Graph.node -> tree * int array
 (** Single-source shortest paths over the compiled adjacency.
     [edge_down] marks unusable undirected edges by id (bit set =
-    down); omitted means every edge is usable.  Returns the tree plus
+    down); omitted means every edge is usable.  [up] marks the nodes
+    that may relay: a node with [up.(v) = false] other than the source
+    is still reached (its distance and predecessor are set) but no
+    path continues through it; omitted means every node relays.  Returns the tree plus
     the via-edge table: for every reached non-source node, the
     undirected edge id of its predecessor link ([-1] otherwise) — the
     edges {!Net}'s route cache checks a path against and detaches
     subtrees below, with no tuple or list allocation.  Tie-breaks match {!dijkstra}, so both
-    return byte-identical trees on the same outage set. *)
+    return byte-identical trees on the same outage set (for {!dijkstra},
+    an edge [u -> v] is usable when it is up and [u] relays). *)

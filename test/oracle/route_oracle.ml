@@ -6,18 +6,22 @@
    any hash-iteration-order dependence in the route cache would break
    the comparison across runs.
 
-   - Trees: link cuts and restores interleaved with whole-tree queries
-     on an unanchored net; after each query the cached tree's [dist]
-     and [prev] and every [first_hop] are compared element for element
-     with a fresh full Dijkstra.
+   - Trees: link cuts and restores and node crashes and recoveries
+     interleaved with whole-tree queries on an unanchored net; after
+     each query the cached tree's [dist] and [prev] and every
+     [first_hop] are compared element for element with a fresh full
+     Dijkstra under the transit rule (an edge is usable when it is up
+     and the node it leaves is up or is the root: a down node is
+     reached but relays nothing).
    - Sends: an anchored net (servers and gateways) under single-link
      flips with up to 8 links down, partition bursts (every boundary
      edge of one region cut in one step and restored together later),
      cuts and restores of the same edge between two queries, and relay
      crashes.  After each step, routed sends between random host and
      anchor pairs are compared with a net built fresh with the same
-     links and nodes down: the latency bit for bit (sized messages, so
-     the hop count shows in it) and the refusal.  Most of these sends
+     links and nodes down and with a fresh transit-rule Dijkstra from
+     the anchor: the latency bit for bit (sized messages, so the hop
+     count shows in it) and the refusal.  Most of these sends
      are answered from stale trees, so this is the check on the rule
      that decides when a send may skip repair.
 
@@ -50,13 +54,15 @@ let integer_weights g =
     (Netsim.Graph.edges g);
   h
 
+(* The reference tree: a fresh Dijkstra under the transit rule. *)
+let transit_dijkstra net g src =
+  Netsim.Shortest_path.dijkstra
+    ~usable:(fun u v -> Netsim.Net.link_is_up net u v && (Netsim.Net.is_up net u || u = src))
+    g src
+
 let check_tree net g src =
   let cached = Netsim.Net.tree net src in
-  let fresh =
-    Netsim.Shortest_path.dijkstra
-      ~usable:(fun u v -> Netsim.Net.link_is_up net u v)
-      g src
-  in
+  let fresh = transit_dijkstra net g src in
   let n = Netsim.Graph.node_count g in
   for v = 0 to n - 1 do
     (* Exact float equality on purpose: the caches must agree to the
@@ -91,11 +97,23 @@ let trees name g =
   let flips = Dsim.Rng.create 1988 in
   let down = Queue.create () in
   let is_down = Hashtbl.create 16 in
+  let crashed = Queue.create () in
   let queries = ref 0 in
   for _step = 1 to 500 do
-    (* Keep at most 4 links down so the network stays recognisable;
-       restore oldest-first, exactly like an outage/repair process. *)
-    (if Queue.length down >= 4 then begin
+    (* Keep at most 4 links and 2 nodes down so the network stays
+       recognisable; restore oldest-first, exactly like an
+       outage/repair process. *)
+    (if Dsim.Rng.int flips 4 = 0 then begin
+       if Queue.length crashed >= 2 || (Queue.length crashed > 0 && Dsim.Rng.bool flips)
+       then Netsim.Net.set_up net (Queue.pop crashed)
+       else
+         let v = Dsim.Rng.int flips n in
+         if Netsim.Net.is_up net v then begin
+           Netsim.Net.set_down net v;
+           Queue.push v crashed
+         end
+     end
+     else if Queue.length down >= 4 then begin
        let u, v = Queue.pop down in
        Hashtbl.remove is_down (u, v);
        Netsim.Net.set_link_up net u v
@@ -159,7 +177,7 @@ let sends name g =
   let is_up (u, v) = Netsim.Net.link_is_up net u v in
   let sends = ref 0 and refused = ref 0 in
   for step = 1 to 600 do
-    (match Dsim.Rng.int rng 10 with
+    (match Dsim.Rng.int rng 12 with
     | 0 when !partition = [] ->
         (* Partition burst: every boundary edge of one region at once. *)
         let region = regions.(Dsim.Rng.int rng (Array.length regions)) in
@@ -180,7 +198,7 @@ let sends name g =
         cut_link e
     | 3 -> (
         match !crashed with
-        | v :: rest when List.length !crashed >= 2 || Dsim.Rng.bool rng ->
+        | v :: rest when List.length !crashed >= 3 || Dsim.Rng.bool rng ->
             Netsim.Net.set_up net v;
             crashed := rest
         | _ ->
@@ -189,6 +207,11 @@ let sends name g =
               Netsim.Net.set_down net v;
               crashed := !crashed @ [ v ]
             end)
+    | 4 | 5 ->
+        (* A quiet step: sends read trees that earlier sends repaired
+           with no flip pending, so ghosts kept by those repairs must
+           still be noticed. *)
+        ()
     | _ ->
         if Queue.length cut >= 8 || (Queue.length cut > 0 && Dsim.Rng.int rng 3 = 0)
         then restore_link (Queue.pop cut)
@@ -217,18 +240,32 @@ let sends name g =
       let src, dst = if Dsim.Rng.bool rng then (h, a) else (a, h) in
       let got = Netsim.Net.send_timed ~bytes net ~src ~dst ()
       and want = Netsim.Net.send_timed ~bytes fresh ~src ~dst () in
+      let reference =
+        (* Sends are answered from the anchor's tree. *)
+        let tr = transit_dijkstra net g a in
+        let leaf = if a = src then dst else src in
+        match Netsim.Shortest_path.hop_count tr leaf with
+        | Some h when Netsim.Net.is_up net src ->
+            Some
+              (tr.Netsim.Shortest_path.dist.(leaf)
+              +. (float_of_int h *. (float_of_int bytes /. bandwidth)))
+        | _ -> None
+      in
       incr sends;
       if want = None then incr refused;
       let show = function None -> "refused" | Some l -> Printf.sprintf "%h" l in
-      let same =
-        match (got, want) with
+      let same x y =
+        match (x, y) with
         | None, None -> true
         | Some l, Some l' -> Float.equal l l'
         | _ -> false
       in
-      if not same then
+      if not (same got want) then
         fail "oracle: send mismatch step=%d src=%d dst=%d cached=%s fresh=%s" step
-          src dst (show got) (show want)
+          src dst (show got) (show want);
+      if not (same want reference) then
+        fail "oracle: send mismatch step=%d src=%d dst=%d fresh net=%s dijkstra=%s"
+          step src dst (show want) (show reference)
     done;
     (* Now and then a whole-tree reader catches an anchor up. *)
     if step mod 25 = 0 then
@@ -236,7 +273,8 @@ let sends name g =
   done;
   Printf.printf
     "route oracle (sends, %s weights): %d anchored sends identical to a fresh \
-     net (%d refused; %d repair passes, %d nodes re-settled)\n"
+     net and a transit-rule Dijkstra (%d refused; %d repair passes, %d nodes \
+     re-settled)\n"
     name !sends !refused
     (Netsim.Net.route_invalidations net)
     (Netsim.Net.route_repair_nodes net)

@@ -315,6 +315,41 @@ let test_login_skips_crashed_nearest () =
   Alcotest.(check int) "the update went to the next server" 0
     (login_updates ~crash_next:true)
 
+(* The retrieval is charged through the nearest server that is up; with
+   every server down no sample is recorded. *)
+let test_retrieval_cost_relay_is_up () =
+  let sys = make 12 in
+  let net = Mail.Location_system.net sys in
+  let u = List.hd (in_region sys "r0") in
+  let host = Mail.Location_system.primary_host sys u in
+  let stats = Mail.Location_system.retrieval_cost_stats sys in
+  let order = Mail.Location_system.nearest_servers sys host in
+  let check () =
+    Mail.Location_system.run_until sys (Mail.Location_system.now sys +. 10.);
+    Mail.Location_system.check_mail sys u
+  in
+  (* The cost formula of [record_retrieval_cost] through [relay]. *)
+  let cost relay (st : Mail.User_agent.check_stats) =
+    let d = Netsim.Net.distance net in
+    let polled =
+      List.filteri (fun i _ -> i < st.Mail.User_agent.polls)
+        (Mail.User_agent.authority (Mail.Location_system.agent sys u))
+    in
+    (2. *. d host relay) +. List.fold_left (fun acc s -> acc +. (2. *. d relay s)) 0. polled
+  in
+  ignore (check ());
+  let first = Dsim.Stats.Summary.total stats in
+  Netsim.Net.set_down net (List.hd order);
+  let st = check () in
+  Alcotest.(check int) "sampled" 2 (Dsim.Stats.Summary.count stats);
+  Alcotest.(check (float 1e-9)) "charged through the next server"
+    (cost (List.nth order 1) st)
+    (Dsim.Stats.Summary.total stats -. first);
+  List.iter (Netsim.Net.set_down net) order;
+  ignore (check ());
+  Alcotest.(check int) "no sample with every server down" 2
+    (Dsim.Stats.Summary.count stats)
+
 let test_config_hash_groups () =
   let config = { Mail.Location_system.default_config with hash_groups = 2 } in
   let sys = make ~config 10 in
@@ -351,5 +386,7 @@ let suite =
           test_add_user_nearest_oracle;
         Alcotest.test_case "login skips a crashed nearest server" `Quick
           test_login_skips_crashed_nearest;
+        Alcotest.test_case "retrieval cost charged through an up server" `Quick
+          test_retrieval_cost_relay_is_up;
       ] );
   ]

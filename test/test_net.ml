@@ -114,6 +114,70 @@ let test_reset_counters () =
   Alcotest.(check int) "sent reset" 0 (Netsim.Net.messages_sent net);
   Alcotest.(check int) "delivered reset" 0 (Netsim.Net.messages_delivered net)
 
+(* Diamond: 0-1-3 is the short path (2 + 2) through relay 1; 0-2-3 the
+   detour (3 + 3) through relay 2. *)
+let make_diamond () =
+  let g = Netsim.Graph.create () in
+  for _ = 0 to 3 do
+    ignore (Netsim.Graph.add_node g)
+  done;
+  Netsim.Graph.add_edge g 0 1 2.;
+  Netsim.Graph.add_edge g 1 3 2.;
+  Netsim.Graph.add_edge g 0 2 3.;
+  Netsim.Graph.add_edge g 2 3 3.;
+  let engine = Dsim.Engine.create () in
+  let net : msg Netsim.Net.t = Netsim.Net.create ~engine ~bandwidth:1. g in
+  (engine, net)
+
+let test_detour_around_down_relay () =
+  let engine, net = make_diamond () in
+  let arrivals = ref [] in
+  Netsim.Net.set_handler net 3 (fun ~time ~src:_ (Ping n) ->
+      arrivals := (n, time) :: !arrivals);
+  (* A 1-byte message at bandwidth 1 adds 1 per hop, so the latency
+     shows the hop count. *)
+  let send n = Netsim.Net.send_timed ~bytes:1 net ~src:0 ~dst:3 (Ping n) in
+  Alcotest.(check (option (float 1e-9))) "short path" (Some 6.) (send 0);
+  Netsim.Net.set_down net 1;
+  Alcotest.(check (option (float 1e-9))) "detour around the down relay" (Some 8.)
+    (send 1);
+  Alcotest.(check int) "detour hops" 2 (Netsim.Net.hops net 0 3);
+  Alcotest.(check (float 1e-9)) "detour distance" 6. (Netsim.Net.distance net 0 3);
+  Alcotest.(check (option int)) "detour first hop" (Some 2)
+    (Netsim.Net.first_hop net ~src:0 ~dst:3);
+  Dsim.Engine.run engine;
+  Netsim.Net.set_up net 1;
+  Alcotest.(check (option (float 1e-9))) "short path after recovery" (Some 6.)
+    (send 2);
+  Alcotest.(check (float 1e-9)) "short distance after recovery" 4.
+    (Netsim.Net.distance net 0 3);
+  Dsim.Engine.run engine;
+  Alcotest.(check int) "all delivered" 3 (Netsim.Net.messages_delivered net);
+  Alcotest.(check int) "none dropped" 0 (Netsim.Net.messages_dropped net)
+
+let test_line_relay_down_refuses () =
+  (* The line has no detour: a down relay leaves no live path. *)
+  let engine, net = make_net () in
+  Netsim.Net.set_down net 2;
+  Alcotest.(check bool) "refused" false (Netsim.Net.send net ~src:0 ~dst:3 (Ping 4));
+  Alcotest.(check (float 1e-9)) "unreachable" infinity (Netsim.Net.distance net 0 3);
+  Alcotest.(check bool) "the down relay itself is reachable" true
+    (Netsim.Net.send net ~src:0 ~dst:2 (Ping 5));
+  Dsim.Engine.run engine;
+  Alcotest.(check int) "both dropped" 2 (Netsim.Net.messages_dropped net);
+  Alcotest.(check int) "none delivered" 0 (Netsim.Net.messages_delivered net)
+
+let test_down_destination_accepted () =
+  let engine, net = make_net () in
+  let got = ref false in
+  Netsim.Net.set_handler net 3 (fun ~time:_ ~src:_ _ -> got := true);
+  Netsim.Net.set_down net 3;
+  Alcotest.(check bool) "accepted" true (Netsim.Net.send net ~src:0 ~dst:3 (Ping 6));
+  Alcotest.(check int) "counted sent" 1 (Netsim.Net.messages_sent net);
+  Dsim.Engine.run engine;
+  Alcotest.(check bool) "not delivered" false !got;
+  Alcotest.(check int) "dropped on arrival" 1 (Netsim.Net.messages_dropped net)
+
 let suite =
   [
     ( "net",
@@ -129,5 +193,11 @@ let suite =
         Alcotest.test_case "per-edge FIFO" `Quick test_per_edge_fifo;
         Alcotest.test_case "distance and hops" `Quick test_distance_and_hops;
         Alcotest.test_case "reset counters" `Quick test_reset_counters;
+        Alcotest.test_case "detour around a down relay" `Quick
+          test_detour_around_down_relay;
+        Alcotest.test_case "down relay on a line refuses" `Quick
+          test_line_relay_down_refuses;
+        Alcotest.test_case "down destination accepted" `Quick
+          test_down_destination_accepted;
       ] );
   ]
