@@ -366,6 +366,7 @@ let default_hot_set =
         "deposit_with";
         "resolve_phase";
         "try_submit";
+        "submit_to";
         "send_fenced";
         "flight";
         "hand_off";

@@ -65,9 +65,10 @@ type 'ctrl callbacks = {
     Netsim.Graph.node -> time:float -> src:Netsim.Graph.node -> 'ctrl -> unit;
 }
 
-(* A message a server must push onward until the next hop acknowledges
-   receipt.  Pending state survives holder crashes (queued mail is on
-   disk); retries wait for the holder to come back up. *)
+(* A message a server (or, for its Submit, the sender's host) must
+   push onward until the next hop acknowledges receipt.  Pending state
+   survives holder crashes (queued mail is on disk); retries wait for
+   the holder to come back up. *)
 type pending = {
   p_msg : Message.t;
   holder : Netsim.Graph.node;
@@ -128,7 +129,7 @@ type flight = {
 (* FIFO work queue of one server under the Exp(mu) service model. *)
 type srv_queue = {
   mutable busy : bool;
-  jobs : (float * Message.t option * (unit -> unit)) Queue.t;
+  jobs : (float * Message.t * (unit -> unit)) Queue.t;
       (* arrival time, message being processed (for tracing), work *)
   mutable busy_total : float;
   mutable served : int;
@@ -204,18 +205,18 @@ let emit_span t msg ~name ~start ~finish attrs =
         (Telemetry.Tracer.span tracer ~parent:root ~attrs ~finish ~name ~start ())
   | _ -> ()
 
-(* Run [work] through the node's FIFO service queue (or immediately
-   when the service model is off). *)
-let through_queue t node ?msg work =
-  let queue_wait_span m ~arrived ~started =
-    emit_span t m ~name:"queue_wait" ~start:arrived ~finish:started t.server_attr.(node)
-  in
+let queue_wait_span t node msg ~arrived ~started =
+  emit_span t msg ~name:"queue_wait" ~start:arrived ~finish:started t.server_attr.(node)
+
+(* Run [work] on [msg] through the node's FIFO service queue (or
+   immediately when the service model is off). *)
+let through_queue t node msg work =
   match t.config.service_rate with
   | None ->
       (* Service is free, but a zero-length wait span keeps trace
          trees the same shape with or without the service model. *)
       let at = Dsim.Engine.now t.engine in
-      Option.iter (fun m -> queue_wait_span m ~arrived:at ~started:at) msg;
+      queue_wait_span t node msg ~arrived:at ~started:at;
       work ()
   | Some rate ->
       let q = srv_queue t node in
@@ -229,7 +230,7 @@ let through_queue t node ?msg work =
             let wait = started -. arrived in
             Dsim.Stats.Summary.add t.queue_waits wait;
             Option.iter (fun h -> Telemetry.Registry.observe h wait) t.queue_wait_hist;
-            Option.iter (fun m -> queue_wait_span m ~arrived ~started) m;
+            queue_wait_span t node m ~arrived ~started;
             let service = Dsim.Rng.exponential t.service_rng rate in
             q.busy_total <- q.busy_total +. service;
             ignore
@@ -329,7 +330,7 @@ let drop_pending t f p =
   f.pendings <- remove_q p f.pendings;
   t.pending_total <- t.pending_total - 1
 
-let arm_retry t f (p : pending) step =
+let arm_retry t f (p : pending) ~bounded step =
   (* One handler closure per pending, allocated here and reused by
      every re-arm: the steady-state retry tick — the dominant timer
      kind under faults — schedules into the event arena without
@@ -342,7 +343,7 @@ let arm_retry t f (p : pending) step =
            budget toward "retries exhausted": just wait for the
            holder to come back. *)
         fire ()
-      else if p.attempts < t.config.max_retries then begin
+      else if (not bounded) || p.attempts < t.config.max_retries then begin
         p.attempts <- p.attempts + 1;
         incr t.cells.c_retries;
         step ();
@@ -361,15 +362,16 @@ let arm_retry t f (p : pending) step =
   fire ()
 
 (* Make [holder] responsible for pushing [msg] onward, retrying with
-   [step] until acknowledged; a no-op when it already is. *)
-let pending_for t f ~holder msg step =
+   [step] until acknowledged; a no-op when it already is.  Only a
+   [bounded] pending gives up after [max_retries]. *)
+let pending_for t f ~holder ~bounded msg step =
   match pending_at holder f.pendings with
   | _ -> ()
   | exception Not_found ->
       let p = { p_msg = msg; holder; attempts = 0; acked = false } in
       f.pendings <- p :: f.pendings;
       t.pending_total <- t.pending_total + 1;
-      arm_retry t f p step
+      arm_retry t f p ~bounded step
 
 let ack_pending t f ~holder =
   match pending_at holder f.pendings with
@@ -486,7 +488,7 @@ let do_deposit t f ~on ~upstream msg =
 (* Push [msg] from [at_server] to the next server [target]: the holder
    keeps a pending until the hop is acknowledged. *)
 let hand_off t f ~at_server msg ~target ~name wire retry =
-  pending_for t f ~holder:at_server msg retry;
+  pending_for t f ~holder:at_server ~bounded:true msg retry;
   msg.Message.forward_hops <- msg.Message.forward_hops + 1;
   record_hop t f msg ~name ~src:at_server ~dst:target;
   ignore (send_fenced ~bytes:(Message.size_bytes msg) t f ~src:at_server ~dst:target wire)
@@ -498,9 +500,9 @@ let rec deposit_with t f ~at_server msg authority ~retry =
   | None ->
       count t "deposit_stalled";
       count t "replica_unavailable_acks";
-      pending_for t f ~holder:at_server msg retry
+      pending_for t f ~holder:at_server ~bounded:true msg retry
   | Some target when target = at_server ->
-      pending_for t f ~holder:at_server msg retry;
+      pending_for t f ~holder:at_server ~bounded:true msg retry;
       do_deposit t f ~on:at_server ~upstream:Local msg
   | Some target ->
       hand_off t f ~at_server msg ~target ~name:"deposit.hop" (Deposit msg) retry
@@ -549,7 +551,7 @@ let rec resolve_phase t f ~at_server msg =
             match first_active t nodes with
             | None ->
                 count t "forward_stalled";
-                pending_for t f ~holder:at_server msg (fun () ->
+                pending_for t f ~holder:at_server ~bounded:true msg (fun () ->
                     resolve_phase t f ~at_server msg)
             | Some target ->
                 t.callbacks.on_forward_resolved ~at:at_server recipient
@@ -561,6 +563,7 @@ let rec resolve_phase t f ~at_server msg =
 let handle_wire t node ~time ~src msg =
   match msg with
   | Submit m ->
+      ignore (Netsim.Net.send t.net ~src:node ~dst:src (Ack m.Message.id));
       incr t.cells.c_submits_received;
       let f = flight t m.Message.id in
       if not f.accepted then begin
@@ -571,7 +574,7 @@ let handle_wire t node ~time ~src msg =
           t.server_attr.(node)
       end;
       f.in_work <- f.in_work + 1;
-      through_queue t node ~msg:m (fun () ->
+      through_queue t node m (fun () ->
           f.in_work <- f.in_work - 1;
           resolve_phase t f ~at_server:node m)
   | Forward m ->
@@ -579,7 +582,7 @@ let handle_wire t node ~time ~src msg =
       let f = flight t m.Message.id in
       emit_hop t f node ~time m;
       f.in_work <- f.in_work + 1;
-      through_queue t node ~msg:m (fun () ->
+      through_queue t node m (fun () ->
           f.in_work <- f.in_work - 1;
           deposit_phase t f ~at_server:node m)
   | Deposit m ->
@@ -589,7 +592,7 @@ let handle_wire t node ~time ~src msg =
       let f = flight t m.Message.id in
       emit_hop t f node ~time m;
       f.in_work <- f.in_work + 1;
-      through_queue t node ~msg:m (fun () ->
+      through_queue t node m (fun () ->
           f.in_work <- f.in_work - 1;
           do_deposit t f ~on:node ~upstream:(Remote src) m)
   | Replicate m ->
@@ -620,39 +623,51 @@ let handle_wire t node ~time ~src msg =
   | Notify _ -> incr t.cells.c_notifications
   | Ctrl c -> t.callbacks.on_ctrl node ~time ~src c
 
-(* Connection setup (§3.1.2a): try servers in the agent's order;
-   resubmission is the end-to-end safety net.  Exactly one driver
-   timer is armed per undeposited message — [try_submit] used to arm
-   both a deferral and a resubmission timer on every invocation, so
-   each round doubled the live timers (and the submit counters with
-   them) for the whole length of an outage. *)
+(* Connection setup (§3.1.2a): try servers in the agent's order.  The
+   sender's host holds the message in a pending until the accepting
+   server acks the Submit, like any other hop, so a Submit lost on
+   arrival is re-sent after one [retry_timeout].  The hold is
+   unbounded: submission never gives up.  Resubmission stays the
+   end-to-end safety net for mail stuck on a crashed holder's disk.
+   At most one submit timer is armed per undeposited message, and no
+   deferral timer runs beside the hold, so timers and the submit
+   counters stay linear in the length of an outage. *)
 let rec try_submit t f msg sender_agent =
-  if (not (Message.is_deposited msg)) && not f.dead then begin
-    let rec attempt = function
-      | [] ->
-          (* No server reachable right now: defer the whole attempt. *)
-          incr t.cells.c_submit_deferred;
+  if (not (Message.is_deposited msg)) && not f.dead then
+    submit_to t f msg sender_agent (t.callbacks.submit_servers sender_agent)
+
+and submit_to t f msg sender_agent = function
+  | [] ->
+      (* No server reachable right now: defer the whole attempt. *)
+      incr t.cells.c_submit_deferred;
+      (match pending_at (User_agent.host sender_agent) f.pendings with
+      | _ -> () (* the host's hold retries *)
+      | exception Not_found ->
           arm_submit_timer t f msg sender_agent ~delay:t.config.retry_timeout
-            ~resubmission:false
-      | s :: rest ->
-          incr t.cells.c_submit_attempts;
-          if
-            Netsim.Net.is_up t.net s
-            && send_fenced ~bytes:(Message.size_bytes msg) t f
-                 ~src:(User_agent.host sender_agent) ~dst:s (Submit msg)
-          then
-            (* Accepted for transmission: arm the end-to-end safety
-               net in case the submission is lost downstream. *)
-            arm_submit_timer t f msg sender_agent ~delay:t.config.resubmit_timeout
-              ~resubmission:true
-          else begin
-            (* Server down, or unreachable through downed relays. *)
-            incr t.cells.c_submit_attempt_failures;
-            attempt rest
-          end
-    in
-    attempt (t.callbacks.submit_servers sender_agent)
-  end
+            ~resubmission:false)
+  | s :: rest ->
+      incr t.cells.c_submit_attempts;
+      let host = User_agent.host sender_agent in
+      if
+        Netsim.Net.is_up t.net s
+        && send_fenced ~bytes:(Message.size_bytes msg) t f ~src:host ~dst:s (Submit msg)
+      then begin
+        (* Accepted for transmission: hold it until the server acks,
+           and arm the end-to-end safety net in case it is lost
+           downstream. *)
+        pending_for t f ~holder:host ~bounded:false msg (fun () ->
+            (* Nothing left to submit: a hold whose Ack was lost ends
+               here (at [host]: the sender may have moved since). *)
+            if Message.is_deposited msg || f.dead then ack_pending t f ~holder:host
+            else try_submit t f msg sender_agent);
+        arm_submit_timer t f msg sender_agent ~delay:t.config.resubmit_timeout
+          ~resubmission:true
+      end
+      else begin
+        (* Server down, or unreachable through downed relays. *)
+        incr t.cells.c_submit_attempt_failures;
+        submit_to t f msg sender_agent rest
+      end
 
 and arm_submit_timer t f msg sender_agent ~delay ~resubmission =
   if not f.submit_timer then begin

@@ -20,6 +20,8 @@
 
 type 'ctrl wire =
   | Submit of Message.t
+      (** sender's host → a server of the agent's list; acked at once
+          like [Forward]. *)
   | Forward of Message.t  (** to a server in the recipient's region. *)
   | Deposit of Message.t  (** to an authority server of the recipient. *)
   | Replicate of Message.t
@@ -149,12 +151,19 @@ val create :
     records the per-copy deposit/purge side and agents record
     fetch/retrieve (see {!User_agent}).
 
-    Delivery-guarantee properties: at most {e one} submit-driver timer
-    (deferral or resubmission safety net) is armed per undeposited
-    message, so timers and the submit counters stay linear in outage
-    length; and a pending transfer whose holder is down does not burn
-    retry-budget attempts — pending state survives holder crashes, so
-    the budget only counts retries the holder could actually send.
+    Delivery-guarantee properties: the sender's host holds a sent
+    [Submit] in a pending until the server acks it, like every other
+    hop, so a Submit lost on arrival is re-sent after one
+    [retry_timeout]; that hold never gives up (it spends no retry
+    budget), and once the message is deposited a hold whose [Ack]
+    was lost ends at its next retry.  At most {e one} submit-driver
+    timer (deferral or resubmission safety net) is armed per
+    undeposited message, and no deferral timer runs while the host's
+    hold retries, so timers and the submit counters stay linear in
+    outage length; and a pending transfer whose holder is down does
+    not burn retry-budget attempts — pending state survives holder
+    crashes, so the budget only counts retries the holder could
+    actually send.
     A retransmitted [Deposit] to a coordinator whose round already
     finished is re-acknowledged at once from the message's flight
     record, so it cannot re-open the round.  (["redirects"] is written

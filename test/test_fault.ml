@@ -294,6 +294,95 @@ let test_no_false_retry_exhaustion () =
   Alcotest.(check bool) "not declared dead" false (Mail.Pipeline.is_dead pipeline 1);
   Alcotest.(check int) "no pendings left" 0 (Mail.Pipeline.pending_count pipeline)
 
+let test_lost_submit_resent_after_retry_timeout () =
+  (* Regression: the host -> server Submit was the only hop with no
+     ack, so a Submit dropped on arrival — its server crashed while it
+     was in flight — waited for the end-to-end resubmission timer.  The
+     host now holds it until the server acks, and re-sends it after
+     one retry timeout. *)
+  let config = Mail.Pipeline.default_pipeline_config in
+  let engine, pipeline, counters, (h1, s1, _, _) = tiny_world ~config () in
+  let net = Mail.Pipeline.net pipeline in
+  let m = msg 1 in
+  Mail.Pipeline.submit pipeline ~sender_agent:(agent h1) ~msg:m;
+  (* The Submit reaches S1 at t = 1; S1 is down from 0.5 to 10. *)
+  ignore (Dsim.Engine.schedule_at engine 0.5 (fun () -> Netsim.Net.set_down net s1));
+  ignore (Dsim.Engine.schedule_at engine 10. (fun () -> Netsim.Net.set_up net s1));
+  let deposited_early = ref false in
+  ignore
+    (Dsim.Engine.schedule_at engine (2. *. config.Mail.Pipeline.retry_timeout) (fun () ->
+         deposited_early := Mail.Message.is_deposited m));
+  Dsim.Engine.run engine;
+  Alcotest.(check bool) "deposited within about one retry timeout" true !deposited_early;
+  Alcotest.(check int) "no resubmission" 0 (Dsim.Stats.Counter.get counters "resubmissions");
+  Alcotest.(check int) "no pendings left" 0 (Mail.Pipeline.pending_count pipeline)
+
+let test_submit_hold_never_gives_up () =
+  (* The host's hold on a lost Submit must not spend the retry budget:
+     cut off from every server for far longer than max_retries x
+     retry_timeout, it keeps trying and delivers after the heal. *)
+  let config =
+    { Mail.Pipeline.default_pipeline_config with retry_timeout = 20.; max_retries = 3 }
+  in
+  let engine, pipeline, counters, (h1, s1, _, _) = tiny_world ~config () in
+  let net = Mail.Pipeline.net pipeline in
+  let m = msg 1 in
+  Mail.Pipeline.submit pipeline ~sender_agent:(agent h1) ~msg:m;
+  (* The Submit is lost at a crashed S1, then H1's only link is cut
+     until t = 600. *)
+  ignore (Dsim.Engine.schedule_at engine 0.5 (fun () -> Netsim.Net.set_down net s1));
+  ignore
+    (Dsim.Engine.schedule_at engine 2. (fun () ->
+         Netsim.Net.set_up net s1;
+         Netsim.Net.set_link_down net h1 s1));
+  ignore (Dsim.Engine.schedule_at engine 600. (fun () -> Netsim.Net.set_link_up net h1 s1));
+  Dsim.Engine.run engine;
+  Alcotest.(check int) "never gave up" 0 (Dsim.Stats.Counter.get counters "gave_up");
+  Alcotest.(check bool) "delivered after the heal" true (Mail.Message.is_deposited m);
+  Alcotest.(check bool) "not declared dead" false (Mail.Pipeline.is_dead pipeline 1);
+  Alcotest.(check int) "no pendings left" 0 (Mail.Pipeline.pending_count pipeline);
+  (* One driver during the cut: the hold's retries, with no deferral
+     timer beside them, so 2 servers tried per 20-unit round. *)
+  let attempts = Dsim.Stats.Counter.get counters "submit_attempts" in
+  Alcotest.(check bool)
+    (Printf.sprintf "submit attempts linear in the cut (%d)" attempts)
+    true
+    (attempts <= 2 * ((600 / 20) + 3))
+
+let test_submit_hold_released_after_lost_ack () =
+  (* The Submit arrives but its Ack cannot get back: H1's only link is
+     cut while the Submit is in flight.  The message is deposited
+     anyway, so the host's next retry must end the hold rather than
+     re-arm it forever. *)
+  let engine, pipeline, counters, (h1, s1, _, _) = tiny_world () in
+  let net = Mail.Pipeline.net pipeline in
+  let m = msg 1 in
+  Mail.Pipeline.submit pipeline ~sender_agent:(agent h1) ~msg:m;
+  ignore (Dsim.Engine.schedule_at engine 0.5 (fun () -> Netsim.Net.set_link_down net h1 s1));
+  Dsim.Engine.run ~until:1000. engine;
+  Alcotest.(check bool) "deposited" true (Mail.Message.is_deposited m);
+  Alcotest.(check int) "one Submit received" 1
+    (Dsim.Stats.Counter.get counters "submits_received");
+  Alcotest.(check int) "hold released" 0 (Mail.Pipeline.pending_count pipeline)
+
+let test_submit_hold_released_after_roaming () =
+  (* The sender moves to H2 while its first Submit is lost, and the
+     re-sent Submit goes out from H2.  The hold left at H1 must still
+     end once the message is deposited. *)
+  let engine, pipeline, counters, (h1, s1, _, h2) = tiny_world () in
+  let net = Mail.Pipeline.net pipeline in
+  let a = agent h1 in
+  let m = msg 1 in
+  Mail.Pipeline.submit pipeline ~sender_agent:a ~msg:m;
+  ignore (Dsim.Engine.schedule_at engine 0.5 (fun () -> Netsim.Net.set_down net s1));
+  ignore (Dsim.Engine.schedule_at engine 5. (fun () -> Mail.User_agent.set_host a h2));
+  ignore (Dsim.Engine.schedule_at engine 10. (fun () -> Netsim.Net.set_up net s1));
+  Dsim.Engine.run ~until:1000. engine;
+  Alcotest.(check bool) "deposited" true (Mail.Message.is_deposited m);
+  Alcotest.(check int) "holds released" 0 (Mail.Pipeline.pending_count pipeline);
+  let retries = Dsim.Stats.Counter.get counters "retries" in
+  Alcotest.(check bool) (Printf.sprintf "retries stop (%d)" retries) true (retries <= 3)
+
 (* --- user-agent PUS list and compaction ------------------------------ *)
 
 let test_pus_fifo_order () =
@@ -404,7 +493,9 @@ let check_campaign name run =
   Alcotest.(check int) (name ^ ": all submissions accounted") 120 v.Mail.Ledger.submitted;
   Alcotest.(check int) (name ^ ": nothing lost") 0 v.Mail.Ledger.lost;
   Alcotest.(check int) (name ^ ": nothing duplicated") 0 v.Mail.Ledger.duplicates;
-  Alcotest.(check bool) (name ^ ": invariant holds") true v.Mail.Ledger.ok
+  Alcotest.(check bool) (name ^ ": invariant holds") true v.Mail.Ledger.ok;
+  Alcotest.(check (float 0.)) (name ^ ": no transfer left awaiting an ack") 0.
+    (Telemetry.Registry.get_gauge o.Mail.Scenario.metrics "pipeline_pending")
 
 let test_campaign_syntax () =
   check_campaign "syntax" (Mail.Scenario.run_syntax (hier_site 13))
@@ -731,6 +822,14 @@ let suite =
           test_compaction_bounds_tables;
         Alcotest.test_case "compaction skips migrated-away agents" `Quick
           test_compaction_skips_migrated;
+        Alcotest.test_case "lost submit re-sent after retry timeout" `Quick
+          test_lost_submit_resent_after_retry_timeout;
+        Alcotest.test_case "submit hold never gives up" `Quick
+          test_submit_hold_never_gives_up;
+        Alcotest.test_case "submit hold released after a lost ack" `Quick
+          test_submit_hold_released_after_lost_ack;
+        Alcotest.test_case "submit hold released after roaming" `Quick
+          test_submit_hold_released_after_roaming;
       ] );
     ( "fault-campaign",
       [
