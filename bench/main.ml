@@ -637,22 +637,20 @@ let experiment_c14 () =
          plus one outage on the last secondary *)
       for i = 0 to writes - 1 do
         let at = Dsim.Rng.float rng 1000. in
-        ignore
-          (Dsim.Engine.schedule_at engine at (fun () ->
-               Mail.Name_store.register store
-                 (Naming.Name.make ~region:"r" ~host:"h"
-                    ~user:(Printf.sprintf "u%d" (i mod 50)))
-                 [ i ]))
+        Dsim.Engine.schedule_at engine at (fun () ->
+            Mail.Name_store.register store
+              (Naming.Name.make ~region:"r" ~host:"h"
+                 ~user:(Printf.sprintf "u%d" (i mod 50)))
+              [ i ])
       done;
       for _ = 1 to 400 do
         let at = Dsim.Rng.float rng 1100. in
         let replica = Dsim.Rng.int rng r in
         let user = Printf.sprintf "u%d" (Dsim.Rng.int rng 50) in
-        ignore
-          (Dsim.Engine.schedule_at engine at (fun () ->
-               ignore
-                 (Mail.Name_store.lookup store ~at:replica
-                    (Naming.Name.make ~region:"r" ~host:"h" ~user))))
+        Dsim.Engine.schedule_at engine at (fun () ->
+            ignore
+              (Mail.Name_store.lookup store ~at:replica
+                 (Naming.Name.make ~region:"r" ~host:"h" ~user)))
       done;
       if r > 1 then
         Netsim.Fault.(

@@ -354,8 +354,7 @@ let default_hot_set =
       [ "exec"; "step"; "step_uninstrumented"; "settle_head"; "drain"; "run";
         "schedule_at"; "schedule_after"; "schedule_after_cat"; "next_time";
         "advance"; "schedule_at_cat"; "heap_push"; "lane_push"; "drop_heap";
-        "drop_lane"; "min_lane"; "head_before"; "settle_heap"; "settle_lane";
-        "head_time"; "due_after" ] );
+        "drop_lane"; "min_lane"; "head_before"; "head_time"; "due_after" ] );
     ("Dsim.Heap", [ "push"; "pop"; "peek"; "sift_up"; "sift_down" ]);
     ("Netsim.Net", [ "send"; "send_raw"; "send_timed"; "route" ]);
     ( "Mail.Pipeline",

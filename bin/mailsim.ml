@@ -691,12 +691,11 @@ let store_cmd =
     let rng = Dsim.Rng.create 11 in
     for i = 0 to writes - 1 do
       let at = Dsim.Rng.float rng 1000. in
-      ignore
-        (Dsim.Engine.schedule_at engine at (fun () ->
-             Mail.Name_store.register store
-               (Naming.Name.make ~region:"r" ~host:"h"
-                  ~user:(Printf.sprintf "u%d" (i mod 40)))
-               [ i ]))
+      Dsim.Engine.schedule_at engine at (fun () ->
+          Mail.Name_store.register store
+            (Naming.Name.make ~region:"r" ~host:"h"
+               ~user:(Printf.sprintf "u%d" (i mod 40)))
+            [ i ])
     done;
     if replicas > 1 then
       Netsim.Fault.(

@@ -1,4 +1,3 @@
-type event_id = int
 type category = int
 
 type instrument = { timer : unit -> float; report : seconds:float -> unit }
@@ -46,10 +45,6 @@ type t = {
   mutable src : int;
       (* where the settled head lives: -1 the heap, else a lane's
          category — set by [settle_head], read by [exec]. *)
-  (* Cancelled ids as a growable bitset indexed by event id: ids are
-     dense, so this is O(1) with no hashing and one bit per event. *)
-  mutable cancelled : Bytes.t;
-  mutable cancelled_pending : int;
   (* Interned categories: name -> id once at wiring time, then all
      per-event accounting is an [int array] bump. *)
   cat_ids : (string, category) Hashtbl.t;
@@ -59,7 +54,6 @@ type t = {
   mutable instrument : instrument option;
   mutable clock : float;
   mutable executed : int;
-  mutable handler_seconds : float;
 }
 
 let new_lane () = { times = [||]; seqs = [||]; actions = [||]; head = 0; len = 0 }
@@ -88,10 +82,6 @@ let category t name =
       t.cat_count <- id + 1;
       id
 
-let category_name t cat =
-  if cat < 0 || cat >= t.cat_count then invalid_arg "Engine.category_name";
-  t.cat_names.(cat)
-
 let default_category = 0
 
 let create ?(capacity = 64) () =
@@ -106,8 +96,6 @@ let create ?(capacity = 64) () =
       lane_entries = 0;
       best = -1;
       src = -1;
-      cancelled = Bytes.make 64 '\000';
-      cancelled_pending = 0;
       cat_ids = Hashtbl.create 8;
       cat_names = Array.make 8 "";
       cat_events = Array.make 8 0;
@@ -115,7 +103,6 @@ let create ?(capacity = 64) () =
       instrument = None;
       clock = 0.;
       executed = 0;
-      handler_seconds = 0.;
     }
   in
   (* Intern the default category first so it is always id 0. *)
@@ -141,7 +128,7 @@ let heap_push t cat time action =
   t.free <- t.slot_cats.(slot);
   t.slot_actions.(slot) <- action;
   t.slot_cats.(slot) <- cat;
-  Heap.Arena.push t.heap ~prio:time ~tag:slot
+  ignore (Heap.Arena.push t.heap ~prio:time ~tag:slot : int)
 
 let grow_lane l =
   let n = Array.length l.times in
@@ -188,8 +175,7 @@ let lane_push t cat l time action =
   if l.len = 1 then begin
     let b = t.best in
     if b < 0 || time < (let lb = t.lanes.(b) in lb.times.(lb.head)) then t.best <- cat
-  end;
-  seq
+  end
 
 let in_the_past t time =
   invalid_arg
@@ -236,56 +222,12 @@ let every ?category:cat t ~period ~until f =
     let at = !next +. period in
     if at <= until then begin
       next := at;
-      ignore (schedule_at_cat t cat at tick)
+      schedule_at_cat t cat at tick
     end
   in
-  if !next <= until then ignore (schedule_at_cat t cat !next tick)
+  if !next <= until then schedule_at_cat t cat !next tick
 
-let is_cancelled t id =
-  let byte = id lsr 3 in
-  byte < Bytes.length t.cancelled
-  && Char.code (Bytes.unsafe_get t.cancelled byte) land (1 lsl (id land 7)) <> 0
-
-let lane_mem l id =
-  let rec go k =
-    k < l.len && (l.seqs.((l.head + k) land (Array.length l.seqs - 1)) = id || go (k + 1))
-  in
-  go 0
-
-let queued t id =
-  Heap.Arena.mem_seq t.heap id
-  ||
-  let rec go c = c < t.cat_count && (lane_mem t.lanes.(c) id || go (c + 1)) in
-  go 1
-
-(* Only a queued event can be cancelled.  Marking an id that already
-   fired (or never existed) would count a tombstone no pop ever clears,
-   and [pending] would drift below the real queue length.  The
-   membership scan is O(pending); nothing cancels per event. *)
-let cancel t id =
-  if id < 0 then invalid_arg "Engine.cancel: negative id";
-  if (not (is_cancelled t id)) && queued t id then begin
-    let byte = id lsr 3 in
-    if byte >= Bytes.length t.cancelled then begin
-      let cap = max (2 * Bytes.length t.cancelled) (byte + 1) in
-      let b = Bytes.make cap '\000' in
-      Bytes.blit t.cancelled 0 b 0 (Bytes.length t.cancelled);
-      t.cancelled <- b
-    end;
-    let cur = Char.code (Bytes.get t.cancelled byte) in
-    Bytes.set t.cancelled byte (Char.chr (cur lor (1 lsl (id land 7))));
-    t.cancelled_pending <- t.cancelled_pending + 1
-  end
-
-let uncancel t id =
-  let byte = id lsr 3 in
-  let cur = Char.code (Bytes.get t.cancelled byte) in
-  Bytes.set t.cancelled byte (Char.chr (cur land lnot (1 lsl (id land 7))));
-  t.cancelled_pending <- t.cancelled_pending - 1
-
-let pending t =
-  (* Cancelled events stay queued as tombstones until popped. *)
-  Heap.Arena.length t.heap + t.lane_entries - t.cancelled_pending
+let pending t = Heap.Arena.length t.heap + t.lane_entries
 
 (* The engine itself never reads a wall clock: the instrument supplies
    its own timer (the telemetry probe passes one), so deterministic sim
@@ -293,16 +235,12 @@ let pending t =
 let set_instrument ?(timer = fun () -> 0.) t report =
   t.instrument <- Some { timer; report }
 
-let clear_instrument t = t.instrument <- None
-
 let profile t =
   let acc = ref [] in
   for id = t.cat_count - 1 downto 0 do
     if t.cat_events.(id) > 0 then acc := (t.cat_names.(id), t.cat_events.(id)) :: !acc
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
-
-let handler_seconds t = t.handler_seconds
 
 (* Remove the heap top and free its payload slot. *)
 let drop_heap t =
@@ -321,42 +259,17 @@ let drop_lane t l =
   t.best <- min_lane t 1 (-1)
 
 (* Find the least queued event — the heap top or the cached least lane
-   head, whichever is first in (time, seq) — popping tombstones on the
-   way; [true] if a live head remains, with its source in [t.src]. *)
-let rec settle_head t =
+   head, whichever is first in (time, seq); [true] if one is queued,
+   with its source in [t.src]. *)
+let settle_head t =
   let q = t.heap and b = t.best in
-  if b < 0 then (not (Heap.Arena.is_empty q)) && settle_heap t
-  else if Heap.Arena.is_empty q then settle_lane t b
-  else
-    let l = t.lanes.(b) in
-    let ht = (Heap.Arena.prios q).(0) and lt = l.times.(l.head) in
-    if ht < lt || (ht = lt && Heap.Arena.top_seq q < l.seqs.(l.head)) then settle_heap t
-    else settle_lane t b
-
-and settle_heap t =
-  let seq = Heap.Arena.top_seq t.heap in
-  if t.cancelled_pending > 0 && is_cancelled t seq then begin
-    uncancel t seq;
-    drop_heap t;
-    settle_head t
-  end
-  else begin
-    t.src <- -1;
-    true
-  end
-
-and settle_lane t b =
-  let l = t.lanes.(b) in
-  let seq = l.seqs.(l.head) in
-  if t.cancelled_pending > 0 && is_cancelled t seq then begin
-    uncancel t seq;
-    drop_lane t l;
-    settle_head t
-  end
-  else begin
-    t.src <- b;
-    true
-  end
+  t.src <-
+    (if b < 0 || Heap.Arena.is_empty q then b
+     else
+       let l = t.lanes.(b) in
+       let ht = (Heap.Arena.prios q).(0) and lt = l.times.(l.head) in
+       if ht < lt || (ht = lt && Heap.Arena.top_seq q < l.seqs.(l.head)) then -1 else b);
+  t.src >= 0 || not (Heap.Arena.is_empty q)
 
 (* Time of the settled head.  Times are read straight from the float
    arrays; a float crossing a call boundary is boxed, so [drain]'s
@@ -376,7 +289,7 @@ let due_after t horizon =
     l.times.(l.head) > horizon
 
 (* Execute the settled head event: advance the clock, bump the category
-   cell, run the action.  The caller has already settled tombstones. *)
+   cell, run the action.  The caller has already settled the head. *)
 let exec t =
   let b = t.src in
   let from_heap = b < 0 in
@@ -415,9 +328,7 @@ let step t =
   | Some { timer; report } ->
       let t0 = timer () in
       let stepped = step_uninstrumented t in
-      let dt = timer () -. t0 in
-      t.handler_seconds <- t.handler_seconds +. dt;
-      report ~seconds:dt;
+      report ~seconds:(timer () -. t0);
       stepped
 
 let drain t horizon =
@@ -442,11 +353,7 @@ let run ?until t =
   | None -> run_events t until
   | Some { timer; report } ->
       let t0 = timer () in
-      let finish () =
-        let dt = timer () -. t0 in
-        t.handler_seconds <- t.handler_seconds +. dt;
-        report ~seconds:dt
-      in
+      let finish () = report ~seconds:(timer () -. t0) in
       (try run_events t until
        with e ->
          finish ();

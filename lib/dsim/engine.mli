@@ -7,6 +7,11 @@
     events.  There is no real concurrency: determinism is total given
     the same seed and schedule.
 
+    A scheduled event cannot be withdrawn: it stays queued until it
+    fires.  A caller whose timer may outlive its purpose (a retry for a
+    message already delivered, a round already finished) keeps its own
+    record and makes the stale firing find that record inert.
+
     The queue is a binary heap plus one FIFO lane per non-default
     category.  Every event takes a sequence number from the heap's one
     counter ({!Heap.Arena.take_seq}), and the only order that matters
@@ -27,9 +32,6 @@
 
 type t
 
-type event_id
-(** Handle for cancelling a scheduled event. *)
-
 type category
 (** Interned event-category id.  Categories tag events for {!profile};
     hot paths intern once at wiring time with {!category} and schedule
@@ -48,24 +50,20 @@ val category : t -> string -> category
 (** Intern a category name (idempotent).  The default category
     ["event"] is always interned first. *)
 
-val category_name : t -> category -> string
-(** Inverse of {!category}.
-    @raise Invalid_argument on a foreign id. *)
-
-val schedule_at : ?category:string -> t -> float -> (unit -> unit) -> event_id
+val schedule_at : ?category:string -> t -> float -> (unit -> unit) -> unit
 (** [schedule_at t time f] runs [f] at virtual [time].  [category]
     (default ["event"]) tags the event for {!profile}.
     @raise Invalid_argument if [time] is in the past. *)
 
-val schedule_after : ?category:string -> t -> float -> (unit -> unit) -> event_id
+val schedule_after : ?category:string -> t -> float -> (unit -> unit) -> unit
 (** [schedule_after t delay f] runs [f] at [now t +. delay].
     @raise Invalid_argument if [delay < 0.]. *)
 
-val schedule_at_cat : t -> category -> float -> (unit -> unit) -> event_id
+val schedule_at_cat : t -> category -> float -> (unit -> unit) -> unit
 (** {!schedule_at} with a pre-interned category: the hot-path variant,
     no string lookup per event. *)
 
-val schedule_after_cat : t -> category -> float -> (unit -> unit) -> event_id
+val schedule_after_cat : t -> category -> float -> (unit -> unit) -> unit
 (** {!schedule_after} with a pre-interned category. *)
 
 val every :
@@ -78,18 +76,9 @@ val every :
     churning a closure per tick.
     @raise Invalid_argument if [period <= 0.]. *)
 
-val cancel : t -> event_id -> unit
-(** Cancel a pending event, wherever it waits (heap or lane);
-    cancelling an already-fired, already cancelled or unknown event is
-    a no-op.  Checking that the id is still queued scans the heap and
-    every lane (O({!pending})), so cancellation is for rare callers,
-    not per-event paths.  A cancelled event stays queued as a tombstone
-    that popping skips, so the order of the rest is unchanged.
-    @raise Invalid_argument on a negative id. *)
-
 val pending : t -> int
-(** Number of live events still queued, heap and lanes together;
-    cancelled events are excluded. *)
+(** Number of events still queued, heap and lanes together: exactly
+    the events still to fire. *)
 
 (** {1 Inline events}
 
@@ -107,8 +96,8 @@ val pending : t -> int
     instead order such a tie by when each event was scheduled. *)
 
 val next_time : t -> float
-(** Virtual time of the next live queued event, after dropping any
-    cancelled tombstones at the head; [infinity] when none is queued. *)
+(** Virtual time of the next queued event; [infinity] when none is
+    queued. *)
 
 val advance : t -> category -> float -> unit
 (** [advance t cat time] sets the clock to [time] and counts one
@@ -145,11 +134,6 @@ val set_instrument : ?timer:(unit -> float) -> t -> (seconds:float -> unit) -> u
     previous one.  Called after each {!run} slice and each {!step}
     with the elapsed time measured with [timer] (default: a zero
     clock, so [seconds] is 0 unless a real timer is supplied). *)
-
-val clear_instrument : t -> unit
-
-val handler_seconds : t -> float
-(** Cumulative instrumented run-slice seconds (0 without a timer). *)
 
 val profile : t -> (string * int) list
 (** Executed-event count per category, sorted by category name;

@@ -79,20 +79,6 @@ let pop h =
 
 let pop_exn h = match pop h with Some x -> x | None -> raise Not_found
 
-let clear h =
-  h.size <- 0;
-  h.data <- [||]
-
-let to_sorted_list h =
-  let entries = Array.sub h.data 0 h.size in
-  Array.sort
-    (fun a b ->
-      match Float.compare a.prio b.prio with
-      | 0 -> Int.compare a.seq b.seq
-      | c -> c)
-    entries;
-  Array.to_list (Array.map (fun e -> (e.prio, e.value)) entries)
-
 (* Flat structure-of-arrays arena heap: priorities live in an unboxed
    [float array], sequence numbers and integer tags in [int array]s.
    Pushing and popping move plain words between preallocated arrays —
@@ -181,10 +167,6 @@ module Arena = struct
   let top_tag h =
     if h.size = 0 then invalid_arg "Heap.Arena.top_tag: empty";
     h.tags.(0)
-
-  let mem_seq h seq =
-    let rec go i = i < h.size && (h.seqs.(i) = seq || go (i + 1)) in
-    go 0
 
   (* [before] on (prio, seq) pairs: smaller priority first, FIFO among
      equal priorities. *)

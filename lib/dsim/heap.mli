@@ -35,12 +35,6 @@ val pop : 'a t -> (float * 'a) option
 val pop_exn : 'a t -> float * 'a
 (** Like {!pop}. @raise Not_found if the heap is empty. *)
 
-val clear : 'a t -> unit
-(** Remove every entry. *)
-
-val to_sorted_list : 'a t -> (float * 'a) list
-(** Non-destructive snapshot in ascending priority (FIFO among ties). *)
-
 (** Flat structure-of-arrays min-heap: unboxed [float array] priorities,
     [int array] sequence numbers and tags, and no payload array.
     Pushing and popping move plain words between preallocated arrays,
@@ -89,10 +83,6 @@ module Arena : sig
 
   val top_tag : t -> int
   (** Tag of the minimum entry. *)
-
-  val mem_seq : t -> int -> bool
-  (** Whether the entry with this sequence number is still queued: a
-      linear scan, for rare callers (cancellation), never per event. *)
 
   val drop : t -> unit
   (** Remove the minimum entry (read it with the [top_*] accessors

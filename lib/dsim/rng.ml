@@ -50,27 +50,6 @@ let exponential g rate =
   let u = 1.0 -. float g 1.0 in
   -.log u /. rate
 
-let normal g ~mean ~stddev =
-  let u1 = 1.0 -. float g 1.0 in
-  let u2 = float g 1.0 in
-  let r = sqrt (-2.0 *. log u1) in
-  mean +. (stddev *. r *. cos (2.0 *. Float.pi *. u2))
-
-let poisson g mean =
-  if mean <= 0. then 0
-  else if mean > 500. then
-    (* Normal approximation with continuity correction. *)
-    let x = normal g ~mean ~stddev:(sqrt mean) in
-    max 0 (int_of_float (Float.round x))
-  else begin
-    let limit = exp (-.mean) in
-    let rec loop k p =
-      let p = p *. float g 1.0 in
-      if p <= limit then k else loop (k + 1) p
-    in
-    loop 0 1.0
-  end
-
 (* Rejection-inversion sampling for the Zipf distribution, after
    Hörmann & Derflinger (1996).  Constant expected time per draw. *)
 let zipf g ~n ~s =
@@ -104,16 +83,3 @@ let shuffle g arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let pick_weighted g items =
-  let total = List.fold_left (fun acc (_, w) -> acc +. max 0. w) 0. items in
-  if total <= 0. then invalid_arg "Rng.pick_weighted: total weight not positive";
-  let target = float g total in
-  let rec scan acc = function
-    | [] -> invalid_arg "Rng.pick_weighted: empty list"
-    | [ (v, _) ] -> v
-    | (v, w) :: rest ->
-        let acc = acc +. max 0. w in
-        if target < acc then v else scan acc rest
-  in
-  scan 0. items

@@ -47,13 +47,6 @@ val exponential : t -> float -> float
 (** [exponential g rate] draws from Exp(rate); mean [1. /. rate].
     @raise Invalid_argument if [rate <= 0]. *)
 
-val poisson : t -> float -> int
-(** [poisson g mean] draws a Poisson variate.  Uses Knuth's product
-    method for small means and a normal approximation above 500. *)
-
-val normal : t -> mean:float -> stddev:float -> float
-(** Gaussian variate by Box–Muller. *)
-
 val zipf : t -> n:int -> s:float -> int
 (** [zipf g ~n ~s] draws a rank in [\[1, n\]] from a Zipf distribution
     with exponent [s] (by inverse-CDF over precomputed weights is too
@@ -65,8 +58,3 @@ val choice : t -> 'a array -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick_weighted : t -> ('a * float) list -> 'a
-(** [pick_weighted g items] picks proportionally to the (non-negative)
-    weights.  @raise Invalid_argument if the total weight is not
-    positive. *)

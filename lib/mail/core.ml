@@ -167,9 +167,8 @@ module Ops = struct
          (Printf.sprintf "Mail.Core.submit: unknown recipient %s"
             (Naming.Name.to_string recipient)));
     let msg = new_message t ~sender ~recipient ~subject ~body ?parts ~at () in
-    ignore
-      (Dsim.Engine.schedule_at ~category:"mail.submit" t.engine at (fun () ->
-           Pipeline.submit t.pipeline ~sender_agent ~msg));
+    Dsim.Engine.schedule_at ~category:"mail.submit" t.engine at (fun () ->
+        Pipeline.submit t.pipeline ~sender_agent ~msg);
     msg
 
   let submit t ~sender ~recipient ?subject ?body ?parts () =
@@ -185,9 +184,8 @@ module Ops = struct
     stats
 
   let check_mail_at t ~at name =
-    ignore
-      (Dsim.Engine.schedule_at ~category:"mail.check" t.engine at (fun () ->
-           ignore (check_mail t name)))
+    Dsim.Engine.schedule_at ~category:"mail.check" t.engine at (fun () ->
+        ignore (check_mail t name))
 
   let compact t =
     let prunable = Pipeline.prunable t.pipeline ~ledger:t.ledger in
@@ -220,11 +218,10 @@ module Ops = struct
     if period <= 0. then invalid_arg "Mail.Core.schedule_cleanup: period <= 0";
     let rec arm at =
       if at <= until then
-        ignore
-          (Dsim.Engine.schedule_at ~category:"mail.cleanup" t.engine at (fun () ->
-               let dropped = Replica_group.cleanup_all t.storage ~now:(now t) ~max_age in
-               if dropped > 0 then count ~by:dropped t "archive_dropped";
-               arm (at +. period)))
+        Dsim.Engine.schedule_at ~category:"mail.cleanup" t.engine at (fun () ->
+            let dropped = Replica_group.cleanup_all t.storage ~now:(now t) ~max_age in
+            if dropped > 0 then count ~by:dropped t "archive_dropped";
+            arm (at +. period))
     in
     arm (now t +. period)
 end

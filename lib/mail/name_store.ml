@@ -44,12 +44,11 @@ let rec send_put t ~dst name entry =
   t.update_messages <- t.update_messages + 1;
   let accepted = Netsim.Net.send t.net ~src:(primary t) ~dst (Put (name, entry)) in
   if not accepted then
-    ignore
-      (Dsim.Engine.schedule_after t.engine 10. (fun () ->
-           match NameMap.find_opt name t.latest with
-           | Some newest when newest.version = entry.version ->
-               send_put t ~dst name entry
-           | Some _ | None -> ()))
+    Dsim.Engine.schedule_after t.engine 10. (fun () ->
+        match NameMap.find_opt name t.latest with
+        | Some newest when newest.version = entry.version ->
+            send_put t ~dst name entry
+        | Some _ | None -> ())
 
 let create ~engine ~graph ~replicas:replica_list () =
   if replica_list = [] then invalid_arg "Name_store.create: no replicas";

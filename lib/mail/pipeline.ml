@@ -233,12 +233,10 @@ let through_queue t node msg work =
             queue_wait_span t node m ~arrived ~started;
             let service = Dsim.Rng.exponential t.service_rng rate in
             q.busy_total <- q.busy_total +. service;
-            ignore
-              (Dsim.Engine.schedule_after_cat t.engine t.cat_service service
-                 (fun () ->
-                   job ();
-                   q.served <- q.served + 1;
-                   serve_next ()))
+            Dsim.Engine.schedule_after_cat t.engine t.cat_service service (fun () ->
+                job ();
+                q.served <- q.served + 1;
+                serve_next ())
       in
       if not q.busy then serve_next ()
 
@@ -355,9 +353,7 @@ let arm_retry t f (p : pending) ~bounded step =
         declare_dead t f p.p_msg ~reason:"retries exhausted"
       end
   and fire () =
-    ignore
-      (Dsim.Engine.schedule_after_cat t.engine t.cat_retry t.config.retry_timeout
-         handler)
+    Dsim.Engine.schedule_after_cat t.engine t.cat_retry t.config.retry_timeout handler
   in
   fire ()
 
@@ -436,9 +432,7 @@ let arm_round_timer t f (r : round) =
         fire ()
       end
   and fire () =
-    ignore
-      (Dsim.Engine.schedule_after_cat t.engine t.cat_replicate
-         replicate_timeout handler)
+    Dsim.Engine.schedule_after_cat t.engine t.cat_replicate replicate_timeout handler
   in
   fire ()
 
@@ -673,13 +667,12 @@ and arm_submit_timer t f msg sender_agent ~delay ~resubmission =
   if not f.submit_timer then begin
     f.submit_timer <- true;
     let category = if resubmission then t.cat_resubmit else t.cat_submit in
-    ignore
-      (Dsim.Engine.schedule_after_cat t.engine category delay (fun () ->
-           f.submit_timer <- false;
-           if (not (Message.is_deposited msg)) && not f.dead then begin
-             if resubmission then incr t.cells.c_resubmissions;
-             try_submit t f msg sender_agent
-           end))
+    Dsim.Engine.schedule_after_cat t.engine category delay (fun () ->
+        f.submit_timer <- false;
+        if (not (Message.is_deposited msg)) && not f.dead then begin
+          if resubmission then incr t.cells.c_resubmissions;
+          try_submit t f msg sender_agent
+        end)
   end
 
 let submit t ~sender_agent ~msg =

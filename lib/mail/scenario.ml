@@ -129,10 +129,10 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
         Dsim.Engine.advance engine cat_check at;
         sweep ()
       end
-      else ignore (Dsim.Engine.schedule_at_cat engine cat_check at sweep)
+      else Dsim.Engine.schedule_at_cat engine cat_check at sweep
   in
   if n_users > 0 && next_check.(0) < spec.duration then
-    ignore (Dsim.Engine.schedule_at_cat engine cat_check next_check.(0) sweep);
+    Dsim.Engine.schedule_at_cat engine cat_check next_check.(0) sweep;
   (* Fault campaign, if any: compiled deterministically from the
      campaign's own seed (salted with the run seed) and armed on the
      network; every effective status flip is tallied by fault kind. *)
@@ -170,10 +170,9 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   let compact_period = 5. *. spec.check_period in
   let rec arm_compact at =
     if at < spec.duration then
-      ignore
-        (Dsim.Engine.schedule_at ~category:"scenario.compact" engine at (fun () ->
-             ignore (M.compact sys);
-             arm_compact (at +. compact_period)))
+      Dsim.Engine.schedule_at ~category:"scenario.compact" engine at (fun () ->
+          ignore (M.compact sys);
+          arm_compact (at +. compact_period))
   in
   arm_compact compact_period;
   (* Observability: a periodic virtual-time sampling event refreshes
@@ -205,6 +204,16 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   M.quiesce sys;
   Array.iteri (fun i _ -> check i) users_arr;
   M.quiesce sys;
+  (* [quiesce] gives up silently after its step budget, so a timer
+     that re-arms forever would otherwise leave no trace in the
+     outcome. *)
+  (match Dsim.Engine.pending engine with
+  | 0 -> ()
+  | left ->
+      failwith
+        (Printf.sprintf
+           "Scenario.drive: %d events still queued at virtual time %g after the drain"
+           left (M.now sys)));
   ignore (M.compact sys);
   let report = Evaluation.of_system (module M) sys in
   (* Raw infrastructure health: mean single-node uptime. *)

@@ -114,10 +114,10 @@ val drive :
     {!System.S}: inject the mail workload, arm phase-shifted periodic
     checks (calling [on_check_tick] just before each — the roaming
     hook of designs 2/3), arm the fault campaign (if any), run to the
-    horizon, heal every fault, drain, final-check every user, compact,
-    check the delivery ledger, and snapshot metrics.  Fault windows are tallied
-    per kind as [fault_<kind>] counters and emitted as ["fault"] spans
-    on the tracer.
+    horizon, heal every fault, drain, final-check every user, drain
+    again, compact, check the delivery ledger, and snapshot metrics.
+    Fault windows are tallied per kind as [fault_<kind>] counters and
+    emitted as ["fault"] spans on the tracer.
 
     Periodic checks: of [N] users (in {!System.S.users} order), user
     [i] checks at [check_period * (i+1) / (N+1)] and then at repeated
@@ -130,7 +130,10 @@ val drive :
     event runs after it.  Each check calls [on_check_tick], then
     [M.view], runs the retrieval round, then reads [M.counters] — an
     instrumenting [System.S] wrapper may time a check between the last
-    two calls. *)
+    two calls.
+
+    @raise Failure if events are still queued after the final drain
+    (a timer that re-arms forever outlasts [M.quiesce]'s step budget). *)
 
 val run_syntax :
   ?config:Syntax_system.config -> Netsim.Topology.mail_site -> spec -> outcome

@@ -1,10 +1,9 @@
 module type S = System_intf.S
 
 (* Optional arguments do not erase during signature inclusion, so the
-   designs' richer shared submit functions are shadowed with these
-   exact-arity wrappers. *)
+   designs' richer shared submit function is shadowed with this
+   exact-arity wrapper. *)
 module Exact_submit = struct
-  let submit t ~sender ~recipient () = Core.Ops.submit t ~sender ~recipient ()
   let submit_at t ~at ~sender ~recipient () = Core.Ops.submit_at t ~at ~sender ~recipient ()
 end
 

@@ -6,8 +6,8 @@
     checks and quiescing.  [S] captures that surface once so scenario
     drivers and evaluation exist once instead of per-design
     ({!Scenario.drive}, {!Evaluation.of_system}).  Its values are the
-    designs' shared {!Core.Ops} operations, documented there; [submit]
-    and [submit_at] take no optional arguments. *)
+    designs' shared {!Core.Ops} operations, documented there;
+    [submit_at] takes no optional arguments. *)
 
 (* lint: allow missing-mli — interface-only module: it declares module types, and an .mli would have to repeat it verbatim *)
 
@@ -50,9 +50,6 @@ module type S = sig
 
   (** {1 Operation} *)
 
-  val submit :
-    t -> sender:Naming.Name.t -> recipient:Naming.Name.t -> unit -> Message.t
-
   val submit_at :
     t ->
     at:float ->
@@ -61,8 +58,6 @@ module type S = sig
     unit ->
     Message.t
 
-  val check_mail : t -> Naming.Name.t -> User_agent.check_stats
-  val run_until : t -> float -> unit
   val quiesce : ?step:float -> ?max_steps:int -> t -> unit
 
   val compact : t -> int

@@ -57,7 +57,7 @@ let broadcast ?(failed = []) g ~tree ~root =
           forward v (Some src)))
     (Netsim.Graph.nodes g);
   if not (List.mem root failed) then
-    ignore (Dsim.Engine.schedule_at engine 0. (fun () -> forward root None));
+    Dsim.Engine.schedule_at engine 0. (fun () -> forward root None);
   Dsim.Engine.run engine;
   {
     messages = Netsim.Net.messages_sent net;
@@ -90,7 +90,7 @@ let flood ?(failed = []) g ~root =
           forward v (Some src)))
     (Netsim.Graph.nodes g);
   if not (List.mem root failed) then
-    ignore (Dsim.Engine.schedule_at engine 0. (fun () -> forward root None));
+    Dsim.Engine.schedule_at engine 0. (fun () -> forward root None);
   Dsim.Engine.run engine;
   {
     messages = Netsim.Net.messages_sent net;
@@ -180,9 +180,7 @@ let convergecast ?(failed = []) ?timeout g ~tree ~root ~value =
           let child_budget = Float.max 0.001 (budget -. (2. *. w) -. 1e-6) in
           send_edge net ~src:v ~dst:u (Query child_budget))
         kids;
-      ignore
-        (Dsim.Engine.schedule_after engine budget (fun () ->
-             if not st.sent_up then send_up v))
+      Dsim.Engine.schedule_after engine budget (fun () -> if not st.sent_up then send_up v)
     end
     end
   in
@@ -203,7 +201,7 @@ let convergecast ?(failed = []) ?timeout g ~tree ~root ~value =
           | Reply (sum, responders) -> on_reply v sum responders))
     (Netsim.Graph.nodes g);
   if not (List.mem root failed) then
-    ignore (Dsim.Engine.schedule_at engine 0. (fun () -> on_query root None ~budget:timeout));
+    Dsim.Engine.schedule_at engine 0. (fun () -> on_query root None ~budget:timeout);
   Dsim.Engine.run engine;
   let total, responded = match !root_result with Some (s, r) -> (s, r) | None -> (0, 0) in
   {

@@ -80,7 +80,7 @@ let run ?(horizon = 1e9) ?(wake = `All) g =
   (* Requeue a message the automaton cannot process yet: redeliver to
      self shortly, without touching the network counters. *)
   let rec requeue c ~src m =
-    ignore (Dsim.Engine.schedule_after engine 0.001 (fun () -> handle c ~src m))
+    Dsim.Engine.schedule_after engine 0.001 (fun () -> handle c ~src m)
   and wakeup c =
     (* Pick the minimum adjacent edge, make it a Branch, send Connect(0). *)
     let best =
@@ -212,9 +212,7 @@ let run ?(horizon = 1e9) ?(wake = `All) g =
   let wakers = match wake with `All -> Array.to_list ctx | `One -> [ ctx.(0) ] in
   List.iter
     (fun c ->
-      ignore
-        (Dsim.Engine.schedule_at engine 0. (fun () ->
-             if c.sn = Sleeping then wakeup c)))
+      Dsim.Engine.schedule_at engine 0. (fun () -> if c.sn = Sleeping then wakeup c))
     wakers;
   Dsim.Engine.run ~until:horizon engine;
   if n = 1 && not !halted then begin

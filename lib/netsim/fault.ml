@@ -18,8 +18,6 @@ type fault =
 
 type campaign = { seed : int; faults : fault list }
 
-let no_faults = { seed = 0; faults = [] }
-
 type target = Node of Graph.node | Link of Graph.node * Graph.node
 
 type window = { target : target; kind : string; start : float; duration : float }
@@ -238,7 +236,7 @@ let apply ?on_event net sched =
     (fun k ->
       let w = windows.(k / 2) in
       let flip = if k land 1 = 0 then fun () -> down w else fun () -> up w in
-      ignore (Dsim.Engine.schedule_at_cat engine cat times.(k) flip))
+      Dsim.Engine.schedule_at_cat engine cat times.(k) flip)
     flips
 
 let heal net sched =

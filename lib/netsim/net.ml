@@ -992,7 +992,7 @@ let schedule_delivery t ~src ~dst ~hop_count ~latency msg =
   sl.s_dst.(i) <- dst;
   sl.s_hops.(i) <- hop_count;
   sl.s_msg.(i) <- msg;
-  ignore (Dsim.Engine.schedule_after t.engine latency sl.s_fire.(i))
+  Dsim.Engine.schedule_after t.engine latency sl.s_fire.(i)
 
 (* Per-hop serialisation delay for a [bytes]-sized payload. *)
 let serialisation t bytes =
@@ -1077,10 +1077,3 @@ let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let messages_lost t = t.lost
 let hops_traversed t = t.hops
-
-let reset_counters t =
-  t.sent <- 0;
-  t.delivered <- 0;
-  t.dropped <- 0;
-  t.hops <- 0;
-  t.lost <- 0

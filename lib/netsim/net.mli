@@ -119,9 +119,7 @@ val set_route_anchors : 'msg t -> Graph.node list -> unit
     cache hit is a routing query answered from a cached tree; an
     invalidation is one repair pass that re-settled at least one node
     of a cached tree (or one tree dropped by {!set_route_anchors});
-    repair nodes counts the nodes those passes re-settled.  Not reset
-    by {!reset_counters}: they describe cache behaviour over the
-    network's whole life, not per-experiment traffic. *)
+    repair nodes counts the nodes those passes re-settled. *)
 
 val route_recomputes : 'msg t -> int
 val route_cache_hits : 'msg t -> int
@@ -182,4 +180,3 @@ val messages_lost : 'msg t -> int
 val hops_traversed : 'msg t -> int
 (** Total edges crossed by delivered messages. *)
 
-val reset_counters : 'msg t -> unit

@@ -189,15 +189,11 @@ let dijkstra_flat ~adj ?edge_down ?up ws source =
   done;
   ({ source; dist; prev }, via)
 
-let all_pairs g = Array.of_list (List.map (dijkstra g) (Graph.nodes g))
-
-let next_hop_table g src = first_hops (dijkstra g src)
-
-let eccentricity g v =
-  let t = dijkstra g v in
-  Array.fold_left
-    (fun acc d -> if Float.is_finite d && d > acc then d else acc)
-    0. t.dist
-
 let diameter g =
-  List.fold_left (fun acc v -> Float.max acc (eccentricity g v)) 0. (Graph.nodes g)
+  (* Greatest finite distance from [v] to any reachable node. *)
+  let eccentricity v =
+    Array.fold_left
+      (fun acc d -> if Float.is_finite d && d > acc then d else acc)
+      0. (dijkstra g v).dist
+  in
+  List.fold_left (fun acc v -> Float.max acc (eccentricity v)) 0. (Graph.nodes g)

@@ -2,8 +2,8 @@
 
     The paper's cost model and routing both rest on "shortest-path
     zero-load" distances (§3.1.1); this module provides Dijkstra from
-    a single source, all-pairs tables, explicit path extraction and
-    next-hop routing tables for the transport layer. *)
+    a single source, explicit path extraction, next-hop tables derived
+    from a tree and the graph's diameter. *)
 
 type tree = {
   source : Graph.node;
@@ -38,20 +38,9 @@ val first_hops : tree -> Graph.node array
     source).  O(n) over the predecessor array — no re-running
     Dijkstra, no path-list allocation. *)
 
-val all_pairs : Graph.t -> tree array
-(** [all_pairs g] runs Dijkstra from every node; index by source id. *)
-
-val next_hop_table : Graph.t -> Graph.node -> Graph.node array
-(** [next_hop_table g src] gives, for every destination [d], the
-    neighbour of [src] that begins a shortest path to [d] ([-1] when
-    unreachable or [d = src]).  Deterministic: among equal-cost
-    first hops the lowest node id wins. *)
-
-val eccentricity : Graph.t -> Graph.node -> float
-(** Greatest finite distance from the node to any reachable node. *)
-
 val diameter : Graph.t -> float
-(** Max eccentricity over all nodes ([0.] for empty graphs). *)
+(** Greatest finite shortest-path distance between any two nodes
+    ([0.] for empty graphs). *)
 
 (** {1 Flat routing core}
 

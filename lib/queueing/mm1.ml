@@ -6,21 +6,6 @@ let utilization ~arrival_rate ~service_rate =
   if service_rate <= 0. then invalid_arg "Mm1.utilization: service_rate <= 0";
   arrival_rate /. service_rate
 
-let mean_queue_length ~rho = if rho >= 1. then infinity else rho /. (1. -. rho)
-
 let mean_waiting_time ~arrival_rate ~service_rate =
   let rho = utilization ~arrival_rate ~service_rate in
   if rho >= 1. then infinity else rho /. (service_rate -. arrival_rate)
-
-let mean_sojourn_time ~arrival_rate ~service_rate =
-  if arrival_rate >= service_rate then infinity
-  else 1. /. (service_rate -. arrival_rate)
-
-let prob_n_customers ~rho n =
-  if n < 0 then 0.
-  else if rho >= 1. || rho < 0. then 0.
-  else (1. -. rho) *. (rho ** float_of_int n)
-
-let prob_wait_exceeds ~arrival_rate ~service_rate t =
-  if arrival_rate >= service_rate then 1.
-  else exp (-.(service_rate -. arrival_rate) *. t)

@@ -4,8 +4,8 @@
     waiting time at a server by the M/M/1 formula [Q(ρ) = ρ/(1−ρ)]
     (in units of the mean service time), capping it with "a very large
     constant B" once utilisation reaches 0.99.  This module provides
-    that estimate plus the standard exact quantities for validating
-    the simulator against theory. *)
+    that estimate plus the exact mean waiting time the simulator's
+    server queues are validated against. *)
 
 val paper_q : ?cap:float -> float -> float
 (** [paper_q rho] is the paper's waiting-time estimate: [rho /. (1. -. rho)]
@@ -15,19 +15,6 @@ val paper_q : ?cap:float -> float -> float
 val utilization : arrival_rate:float -> service_rate:float -> float
 (** ρ = λ/μ. @raise Invalid_argument if [service_rate <= 0.]. *)
 
-val mean_queue_length : rho:float -> float
-(** L = ρ/(1−ρ); [infinity] when [rho >= 1.]. *)
-
 val mean_waiting_time : arrival_rate:float -> service_rate:float -> float
 (** Wq = ρ / (μ − λ); time an arrival waits before service starts.
     [infinity] when unstable. *)
-
-val mean_sojourn_time : arrival_rate:float -> service_rate:float -> float
-(** W = 1 / (μ − λ); waiting plus service. [infinity] when unstable. *)
-
-val prob_n_customers : rho:float -> int -> float
-(** P(N = n) = (1−ρ)ρⁿ for a stable queue; 0 when unstable. *)
-
-val prob_wait_exceeds : arrival_rate:float -> service_rate:float -> float -> float
-(** P(W > t) = e^{−(μ−λ)t} for the sojourn time of a stable queue;
-    1 when unstable. *)

@@ -11,39 +11,3 @@ let poisson_arrivals ~rng ~rate ~horizon =
 let uniform_arrivals ~rng ~count ~horizon =
   List.init count (fun _ -> Dsim.Rng.float rng horizon)
   |> List.sort Float.compare
-
-let periodic_arrivals ~period ~horizon =
-  if period <= 0. then invalid_arg "Workload.periodic_arrivals: period <= 0";
-  let rec gen t acc = if t >= horizon then List.rev acc else gen (t +. period) (t :: acc) in
-  gen period []
-
-type population = { size : int; skew : float }
-
-let pick_sender ~rng pop =
-  if pop.size <= 0 then invalid_arg "Workload.pick_sender: empty population";
-  if pop.skew <= 0. then Dsim.Rng.int rng pop.size
-  else Dsim.Rng.zipf rng ~n:pop.size ~s:pop.skew - 1
-
-let pick_recipient ~rng pop ~sender ~locality ~regions =
-  if pop.size <= 1 then invalid_arg "Workload.pick_recipient: need two users";
-  let regions = max 1 regions in
-  let sender_region = sender mod regions in
-  let local = Dsim.Rng.bernoulli rng locality in
-  let rec draw attempts =
-    if attempts > 1000 then (sender + 1) mod pop.size
-    else begin
-      let candidate =
-        if local then begin
-          (* Users are striped round-robin over regions; draw an index
-             in the sender's stripe. *)
-          let stripe_size = ((pop.size - 1 - sender_region) / regions) + 1 in
-          let k = Dsim.Rng.int rng (max 1 stripe_size) in
-          sender_region + (k * regions)
-        end
-        else Dsim.Rng.int rng pop.size
-      in
-      if candidate <> sender && candidate < pop.size then candidate
-      else draw (attempts + 1)
-    end
-  in
-  draw 0

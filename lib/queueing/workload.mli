@@ -1,9 +1,6 @@
-(** Stochastic workload generators for the mail simulations.
-
-    Arrival processes produce the times at which users send mail or
-    check their mailboxes; the mix generator draws (sender, recipient)
-    pairs with configurable locality, matching the paper's setting
-    where most traffic stays within a region. *)
+(** Arrival processes for the simulations: the times at which users
+    send mail, or at which jobs reach a server queue.  Who sends to
+    whom is the scenario driver's choice ([Mail.Scenario]). *)
 
 val poisson_arrivals : rng:Dsim.Rng.t -> rate:float -> horizon:float -> float list
 (** Event times of a Poisson process of the given rate on
@@ -11,24 +8,3 @@ val poisson_arrivals : rng:Dsim.Rng.t -> rate:float -> horizon:float -> float li
 
 val uniform_arrivals : rng:Dsim.Rng.t -> count:int -> horizon:float -> float list
 (** [count] times uniform on [\[0, horizon)], ascending. *)
-
-val periodic_arrivals : period:float -> horizon:float -> float list
-(** Deterministic arrivals at [period, 2·period, …) below [horizon].
-    @raise Invalid_argument if [period <= 0.]. *)
-
-(** A population of traffic sources with Zipf-skewed activity: a few
-    users send most of the mail, as in real mail systems. *)
-type population = {
-  size : int;
-  skew : float;  (** Zipf exponent; 0. would be uniform, use ~0.8–1.2. *)
-}
-
-val pick_sender : rng:Dsim.Rng.t -> population -> int
-(** User index in [\[0, size)], rank 0 most active. *)
-
-val pick_recipient :
-  rng:Dsim.Rng.t -> population -> sender:int -> locality:float -> regions:int -> int
-(** Recipient index distinct from [sender].  With probability
-    [locality] the recipient is drawn from the sender's region (users
-    are striped across [regions] round-robin), otherwise from the
-    whole population. *)

@@ -42,23 +42,6 @@ let test_schedule_in_past_rejected () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
-let test_cancel () =
-  let e = Dsim.Engine.create () in
-  let fired = ref false in
-  let id = Dsim.Engine.schedule_at e 1. (fun () -> fired := true) in
-  Dsim.Engine.cancel e id;
-  Dsim.Engine.run e;
-  Alcotest.(check bool) "cancelled event did not fire" false !fired;
-  Alcotest.(check int) "not executed" 0 (Dsim.Engine.events_executed e)
-
-let test_pending_excludes_cancelled () =
-  let e = Dsim.Engine.create () in
-  let id = Dsim.Engine.schedule_at e 1. (fun () -> ()) in
-  ignore (Dsim.Engine.schedule_at e 2. (fun () -> ()));
-  Alcotest.(check int) "two pending" 2 (Dsim.Engine.pending e);
-  Dsim.Engine.cancel e id;
-  Alcotest.(check int) "one pending" 1 (Dsim.Engine.pending e)
-
 let test_run_until () =
   let e = Dsim.Engine.create () in
   let log = ref [] in
@@ -117,40 +100,22 @@ let prop_random_schedules_run_sorted =
            (List.filteri (fun i _ -> i < List.length order - 1) order)
            (List.tl order))
 
-(* Cancelling an event that already fired must not leave a phantom
-   tombstone: [pending] would read 0 with one event queued (and -1
-   after the run), and a [pending > 0] drain loop would stop early. *)
-let test_cancel_fired_is_noop () =
-  let e = Dsim.Engine.create () in
-  let id = Dsim.Engine.schedule_at e 1. ignore in
-  Dsim.Engine.run e;
-  Dsim.Engine.cancel e id;
-  let later = ref false in
-  ignore (Dsim.Engine.schedule_at e 2. (fun () -> later := true));
-  Alcotest.(check int) "one pending" 1 (Dsim.Engine.pending e);
-  Dsim.Engine.run e;
-  Alcotest.(check bool) "later event ran" true !later;
-  Alcotest.(check int) "none pending" 0 (Dsim.Engine.pending e);
-  let twice = Dsim.Engine.schedule_at e 3. ignore in
-  Dsim.Engine.cancel e twice;
-  Dsim.Engine.cancel e twice;
-  Alcotest.(check int) "double cancel counted once" 0 (Dsim.Engine.pending e);
-  Dsim.Engine.run e;
-  Alcotest.(check int) "still none pending" 0 (Dsim.Engine.pending e);
-  Alcotest.(check int) "executed" 2 (Dsim.Engine.events_executed e)
-
 let test_next_time () =
   let e = Dsim.Engine.create () in
   Alcotest.(check (float 0.)) "empty queue" infinity (Dsim.Engine.next_time e);
-  let head = Dsim.Engine.schedule_at e 1. ignore in
-  ignore (Dsim.Engine.schedule_at e 3. ignore);
-  Alcotest.(check (float 0.)) "live head" 1. (Dsim.Engine.next_time e);
-  Dsim.Engine.cancel e head;
-  Alcotest.(check (float 0.)) "past a cancelled head" 3. (Dsim.Engine.next_time e);
+  Dsim.Engine.schedule_at e 3. ignore;
+  Alcotest.(check (float 0.)) "heap head" 3. (Dsim.Engine.next_time e);
+  let lane = Dsim.Engine.category e "lane" in
+  Dsim.Engine.schedule_at_cat e lane 1. ignore;
+  Alcotest.(check (float 0.)) "earlier lane head" 1. (Dsim.Engine.next_time e);
+  Alcotest.(check int) "two pending" 2 (Dsim.Engine.pending e);
+  Alcotest.(check bool) "step" true (Dsim.Engine.step e);
+  Alcotest.(check (float 0.)) "heap head again" 3. (Dsim.Engine.next_time e);
   Alcotest.(check int) "one pending" 1 (Dsim.Engine.pending e);
   Dsim.Engine.run e;
   Alcotest.(check (float 0.)) "drained" infinity (Dsim.Engine.next_time e);
-  Alcotest.(check int) "cancelled head never ran" 1 (Dsim.Engine.events_executed e)
+  Alcotest.(check int) "none pending" 0 (Dsim.Engine.pending e);
+  Alcotest.(check int) "both ran" 2 (Dsim.Engine.events_executed e)
 
 let test_advance () =
   let e = Dsim.Engine.create () in
@@ -179,16 +144,13 @@ let test_advance () =
    Categories 1-3 have lanes: 1 is a fixed-delay timer, 2 draws small
    delays (many equal-time ties), 3 draws wide delays (out-of-order
    pushes into its own lane); 0 is the default category (heap only).
-   [Cancel k] cancels the k-th event pushed so far (mod the count), so
-   it hits lane-held, heap-held, fired and already cancelled events
-   alike; [Inline] is the scenario sweep's pattern — run inline when
-   strictly before [next_time], otherwise queue.  The reference keeps
+   [Inline] is the scenario sweep's pattern — run inline when strictly
+   before [next_time], otherwise queue.  The reference keeps
    every pending event in one list sorted by (time, push index): the
    order one heap holding everything pops in. *)
 
 type op =
   | Push of { cat : int; delay : int; kids : op list }
-  | Cancel of int
   | Inline of { cat : int; delay : int; kids : op list }
 
 let op_delay cat delay = if cat = 1 then 2. else float_of_int delay
@@ -196,7 +158,6 @@ let op_delay cat delay = if cat = 1 then 2. else float_of_int delay
 let rec pp_op = function
   | Push { cat; delay; kids } ->
       Printf.sprintf "Push(%d,%d,[%s])" cat delay (String.concat ";" (List.map pp_op kids))
-  | Cancel k -> Printf.sprintf "Cancel %d" k
   | Inline { cat; delay; kids } ->
       Printf.sprintf "Inline(%d,%d,[%s])" cat delay
         (String.concat ";" (List.map pp_op kids))
@@ -212,7 +173,6 @@ let gen_ops =
           int_range 0 3 >>= fun cat ->
           delay cat >>= fun delay ->
           kids >|= fun kids -> Push { cat; delay; kids } );
-        (1, nat >|= fun k -> Cancel k);
         ( 2,
           int_range 1 3 >>= fun cat ->
           delay cat >>= fun delay ->
@@ -235,21 +195,17 @@ type observed = {
 let run_engine ops =
   let e = Dsim.Engine.create ~capacity:4 () in
   let cats = Array.map (Dsim.Engine.category e) cat_names in
-  let ids = ref [||] and pushed = ref 0 and log = ref [] in
+  let pushed = ref 0 and log = ref [] in
   let record cat label = log := (Dsim.Engine.now e, cat, label, Dsim.Engine.pending e) :: !log in
   let rec exec_ops ops = List.iter exec_op ops
   and push cat at kids =
     let k = !pushed in
-    let id =
-      Dsim.Engine.schedule_at_cat e cats.(cat) at (fun () ->
-          record cat k;
-          exec_ops kids)
-    in
-    ids := Array.append !ids [| id |];
+    Dsim.Engine.schedule_at_cat e cats.(cat) at (fun () ->
+        record cat k;
+        exec_ops kids);
     incr pushed
   and exec_op = function
     | Push { cat; delay; kids } -> push cat (Dsim.Engine.now e +. op_delay cat delay) kids
-    | Cancel k -> if !pushed > 0 then Dsim.Engine.cancel e !ids.(k mod !pushed)
     | Inline { cat; delay; kids } ->
         let at = Dsim.Engine.now e +. op_delay cat delay in
         if at < Dsim.Engine.next_time e then begin
@@ -287,9 +243,6 @@ let run_reference ops =
     incr pushed
   and exec_op = function
     | Push { cat; delay; kids } -> push cat (!clock +. op_delay cat delay) kids
-    | Cancel k ->
-        if !pushed > 0 then
-          queue := List.filter (fun (_, j, _, _) -> j <> k mod !pushed) !queue
     | Inline { cat; delay; kids } ->
         let at = !clock +. op_delay cat delay in
         let next = match !queue with (t, _, _, _) :: _ -> t | [] -> infinity in
@@ -337,16 +290,11 @@ let suite =
         Alcotest.test_case "FIFO for simultaneous events" `Quick test_fifo_simultaneous;
         Alcotest.test_case "clock advances" `Quick test_clock_advances;
         Alcotest.test_case "past scheduling rejected" `Quick test_schedule_in_past_rejected;
-        Alcotest.test_case "cancel" `Quick test_cancel;
-        Alcotest.test_case "pending excludes cancelled" `Quick
-          test_pending_excludes_cancelled;
         Alcotest.test_case "run until horizon" `Quick test_run_until;
         Alcotest.test_case "event exactly at horizon" `Quick test_event_at_horizon_runs;
         Alcotest.test_case "cascading events" `Quick test_cascading_events;
         Alcotest.test_case "single stepping" `Quick test_step;
         QCheck_alcotest.to_alcotest prop_random_schedules_run_sorted;
-        Alcotest.test_case "cancel after firing is a no-op" `Quick
-          test_cancel_fired_is_noop;
         Alcotest.test_case "next_time" `Quick test_next_time;
         Alcotest.test_case "advance" `Quick test_advance;
         QCheck_alcotest.to_alcotest prop_lanes_match_one_queue;

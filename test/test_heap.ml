@@ -42,21 +42,6 @@ let test_fifo_many_ties () =
     Alcotest.(check int) (Printf.sprintf "tie %d" i) i (snd (Dsim.Heap.pop_exn h))
   done
 
-let test_clear () =
-  let h = Dsim.Heap.create () in
-  Dsim.Heap.push h 1. "a";
-  Dsim.Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Dsim.Heap.length h);
-  Dsim.Heap.push h 2. "b";
-  Alcotest.(check string) "usable after clear" "b" (snd (Dsim.Heap.pop_exn h))
-
-let test_to_sorted_list () =
-  let h = Dsim.Heap.create () in
-  List.iter (fun p -> Dsim.Heap.push h p (int_of_float p)) [ 5.; 1.; 3.; 2.; 4. ];
-  let l = Dsim.Heap.to_sorted_list h in
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (List.map snd l);
-  Alcotest.(check int) "non-destructive" 5 (Dsim.Heap.length h)
-
 let test_capacity_hint () =
   (* Pushing far past the hint must behave exactly like the default. *)
   let h = Dsim.Heap.create ~capacity:4 () in
@@ -174,9 +159,7 @@ let prop_arena_matches_reference =
                   Dsim.Heap.Arena.drop h;
                   model := rest;
                   ok))
-          && Dsim.Heap.Arena.length h = List.length !model
-          && Dsim.Heap.Arena.mem_seq h (!next - 1)
-             = List.exists (fun (_, s, _) -> s = !next - 1) !model)
+          && Dsim.Heap.Arena.length h = List.length !model)
         ops)
 
 let suite =
@@ -189,9 +172,7 @@ let suite =
         Alcotest.test_case "pops in priority order" `Quick test_ordering;
         Alcotest.test_case "FIFO among ties" `Quick test_fifo_ties;
         Alcotest.test_case "FIFO among many ties" `Quick test_fifo_many_ties;
-        Alcotest.test_case "clear" `Quick test_clear;
         Alcotest.test_case "capacity hint" `Quick test_capacity_hint;
-        Alcotest.test_case "to_sorted_list" `Quick test_to_sorted_list;
         QCheck_alcotest.to_alcotest prop_pop_sorted;
         QCheck_alcotest.to_alcotest prop_heap_matches_sort;
         QCheck_alcotest.to_alcotest prop_arena_matches_reference;

@@ -3,14 +3,6 @@
 
 (* --- engine ---------------------------------------------------------- *)
 
-let test_cancel_from_within_run () =
-  let e = Dsim.Engine.create () in
-  let fired = ref false in
-  let late = Dsim.Engine.schedule_at e 10. (fun () -> fired := true) in
-  ignore (Dsim.Engine.schedule_at e 1. (fun () -> Dsim.Engine.cancel e late));
-  Dsim.Engine.run e;
-  Alcotest.(check bool) "cancelled mid-run" false !fired
-
 let test_step_then_run () =
   let e = Dsim.Engine.create () in
   let log = ref [] in
@@ -36,35 +28,6 @@ let test_balancer_max_passes_cap () =
   Alcotest.(check bool) "not converged in one pass" false
     stats.Loadbalance.Balancer.converged;
   Alcotest.(check int) "passes capped" 1 stats.Loadbalance.Balancer.passes
-
-(* --- mm1 extras -------------------------------------------------------- *)
-
-let test_mm1_distribution_sums () =
-  let rho = 0.6 in
-  let total = ref 0. in
-  for n = 0 to 200 do
-    total := !total +. Queueing.Mm1.prob_n_customers ~rho n
-  done;
-  Alcotest.(check bool) "P(N=n) sums to ~1" true (Float.abs (!total -. 1.) < 1e-9)
-
-let test_prob_wait_monotone () =
-  let p t = Queueing.Mm1.prob_wait_exceeds ~arrival_rate:1. ~service_rate:2. t in
-  Alcotest.(check bool) "decreasing in t" true (p 0.5 > p 1.0 && p 1.0 > p 2.0)
-
-(* --- workload striping -------------------------------------------------- *)
-
-let test_recipient_locality_striping () =
-  let rng = Dsim.Rng.create 5 in
-  let pop = { Queueing.Workload.size = 120; skew = 0. } in
-  (* locality 1.0: recipient always shares the sender's stripe *)
-  for _ = 1 to 300 do
-    let sender = Dsim.Rng.int rng 120 in
-    let r =
-      Queueing.Workload.pick_recipient ~rng pop ~sender ~locality:1.0 ~regions:4
-    in
-    if r mod 4 <> sender mod 4 then
-      Alcotest.failf "recipient %d not in sender %d's region" r sender
-  done
 
 (* --- graph edge cases --------------------------------------------------- *)
 
@@ -127,14 +90,9 @@ let suite =
   [
     ( "misc",
       [
-        Alcotest.test_case "cancel from within run" `Quick test_cancel_from_within_run;
         Alcotest.test_case "step then run" `Quick test_step_then_run;
         Alcotest.test_case "run_until with past horizon" `Quick test_run_until_twice;
         Alcotest.test_case "balancer max_passes cap" `Quick test_balancer_max_passes_cap;
-        Alcotest.test_case "M/M/1 distribution sums" `Quick test_mm1_distribution_sums;
-        Alcotest.test_case "P(wait) monotone" `Quick test_prob_wait_monotone;
-        Alcotest.test_case "recipient locality striping" `Quick
-          test_recipient_locality_striping;
         Alcotest.test_case "subgraph odd inputs" `Quick
           test_subgraph_ignores_unknown_and_duplicates;
         Alcotest.test_case "evaluation of design 2" `Quick test_evaluation_of_location;

@@ -106,14 +106,6 @@ let test_distance_and_hops () =
   Alcotest.(check int) "hops" 2 (Netsim.Net.hops net 0 2);
   Alcotest.(check int) "self" 0 (Netsim.Net.hops net 1 1)
 
-let test_reset_counters () =
-  let engine, net = make_net () in
-  ignore (Netsim.Net.send net ~src:0 ~dst:1 (Ping 9));
-  Dsim.Engine.run engine;
-  Netsim.Net.reset_counters net;
-  Alcotest.(check int) "sent reset" 0 (Netsim.Net.messages_sent net);
-  Alcotest.(check int) "delivered reset" 0 (Netsim.Net.messages_delivered net)
-
 (* Diamond: 0-1-3 is the short path (2 + 2) through relay 1; 0-2-3 the
    detour (3 + 3) through relay 2. *)
 let make_diamond () =
@@ -192,7 +184,6 @@ let suite =
         Alcotest.test_case "status listeners" `Quick test_status_listeners;
         Alcotest.test_case "per-edge FIFO" `Quick test_per_edge_fifo;
         Alcotest.test_case "distance and hops" `Quick test_distance_and_hops;
-        Alcotest.test_case "reset counters" `Quick test_reset_counters;
         Alcotest.test_case "detour around a down relay" `Quick
           test_detour_around_down_relay;
         Alcotest.test_case "down relay on a line refuses" `Quick

@@ -68,32 +68,6 @@ let test_exponential_mean () =
   (* Exp(2) has mean 0.5; loose 5% tolerance. *)
   Alcotest.(check bool) "mean near 0.5" true (Float.abs (mean -. 0.5) < 0.025)
 
-let test_normal_moments () =
-  let g = Dsim.Rng.create 11 in
-  let n = 20000 in
-  let s = Dsim.Stats.Summary.create () in
-  for _ = 1 to n do
-    Dsim.Stats.Summary.add s (Dsim.Rng.normal g ~mean:3.0 ~stddev:2.0)
-  done;
-  Alcotest.(check bool) "mean" true (Float.abs (Dsim.Stats.Summary.mean s -. 3.0) < 0.1);
-  Alcotest.(check bool) "stddev" true
-    (Float.abs (Dsim.Stats.Summary.stddev s -. 2.0) < 0.1)
-
-let test_poisson_mean () =
-  let g = Dsim.Rng.create 12 in
-  let n = 10000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    sum := !sum + Dsim.Rng.poisson g 4.0
-  done;
-  let mean = float_of_int !sum /. float_of_int n in
-  Alcotest.(check bool) "mean near 4" true (Float.abs (mean -. 4.0) < 0.15)
-
-let test_poisson_large_mean () =
-  let g = Dsim.Rng.create 13 in
-  let x = Dsim.Rng.poisson g 1000. in
-  Alcotest.(check bool) "normal approximation plausible" true (x > 800 && x < 1200)
-
 let test_zipf_range () =
   let g = Dsim.Rng.create 14 in
   for _ = 1 to 2000 do
@@ -128,17 +102,6 @@ let test_choice_and_shuffle () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 20 Fun.id) sorted
 
-let test_pick_weighted () =
-  let g = Dsim.Rng.create 18 in
-  let heavy = ref 0 in
-  for _ = 1 to 1000 do
-    if Dsim.Rng.pick_weighted g [ ("a", 9.); ("b", 1.) ] = "a" then incr heavy
-  done;
-  Alcotest.(check bool) "weights respected" true (!heavy > 800);
-  Alcotest.check_raises "no weight"
-    (Invalid_argument "Rng.pick_weighted: total weight not positive") (fun () ->
-      ignore (Dsim.Rng.pick_weighted g [ ("a", 0.) ]))
-
 let prop_uniform_in_interval =
   QCheck.Test.make ~name:"uniform stays inside its interval" ~count:500
     QCheck.(pair (float_range (-100.) 100.) (float_range 0.1 50.))
@@ -161,14 +124,10 @@ let suite =
         Alcotest.test_case "int bad bound" `Quick test_int_bad_bound;
         Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
         Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
-        Alcotest.test_case "normal moments" `Slow test_normal_moments;
-        Alcotest.test_case "poisson mean" `Slow test_poisson_mean;
-        Alcotest.test_case "poisson large mean" `Quick test_poisson_large_mean;
         Alcotest.test_case "zipf range" `Quick test_zipf_range;
         Alcotest.test_case "zipf skew" `Slow test_zipf_skew;
         Alcotest.test_case "zipf n=1" `Quick test_zipf_n1;
         Alcotest.test_case "choice and shuffle" `Quick test_choice_and_shuffle;
-        Alcotest.test_case "pick_weighted" `Quick test_pick_weighted;
         QCheck_alcotest.to_alcotest prop_uniform_in_interval;
       ] );
   ]

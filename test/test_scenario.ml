@@ -294,6 +294,32 @@ let test_check_sweep_schedule () =
   Alcotest.(check bool) "the horizon cuts the last round" true
     (last_round <> [] && List.length last_round < n)
 
+(* Design 1 with a timer that never runs out: every submit also arms
+   an event that re-arms itself every 500 vt, and the drain gives up
+   after 20 slices instead of 10 000 to keep the test short. *)
+module Rearming = struct
+  include Mail.System.Syntax
+
+  let submit_at t ~at ~sender ~recipient () =
+    let engine = engine t in
+    let rec tick () = Dsim.Engine.schedule_after engine 500. tick in
+    Dsim.Engine.schedule_at engine at tick;
+    submit_at t ~at ~sender ~recipient ()
+
+  let quiesce ?step ?max_steps:_ t = quiesce ?step ~max_steps:20 t
+end
+
+(* [drive] refuses to report on a run its drain did not finish: the
+   events still queued after the final [quiesce] are one per submit. *)
+let test_drive_fails_on_undrained_engine () =
+  let sys = Mail.Syntax_system.create (fig1 ()) in
+  match Mail.Scenario.drive (module Rearming) sys small_spec with
+  | _ -> Alcotest.fail "drive returned with events still queued"
+  | exception Failure msg ->
+      let prefix = "Scenario.drive: 120 events still queued at virtual time " in
+      Alcotest.(check string) "count in the message" prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+
 (* C1's deterministic core: with no failures every check of every
    user, the first included, is exactly one poll, on designs 1 and 2.
    No server ever restarts, so each reads LastStartTime = -inf and the
@@ -393,6 +419,8 @@ let suite =
           test_check_sweep_schedule;
         Alcotest.test_case "C1 exact: no failures, one poll per check" `Quick
           test_c1_exact_one_poll;
+        Alcotest.test_case "drive fails on an undrained engine" `Quick
+          test_drive_fails_on_undrained_engine;
         Alcotest.test_case "reported uptime matches the network" `Quick
           test_uptime_matches_network;
       ] );

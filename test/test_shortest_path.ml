@@ -58,15 +58,23 @@ let test_paper_fig1_distances () =
 
 let test_next_hop_table () =
   let g = line5 () in
-  let table = Netsim.Shortest_path.next_hop_table g 0 in
+  let table = Netsim.Shortest_path.(first_hops (dijkstra g 0)) in
   Alcotest.(check int) "to 4 via 1" 1 table.(4);
   Alcotest.(check int) "to self" (-1) table.(0)
 
+(* The diameter is the greatest eccentricity: on the line, an end
+   node's (8), not the middle one's (4); an unreachable node adds no
+   infinite distance. *)
 let test_diameter_and_eccentricity () =
   let g = line5 () in
-  Alcotest.(check (float 1e-9)) "ecc of end" 8. (Netsim.Shortest_path.eccentricity g 0);
-  Alcotest.(check (float 1e-9)) "ecc of middle" 4. (Netsim.Shortest_path.eccentricity g 2);
-  Alcotest.(check (float 1e-9)) "diameter" 8. (Netsim.Shortest_path.diameter g)
+  let ecc v = Array.fold_left Float.max 0. (Netsim.Shortest_path.dijkstra g v).dist in
+  Alcotest.(check (float 1e-9)) "ecc of end" 8. (ecc 0);
+  Alcotest.(check (float 1e-9)) "ecc of middle" 4. (ecc 2);
+  Alcotest.(check (float 1e-9)) "diameter" 8. (Netsim.Shortest_path.diameter g);
+  ignore (Netsim.Graph.add_node g);
+  Alcotest.(check (float 1e-9)) "isolated node ignored" 8. (Netsim.Shortest_path.diameter g);
+  Alcotest.(check (float 1e-9)) "empty graph" 0.
+    (Netsim.Shortest_path.diameter (Netsim.Graph.create ()))
 
 let test_all_pairs_symmetry () =
   let rng = Dsim.Rng.create 8 in
@@ -74,7 +82,9 @@ let test_all_pairs_symmetry () =
     Netsim.Topology.random_connected ~rng ~n:20 ~extra_edges:30 ~min_weight:1.
       ~max_weight:9.
   in
-  let trees = Netsim.Shortest_path.all_pairs g in
+  let trees =
+    Array.of_list (List.map (Netsim.Shortest_path.dijkstra g) (Netsim.Graph.nodes g))
+  in
   List.iter
     (fun u ->
       List.iter
