@@ -894,7 +894,7 @@ let dump_bench_json () =
   let json =
     Telemetry.Json.Obj
       [
-        ("schema", Telemetry.Json.String "mailsys.bench/7");
+        ("schema", Telemetry.Json.String "mailsys.bench/8");
         ( "designs",
           Telemetry.Json.Obj
             (List.map

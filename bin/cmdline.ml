@@ -89,4 +89,4 @@ let timeseries_file =
   output_file ~flag:"timeseries-out"
     ~doc:
       "Write the run's windowed metric timeseries (delta-encoded, \
-       mailsys.timeseries/1) to $(docv) as JSON."
+       mailsys.timeseries/2) to $(docv) as JSON."

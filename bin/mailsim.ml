@@ -328,7 +328,7 @@ let scale_cmd =
   in
   let json_file =
     Cmdline.output_file ~flag:"json-out"
-      ~doc:"Write the scale report (mailsys.scale/4) to $(docv) as JSON."
+      ~doc:"Write the scale report (mailsys.scale/5) to $(docv) as JSON."
   in
   Cmd.v
     (Cmd.info "scale"

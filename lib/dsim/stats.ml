@@ -28,27 +28,6 @@ module Summary = struct
   let max t = t.maxv
   let total t = t.total
 
-  let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
-    else begin
-      let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-      in
-      {
-        n;
-        mean;
-        m2;
-        minv = Float.min a.minv b.minv;
-        maxv = Float.max a.maxv b.maxv;
-        total = a.total +. b.total;
-      }
-    end
-
   let pp ppf t =
     Format.fprintf ppf "n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f" t.n (mean t)
       (stddev t) t.minv t.maxv
@@ -88,170 +67,134 @@ module Counter = struct
       items
 end
 
-module Histogram = struct
+module Log_histogram = struct
+  (* A positive float's bucket is the top 17 bits of its IEEE-754
+     pattern: the biased exponent and the top 6 mantissa bits, so each
+     power of two holds 64 linear sub-buckets.  No libm call and no
+     [Float.frexp] tuple on the add path. *)
+  let shift = 46
+  let octave = 64
+
   type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array;
-    mutable under : int;
-    mutable over : int;
+    mutable counts : int array;  (* [counts.(j)] counts bucket [base + j] *)
+    mutable base : int;  (* a multiple of [octave] *)
+    mutable zero : int;  (* observations [<= 0] *)
     mutable n : int;
+    mutable sum : float;
+    mutable minv : float;
+    mutable maxv : float;
   }
 
-  let create ~lo ~hi ~buckets =
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets must be positive";
-    if hi <= lo then invalid_arg "Histogram.create: empty range";
+  let create () =
     {
-      lo;
-      hi;
-      width = (hi -. lo) /. float_of_int buckets;
-      counts = Array.make buckets 0;
-      under = 0;
-      over = 0;
+      counts = [||];
+      base = 0;
+      zero = 0;
       n = 0;
+      sum = 0.;
+      minv = infinity;
+      maxv = neg_infinity;
     }
+
+  let index x = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) shift)
+
+  (* Widen [counts] to the whole octaves that also cover bucket [i]. *)
+  let grow t i =
+    let len = Array.length t.counts in
+    let lo = if len = 0 then i else Stdlib.min t.base i in
+    let hi = if len = 0 then i + 1 else Stdlib.max (t.base + len) (i + 1) in
+    let lo = lo - (lo mod octave) in
+    let hi = hi + ((octave - (hi mod octave)) mod octave) in
+    let counts = Array.make (hi - lo) 0 in
+    if len > 0 then Array.blit t.counts 0 counts (t.base - lo) len;
+    t.counts <- counts;
+    t.base <- lo
 
   let add t x =
     t.n <- t.n + 1;
-    if x < t.lo then t.under <- t.under + 1
-    else if x >= t.hi then t.over <- t.over + 1
-    else begin
-      let i = int_of_float ((x -. t.lo) /. t.width) in
-      let i = Stdlib.min i (Array.length t.counts - 1) in
-      t.counts.(i) <- t.counts.(i) + 1
+    t.sum <- t.sum +. x;
+    if x < t.minv then t.minv <- x;
+    if x > t.maxv then t.maxv <- x;
+    if x > 0. then begin
+      let i = index x in
+      if i < t.base || i >= t.base + Array.length t.counts then grow t i;
+      let j = i - t.base in
+      t.counts.(j) <- t.counts.(j) + 1
     end
+    else t.zero <- t.zero + 1
 
   let count t = t.n
-  let underflow t = t.under
-  let overflow t = t.over
+  let sum t = t.sum
+  let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
+  let min t = if t.n = 0 then nan else t.minv
+  let max t = if t.n = 0 then nan else t.maxv
 
-  let bucket_counts t =
-    Array.mapi
-      (fun i c ->
-        let lo = t.lo +. (float_of_int i *. t.width) in
-        (lo, lo +. t.width, c))
-      t.counts
+  let edge i = Int64.float_of_bits (Int64.shift_left (Int64.of_int i) shift)
+  let clamp t v = Float.min t.maxv (Float.max t.minv v)
 
-  let merge a b =
-    if
-      a.lo <> b.lo || a.hi <> b.hi
-      || Array.length a.counts <> Array.length b.counts
-    then invalid_arg "Histogram.merge: incompatible bucket layouts";
-    {
-      lo = a.lo;
-      hi = a.hi;
-      width = a.width;
-      counts = Array.map2 ( + ) a.counts b.counts;
-      under = a.under + b.under;
-      over = a.over + b.over;
-      n = a.n + b.n;
-    }
-
-  let pp ppf t =
-    Array.iter
-      (fun (lo, hi, c) -> Format.fprintf ppf "[%.3g,%.3g) %d@ " lo hi c)
-      (bucket_counts t)
-end
-
-module Reservoir = struct
-  type t = {
-    sample : float array;
-    mutable filled : int;
-    mutable seen : int;
-    rng : Rng.t;
-    mutable sorted : (int * float array) option;
-        (* sorted copy of the retained sample, keyed by the [seen]
-           count it was computed at — percentile readouts happen in
-           bursts (p50/p90/p99 per metric sampling window), so one
-           sort serves them all until the next observation. *)
-  }
-
-  let create ?(capacity = 4096) rng =
-    if capacity <= 0 then invalid_arg "Reservoir.create: capacity must be positive";
-    { sample = Array.make capacity 0.; filled = 0; seen = 0; rng; sorted = None }
-
-  let add t x =
-    t.seen <- t.seen + 1;
-    if t.filled < Array.length t.sample then begin
-      t.sample.(t.filled) <- x;
-      t.filled <- t.filled + 1
-    end
-    else begin
-      let j = Rng.int t.rng t.seen in
-      if j < Array.length t.sample then t.sample.(j) <- x
-    end
-
-  let count t = t.seen
-
-  let values t = Array.sub t.sample 0 t.filled
-
-  (* In-place sort specialised to flat float arrays: monomorphic
-     accesses keep the floats unboxed, where [Array.sort] with a
-     comparator closure boxes two floats per comparison — this runs
-     once per metric sampling window on up to [capacity] samples.
-     Latencies are finite, so plain [<] ordering is total here. *)
-  let sort_floats (a : float array) =
-    let swap i j =
-      let x = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- x
-    in
-    let rec quick lo hi =
-      if hi - lo < 16 then
-        for i = lo + 1 to hi do
-          let x = a.(i) in
-          let j = ref (i - 1) in
-          while !j >= lo && a.(!j) > x do
-            a.(!j + 1) <- a.(!j);
-            decr j
-          done;
-          a.(!j + 1) <- x
-        done
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        (* median-of-three pivot, moved to [hi] *)
-        if a.(mid) < a.(lo) then swap mid lo;
-        if a.(hi) < a.(lo) then swap hi lo;
-        if a.(hi) < a.(mid) then swap hi mid;
-        swap mid hi;
-        let pivot = a.(hi) in
-        let store = ref lo in
-        for i = lo to hi - 1 do
-          if a.(i) < pivot then begin
-            swap i !store;
-            incr store
-          end
-        done;
-        swap !store hi;
-        quick lo (!store - 1);
-        quick (!store + 1) hi
-      end
-    in
-    if Array.length a > 1 then quick 0 (Array.length a - 1)
-
-  let sorted_values t =
-    match t.sorted with
-    | Some (seen, data) when seen = t.seen -> data
-    | _ ->
-        let data = Array.sub t.sample 0 t.filled in
-        sort_floats data;
-        t.sorted <- Some (t.seen, data);
-        data
+  (* Readout of bucket [base + j]: its midpoint, at most half a bucket
+     width (1/128 of the lower edge) from any value in it. *)
+  let bucket_value t j =
+    let i = t.base + j in
+    clamp t ((edge i +. edge (i + 1)) /. 2.)
 
   let percentile t p =
-    if t.filled = 0 then nan
-    else begin
-      let data = sorted_values t in
-      let p = Float.max 0. (Float.min 100. p) in
-      let rank = p /. 100. *. float_of_int (t.filled - 1) in
-      let lo = int_of_float (Float.floor rank) in
-      let hi = int_of_float (Float.ceil rank) in
-      if lo = hi then data.(lo)
-      else
-        let frac = rank -. float_of_int lo in
-        ((1. -. frac) *. data.(lo)) +. (frac *. data.(hi))
-    end
+    if t.n = 0 then nan
+    else
+      let rank = int_of_float (Float.ceil (p *. float_of_int t.n /. 100.)) in
+      if rank <= 1 then t.minv
+      else if rank >= t.n then t.maxv
+      else if rank <= t.zero then clamp t 0.
+      else begin
+        let j = ref 0 and seen = ref (t.zero + t.counts.(0)) in
+        while !seen < rank do
+          incr j;
+          seen := !seen + t.counts.(!j)
+        done;
+        bucket_value t !j
+      end
 
-  let median t = percentile t 50.
+  let copy t = { t with counts = Array.copy t.counts }
+
+  let diff later earlier =
+    let len = Array.length earlier.counts in
+    if
+      earlier.n > later.n
+      || len > 0
+         && (earlier.base < later.base
+            || earlier.base + len > later.base + Array.length later.counts)
+    then invalid_arg "Log_histogram.diff: not an earlier reading";
+    let counts = Array.copy later.counts in
+    Array.iteri
+      (fun k c ->
+        let j = earlier.base - later.base + k in
+        counts.(j) <- counts.(j) - c)
+      earlier.counts;
+    let zero = later.zero - earlier.zero in
+    let first = ref (-1) and last = ref (-1) in
+    Array.iteri
+      (fun j c ->
+        if c > 0 then begin
+          if !first < 0 then first := j;
+          last := j
+        end)
+      counts;
+    (* The window's exact min and max are unknown; its extreme buckets'
+       readouts (clamped to the later run-to-date range) stand in. *)
+    let zero_value = clamp later 0. in
+    {
+      counts;
+      base = later.base;
+      zero;
+      n = later.n - earlier.n;
+      sum = later.sum -. earlier.sum;
+      minv =
+        (if zero > 0 then zero_value
+         else if !first >= 0 then bucket_value later !first
+         else infinity);
+      maxv =
+        (if !last >= 0 then bucket_value later !last
+         else if zero > 0 then zero_value
+         else neg_infinity);
+    }
 end

@@ -1,8 +1,7 @@
 (** Online statistics accumulators used to measure simulation runs.
 
-    All accumulators are single-pass and O(1) memory except
-    {!Reservoir}, which keeps a bounded sample for percentile
-    estimation. *)
+    All accumulators are single-pass; {!Log_histogram} keeps 64
+    counters for each power of two its values span. *)
 
 (** Running mean / variance by Welford's algorithm. *)
 module Summary : sig
@@ -21,8 +20,6 @@ module Summary : sig
   val min : t -> float
   val max : t -> float
   val total : t -> float
-  val merge : t -> t -> t
-  (** [merge a b] combines two accumulators (Chan's parallel update). *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -49,43 +46,48 @@ module Counter : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Fixed-bucket histogram over [\[lo, hi)] with uniform bucket width;
-    values outside the range land in under/overflow buckets. *)
-module Histogram : sig
+(** Log-linear histogram with bounded relative error (the layout of
+    HdrHistogram; DDSketch, Masson et al., VLDB 2019, bounds the error
+    the same way).
+
+    Each power of two is split into 64 equal-width buckets, so a
+    bucket's width is at most 1/64 of its lower edge.  Values [x <= 0]
+    share one zero bucket.  Count, sum, min and max are exact.  Counts
+    are exact too and nothing is sampled, so two readings of one
+    histogram subtract ({!diff}): the percentiles of the observations
+    added between them come from the bucket deltas. *)
+module Log_histogram : sig
   type t
 
-  val create : lo:float -> hi:float -> buckets:int -> t
+  val create : unit -> t
   val add : t -> float -> unit
+  (** Allocates only when [x] falls in an octave the histogram has not
+      seen before. *)
+
   val count : t -> int
-  val underflow : t -> int
-  val overflow : t -> int
-  val bucket_counts : t -> (float * float * int) array
-  (** [(lo, hi, count)] per bucket. *)
+  val sum : t -> float
 
-  val merge : t -> t -> t
-  (** Bucket-wise sum of two histograms.
-      @raise Invalid_argument on differing ranges or bucket counts. *)
+  val mean : t -> float
+  (** [nan] when empty. *)
 
-  val pp : Format.formatter -> t -> unit
-end
-
-(** Bounded uniform sample (Vitter's algorithm R) for percentiles. *)
-module Reservoir : sig
-  type t
-
-  val create : ?capacity:int -> Rng.t -> t
-  (** Default capacity 4096. *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-  (** Number of values offered (not retained). *)
-
-  val values : t -> float array
-  (** The retained sample, in insertion order (a fresh copy). *)
+  val min : t -> float
+  val max : t -> float
+  (** [nan] when empty.  Exact, except in a {!diff}, where they are the
+      readouts of its lowest and highest non-empty buckets. *)
 
   val percentile : t -> float -> float
-  (** [percentile r p] for [p] in [\[0,100\]], by linear interpolation
-      over the retained sample.  [nan] when empty. *)
+  (** [percentile h p] for [p] in [\[0,100\]]: the nearest-rank
+      percentile, i.e. the observation of rank [ceil (p/100 * count)]
+      (at least 1).  Rank 1 reads {!min} and rank [count] reads {!max};
+      any other rank reads its bucket's midpoint clamped to
+      [\[min, max\]], within 1/128 of the exact value (0 for the zero
+      bucket).  [nan] when empty. *)
 
-  val median : t -> float
+  val copy : t -> t
+  (** A frozen reading: later {!add}s to the original do not touch it. *)
+
+  val diff : t -> t -> t
+  (** [diff later earlier] holds the observations added to a histogram
+      between an earlier {!copy} of it and [later].
+      @raise Invalid_argument when [earlier] has more observations. *)
 end

@@ -751,8 +751,7 @@ let create ~engine ~graph ~counters ?metrics ?tracer ?bandwidth ?loss_rate
      design's registry exposes the same metric names. *)
   let queue_wait_hist =
     Option.map
-      (fun reg ->
-        Telemetry.Registry.histogram ~lo:0. ~hi:100. ~buckets:40 reg "queue_wait")
+      (fun reg -> Telemetry.Registry.histogram reg "queue_wait")
       metrics
   in
   let cells =

@@ -90,10 +90,8 @@ let create ?(mailbox_policy = Mailbox.Delete_on_retrieve) ?ledger ?tracer ?metri
          comparable across designs) even before any mail flows. *)
       Option.map
         (fun reg ->
-          ( Telemetry.Registry.histogram ~lo:0. ~hi:500. ~buckets:50 reg
-              "delivery_latency",
-            Telemetry.Registry.histogram ~lo:0. ~hi:2000. ~buckets:50 reg
-              "end_to_end_latency" ))
+          ( Telemetry.Registry.histogram reg "delivery_latency",
+            Telemetry.Registry.histogram reg "end_to_end_latency" ))
         metrics;
   }
 

@@ -125,7 +125,7 @@ let to_json ?include_volatile r =
   let int name = Int (counter r name) in
   Obj
     [
-      ("schema", String "mailsys.scale/4");
+      ("schema", String "mailsys.scale/5");
       ("size", String s.size);
       ("seed", Int s.seed);
       ("topology_seed", Int s.topology_seed);

@@ -61,7 +61,7 @@ val run : spec -> result
 (** Build the site and drive the scenario. *)
 
 val to_json : ?include_volatile:bool -> result -> Telemetry.Json.t
-(** The SCALE.json report (schema [mailsys.scale/4]): spec, topology,
+(** The SCALE.json report (schema [mailsys.scale/5]): spec, topology,
     event count, route-cache, replication, ledger, critical-path and
     SLO sections, and the run's full metric registry (volatile metrics
     only with [include_volatile], default false, so the default is

@@ -17,27 +17,18 @@ type report = {
   stages : stage list;
 }
 
-(* Linear-interpolated percentile over a sorted sample, matching the
-   registry histograms' readout convention. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else if n = 1 then sorted.(0)
-  else begin
-    let rank = p /. 100. *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-  end
-
 let analyze ?(root = "message") tracer =
-  let stage_obs : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
+  let stage_obs : (string, Dsim.Stats.Log_histogram.t) Hashtbl.t =
+    Hashtbl.create 16
+  in
   let stage_spans : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let observe stage v =
     match Hashtbl.find_opt stage_obs stage with
-    | Some cell -> cell := v :: !cell
-    | None -> Hashtbl.replace stage_obs stage (ref [ v ])
+    | Some h -> Dsim.Stats.Log_histogram.add h v
+    | None ->
+        let h = Dsim.Stats.Log_histogram.create () in
+        Dsim.Stats.Log_histogram.add h v;
+        Hashtbl.replace stage_obs stage h
   in
   let traces = ref 0 and complete = ref 0 in
   List.iter
@@ -78,21 +69,18 @@ let analyze ?(root = "message") tracer =
     (Tracer.traces tracer);
   let stages =
     Hashtbl.fold
-      (fun name cell acc ->
-        let arr = Array.of_list !cell in
-        Array.sort Float.compare arr;
-        let n = Array.length arr in
-        let total = Array.fold_left ( +. ) 0. arr in
+      (fun name h acc ->
+        let module H = Dsim.Stats.Log_histogram in
         {
           stage = name;
-          traces = n;
+          traces = H.count h;
           spans = Option.value ~default:0 (Hashtbl.find_opt stage_spans name);
-          total;
-          mean = (if n = 0 then nan else total /. float_of_int n);
-          p50 = percentile arr 50.;
-          p90 = percentile arr 90.;
-          p99 = percentile arr 99.;
-          max = (if n = 0 then nan else arr.(n - 1));
+          total = H.sum h;
+          mean = H.mean h;
+          p50 = H.percentile h 50.;
+          p90 = H.percentile h 90.;
+          p99 = H.percentile h 99.;
+          max = H.max h;
         }
         :: acc)
       stage_obs []

@@ -19,13 +19,10 @@ type stage = {
   p50 : float;
   p90 : float;
   p99 : float;
-      (** percentiles of the per-trace sums, by linear interpolation:
-          with the [n] sums sorted ascending, percentile [p] reads
-          position [p/100 * (n-1)] and interpolates linearly between
-          the two neighbouring samples.  Degenerate inputs follow from
-          that rule: a single sample is every percentile ([rank 0]),
-          and an empty distribution reports [nan] (rendered as [null]
-          in JSON). *)
+      (** nearest-rank percentiles of the per-trace sums, read from a
+          {!Dsim.Stats.Log_histogram} like every registry histogram:
+          within 1/128 of the exact value, and exact for the lowest
+          and highest rank, so a single sample is every percentile. *)
   max : float;
 }
 

@@ -34,7 +34,9 @@ type alert = {
 type rule_state = {
   rule : rule;
   counter : Registry.counter option;  (* alert_fired{rule=...} *)
-  mutable prev_raw : float option;  (* last raw reading, for delta/rate *)
+  mutable prev : Registry.snapshot_value option;
+      (* last reading, for delta/rate/absence and histogram windows;
+         a histogram is held as a frozen copy *)
   mutable prev_time : float;
   mutable stuck : int;  (* consecutive windows without change (Absent) *)
   mutable recent : bool list;  (* Burn: violation flags, newest first *)
@@ -222,8 +224,8 @@ let standard_dsl =
       "queue-backlog=pipeline_pending>500";
       (* Retry storm: more than 200 new retries inside one window. *)
       "retry-burst=retries.delta>200";
-      (* SLO burn on the critical-path percentile: p99 delivery latency
-         over budget in more than half of the last 10 windows. *)
+      (* SLO burn: each window's own p99 delivery latency over budget
+         in more than half of the last 10 windows. *)
       "delivery-p99=delivery_latency.p99~250/10/0.5";
       (* Liveness: no deposit completed for 20 consecutive windows. *)
       "deposit-stall=deposits!20";
@@ -249,7 +251,7 @@ let create ?registry rules =
           {
             rule;
             counter = counter_for rule;
-            prev_raw = None;
+            prev = None;
             prev_time = 0.;
             stuck = 0;
             recent = [];
@@ -266,21 +268,17 @@ let create ?registry rules =
 
 let rules t = List.map (fun s -> s.rule) t.rules
 
-(* Raw reading of a rule's metric from a per-window value table; the
-   selector then refines it.  Histogram "value" is its observation
-   count. *)
-let read_raw tbl (r : rule) =
-  match Hashtbl.find_opt tbl (r.metric, r.labels) with
-  | None -> None
-  | Some (Registry.Counter_value c) -> Some (float_of_int c)
-  | Some (Registry.Gauge_value g) -> Some g
-  | Some (Registry.Histogram_value h) -> (
-      match r.selector with
-      | Value | Delta | Rate -> Some (float_of_int (Registry.hist_count h))
-      | Mean -> Some (Registry.hist_mean h)
-      | P50 -> Some (Registry.percentile h 50.)
-      | P90 -> Some (Registry.percentile h 90.)
-      | P99 -> Some (Registry.percentile h 99.))
+(* Scalar reading of a metric: the counter or gauge value, or a
+   histogram's observation count. *)
+let raw = function
+  | Registry.Counter_value c -> float_of_int c
+  | Registry.Gauge_value g -> g
+  | Registry.Histogram_value h -> float_of_int (Registry.hist_count h)
+
+let freeze = function
+  | Registry.Histogram_value h ->
+      Registry.Histogram_value (Dsim.Stats.Log_histogram.copy h)
+  | v -> v
 
 let truncate n l =
   let rec go i = function
@@ -308,21 +306,36 @@ let eval t ~time reg =
   List.iter
     (fun s ->
       let r = s.rule in
-      let raw = read_raw wanted r in
+      let reading = Hashtbl.find_opt wanted (r.metric, r.labels) in
+      let before = Option.fold ~none:0. ~some:raw s.prev in
       (* Absence streak: no reading, or a reading that did not move. *)
-      (match (raw, s.prev_raw) with
+      (match (reading, s.prev) with
       | None, _ -> s.stuck <- s.stuck + 1
-      | Some v, Some p when v = p -> s.stuck <- s.stuck + 1
+      | Some v, Some p when raw v = raw p -> s.stuck <- s.stuck + 1
       | Some _, _ -> s.stuck <- 0);
       let selected =
-        match (raw, r.selector) with
+        match (reading, r.selector) with
         | None, _ -> None
-        | Some v, (Value | Mean | P50 | P90 | P99) -> Some v
-        | Some v, Delta -> Some (v -. Option.value s.prev_raw ~default:0.)
+        | Some (Registry.Histogram_value h), (Mean | P50 | P90 | P99) ->
+            (* The window's own observations: the bucket delta since the
+               previous reading, not everything since t = 0. *)
+            let w =
+              match s.prev with
+              | Some (Registry.Histogram_value p) ->
+                  Dsim.Stats.Log_histogram.diff h p
+              | _ -> h
+            in
+            Some
+              (match r.selector with
+              | Mean -> Registry.hist_mean w
+              | P50 -> Registry.percentile w 50.
+              | P90 -> Registry.percentile w 90.
+              | _ -> Registry.percentile w 99.)
+        | Some v, (Value | Mean | P50 | P90 | P99) -> Some (raw v)
+        | Some v, Delta -> Some (raw v -. before)
         | Some v, Rate ->
-            let dv = v -. Option.value s.prev_raw ~default:0. in
             let dt = time -. s.prev_time in
-            Some (if dt > 0. then dv /. dt else 0.)
+            Some (if dt > 0. then (raw v -. before) /. dt else 0.)
       in
       let fire value message =
         s.fires <- s.fires + 1;
@@ -396,9 +409,9 @@ let eval t ~time reg =
                  (describe ()) (float_str threshold) bad w (float_str burn)
                  (float_str budget))
       | (Above _ | Below _), None -> ());
-      (* Remember the raw reading for the next window's delta/rate and
-         absence tracking. *)
-      (match raw with Some v -> s.prev_raw <- Some v | None -> ());
+      (* Remember the reading for the next window's delta/rate, absence
+         tracking and histogram window. *)
+      Option.iter (fun v -> s.prev <- Some (freeze v)) reading;
       s.prev_time <- time)
     t.rules;
   let alerts = List.rev !fired in

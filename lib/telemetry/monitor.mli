@@ -7,7 +7,8 @@
 
     - [Above x] / [Below x] — plain thresholds;
     - [Absent n] — the reading has not changed (or the metric is
-      missing) for [n] consecutive windows: a liveness check;
+      missing) for [n] consecutive windows: a liveness check (a
+      histogram's reading is its observation count);
     - [Burn {threshold; window; budget}] — sliding-window SLO burn:
       each window is {e violating} when the selected value exceeds
       [threshold]; the rule fires when the fraction of violating
@@ -24,8 +25,10 @@ type selector = Value | Delta | Rate | Mean | P50 | P90 | P99
 (** How to read the metric.  [Value] is the counter/gauge reading (for
     histograms: the observation count); [Delta] is the change since
     the previous window; [Rate] is delta per unit of virtual time;
-    [Mean]/[P50]/[P90]/[P99] are cumulative-to-window histogram
-    readouts. *)
+    [Mean]/[P50]/[P90]/[P99] read a histogram's observations since the
+    previous window (the bucket delta of two readings), so a
+    latency SLO judges each window's mail, not every delivery since
+    t = 0.  On a counter or gauge they read the value. *)
 
 type condition =
   | Above of float
@@ -67,7 +70,6 @@ val parse : string -> rule list
 (** @raise Invalid_argument with a [Monitor.parse: ...] message on any
     syntax error. *)
 
-val rule_to_string : rule -> string
 val to_string : rule list -> string
 (** Inverse of {!parse} (modulo whitespace and label order, which is
     normalised to sorted-by-key). *)
@@ -76,9 +78,6 @@ val standard : rule list
 (** The default rule set used by [bench] and [mailsim monitor]:
     degraded replica chains, pipeline backlog, retry bursts, a p99
     delivery-latency SLO burn, and a deposit liveness check. *)
-
-val standard_dsl : string
-(** {!standard} in DSL form, for [--rules] defaults and help text. *)
 
 (** {1 Evaluation} *)
 

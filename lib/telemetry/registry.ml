@@ -15,18 +15,7 @@ let normalise_labels labels =
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
 
-(* Reservoirs are seeded deterministically so percentile readouts are
-   reproducible run-to-run. *)
-let reservoir_seed = 0x7e1e
-
-type histogram = {
-  lo : float;
-  hi : float;
-  buckets : int;
-  mutable hist : Dsim.Stats.Histogram.t;
-  mutable reservoir : Dsim.Stats.Reservoir.t;
-  mutable summary : Dsim.Stats.Summary.t;
-}
+type histogram = Dsim.Stats.Log_histogram.t
 
 type metric = C of counter | G of gauge | H of histogram
 
@@ -50,8 +39,6 @@ let create ?(labels = []) () =
 
 let mark_volatile t name = Hashtbl.replace t.volatile name ()
 let is_volatile t name = Hashtbl.mem t.volatile name
-
-let base_labels t = t.base
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
@@ -80,7 +67,6 @@ let counter ?(labels = []) t name =
     (function C c -> Some c | _ -> None)
 
 let incr ?(by = 1) c = c.c <- c.c + by
-let counter_value c = c.c
 
 let set_counter ?labels t name v = (counter ?labels t name).c <- v
 
@@ -100,7 +86,6 @@ let gauge ?(labels = []) t name =
 
 let set_gauge g v = g.g <- v
 let add_gauge g v = g.g <- g.g +. v
-let gauge_value g = g.g
 
 let get_gauge ?(labels = []) t name =
   match Hashtbl.find_opt t.tbl (name, normalise_labels labels) with
@@ -109,58 +94,25 @@ let get_gauge ?(labels = []) t name =
 
 (* --- histograms --------------------------------------------------------- *)
 
-let default_lo = 0.
-let default_hi = 1000.
-let default_buckets = 40
-
-let make_histogram ~lo ~hi ~buckets =
-  {
-    lo;
-    hi;
-    buckets;
-    hist = Dsim.Stats.Histogram.create ~lo ~hi ~buckets;
-    reservoir = Dsim.Stats.Reservoir.create (Dsim.Rng.create reservoir_seed);
-    summary = Dsim.Stats.Summary.create ();
-  }
-
-let histogram ?(labels = []) ?(lo = default_lo) ?(hi = default_hi)
-    ?(buckets = default_buckets) t name =
+let histogram ?(labels = []) t name =
   find_or_create t name labels
     (fun () ->
-      let h = make_histogram ~lo ~hi ~buckets in
+      let h = Dsim.Stats.Log_histogram.create () in
       (H h, h))
     (function H h -> Some h | _ -> None)
 
-let observe h x =
-  Dsim.Stats.Histogram.add h.hist x;
-  Dsim.Stats.Reservoir.add h.reservoir x;
-  Dsim.Stats.Summary.add h.summary x
-
-let clear_histogram h =
-  h.hist <- Dsim.Stats.Histogram.create ~lo:h.lo ~hi:h.hi ~buckets:h.buckets;
-  h.reservoir <- Dsim.Stats.Reservoir.create (Dsim.Rng.create reservoir_seed);
-  h.summary <- Dsim.Stats.Summary.create ()
-
-let hist_count h = Dsim.Stats.Summary.count h.summary
-let hist_mean h = Dsim.Stats.Summary.mean h.summary
-let hist_min h = if hist_count h = 0 then nan else Dsim.Stats.Summary.min h.summary
-let hist_max h = if hist_count h = 0 then nan else Dsim.Stats.Summary.max h.summary
-let percentile h p = Dsim.Stats.Reservoir.percentile h.reservoir p
-let hist_overflow h = Dsim.Stats.Histogram.overflow h.hist
-let hist_underflow h = Dsim.Stats.Histogram.underflow h.hist
+let observe h x = Dsim.Stats.Log_histogram.add h x
+let hist_count = Dsim.Stats.Log_histogram.count
+let hist_mean = Dsim.Stats.Log_histogram.mean
+let hist_min = Dsim.Stats.Log_histogram.min
+let hist_max = Dsim.Stats.Log_histogram.max
+let percentile = Dsim.Stats.Log_histogram.percentile
 
 (* --- whole-registry ----------------------------------------------------- *)
 
 let metric_names t =
   Hashtbl.fold (fun (name, _) _ acc -> name :: acc) t.tbl []
   |> List.sort_uniq String.compare
-
-(* Base labels folded into each metric's own labels; the metric's own
-   binding wins on a key collision. *)
-let full_labels t labels =
-  let own_keys = List.map fst labels in
-  labels @ List.filter (fun (k, _) -> not (List.mem k own_keys)) t.base
-  |> normalise_labels
 
 let compare_label (k1, v1) (k2, v2) =
   match String.compare k1 k2 with 0 -> String.compare v1 v2 | c -> c
@@ -173,53 +125,16 @@ let rec compare_labels a b =
   | x :: xs, y :: ys -> (
       match compare_label x y with 0 -> compare_labels xs ys | c -> c)
 
-(* Bindings in deterministic (name, labels) order — hash order must not
-   influence merge results (gauge last-write-wins, reservoir insertion)
-   or serialisation. *)
-let sorted_bindings t =
-  Hashtbl.fold (fun key m acc -> (key, m) :: acc) t.tbl []
-  |> List.sort (fun ((n1, l1), _) ((n2, l2), _) ->
+(* Metrics in deterministic (name, labels) order — hash order must not
+   influence serialisation. *)
+let sorted_metrics t =
+  Hashtbl.fold (fun (name, labels) m acc -> (name, labels, m) :: acc) t.tbl []
+  |> List.sort (fun (n1, l1, _) (n2, l2, _) ->
          match String.compare n1 n2 with 0 -> compare_labels l1 l2 | c -> c)
-
-let merge a b =
-  let out = create () in
-  let absorb src =
-    List.iter
-      (fun ((name, labels), m) ->
-        let labels = full_labels src labels in
-        match m with
-        | C c ->
-            let tgt = counter ~labels out name in
-            tgt.c <- tgt.c + c.c
-        | G g ->
-            let tgt = gauge ~labels out name in
-            tgt.g <- g.g
-        | H h ->
-            let tgt =
-              histogram ~labels ~lo:h.lo ~hi:h.hi ~buckets:h.buckets out name
-            in
-            if tgt.lo <> h.lo || tgt.hi <> h.hi || tgt.buckets <> h.buckets then
-              invalid_arg
-                (Printf.sprintf
-                   "Registry.merge: histogram %S has incompatible buckets" name);
-            tgt.hist <- Dsim.Stats.Histogram.merge tgt.hist h.hist;
-            Array.iter
-              (Dsim.Stats.Reservoir.add tgt.reservoir)
-              (Dsim.Stats.Reservoir.values h.reservoir);
-            tgt.summary <- Dsim.Stats.Summary.merge tgt.summary h.summary)
-      (sorted_bindings src);
-    Hashtbl.iter (fun name () -> mark_volatile out name) src.volatile
-  in
-  absorb a;
-  absorb b;
-  out
 
 (* --- serialisation ------------------------------------------------------ *)
 
 let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
-
-let sorted_metrics t =
-  List.map (fun ((name, labels), m) -> (name, labels, m)) (sorted_bindings t)
 
 type snapshot_value =
   | Counter_value of int
@@ -251,17 +166,6 @@ let to_json ?(include_volatile = false) t =
       | C c -> counters := Json.Obj (common @ [ ("value", Json.Int c.c) ]) :: !counters
       | G g -> gauges := Json.Obj (common @ [ ("value", Json.Float g.g) ]) :: !gauges
       | H h ->
-          let buckets =
-            Dsim.Stats.Histogram.bucket_counts h.hist
-            |> Array.to_list
-            |> List.map (fun (lo, hi, c) ->
-                   Json.Obj
-                     [
-                       ("lo", Json.Float lo);
-                       ("hi", Json.Float hi);
-                       ("count", Json.Int c);
-                     ])
-          in
           histograms :=
             Json.Obj
               (common
@@ -273,9 +177,6 @@ let to_json ?(include_volatile = false) t =
                   ("p50", Json.Float (percentile h 50.));
                   ("p90", Json.Float (percentile h 90.));
                   ("p99", Json.Float (percentile h 99.));
-                  ("underflow", Json.Int (hist_underflow h));
-                  ("overflow", Json.Int (hist_overflow h));
-                  ("buckets", Json.List buckets);
                 ])
             :: !histograms)
     (sorted_metrics t);

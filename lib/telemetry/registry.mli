@@ -20,13 +20,15 @@ type labels = (string * string) list
 
 type counter
 type gauge
-type histogram
+
+type histogram = Dsim.Stats.Log_histogram.t
+(** Exposed so a reader can take a {!Dsim.Stats.Log_histogram.copy}
+    and later read the window since it with
+    {!Dsim.Stats.Log_histogram.diff} ({!Monitor}, {!Timeseries}). *)
 
 val create : ?labels:labels -> unit -> t
 (** Fresh registry; [labels] become the base labels stamped on every
     metric when serialising. *)
-
-val base_labels : t -> labels
 
 (** {1 Counters} *)
 
@@ -35,7 +37,6 @@ val counter : ?labels:labels -> t -> string -> counter
     pair already names a metric of another kind. *)
 
 val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
 
 val set_counter : ?labels:labels -> t -> string -> int -> unit
 (** Absolute set — for syncing an external tally (e.g. a legacy
@@ -49,51 +50,32 @@ val get_counter : ?labels:labels -> t -> string -> int
 val gauge : ?labels:labels -> t -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val get_gauge : ?labels:labels -> t -> string -> float
 (** [nan] when the metric does not exist. *)
 
 (** {1 Histograms}
 
-    Built on {!Dsim.Stats.Histogram} (fixed buckets for the JSON
-    load-vs-delay view) plus a bounded {!Dsim.Stats.Reservoir}
-    (deterministically seeded) for percentile readout and a running
-    summary for mean/min/max. *)
+    One {!Dsim.Stats.Log_histogram} per metric: exact count, sum, min
+    and max, and percentiles within 1/128 relative error of the exact
+    nearest-rank value.  No sampling and no RNG, so readouts are
+    reproducible and two readings subtract. *)
 
-val histogram :
-  ?labels:labels ->
-  ?lo:float ->
-  ?hi:float ->
-  ?buckets:int ->
-  t ->
-  string ->
-  histogram
-(** Find or create; bucket parameters (default [0, 1000) in 40
-    buckets) only apply at creation. *)
+val histogram : ?labels:labels -> t -> string -> histogram
+(** Find or create. *)
 
 val observe : histogram -> float -> unit
-
-val clear_histogram : histogram -> unit
-(** Drop all observations, keeping the bucket layout — lets a
-    snapshot pass rebuild a histogram from source data idempotently. *)
-
 val hist_count : histogram -> int
-val hist_mean : histogram -> float
 
+val hist_mean : histogram -> float
 val hist_min : histogram -> float
 val hist_max : histogram -> float
+(** [nan] when empty. *)
 
 val percentile : histogram -> float -> float
-(** Linear-interpolated percentile over the retained sample ([nan]
-    when empty); [percentile h 50.], [90.], [99.] are the p50/p90/p99
-    readouts. *)
-
-val hist_overflow : histogram -> int
-(** Observations at or above the bucket range's upper bound (they
-    still count for percentiles). *)
-
-val hist_underflow : histogram -> int
+(** {!Dsim.Stats.Log_histogram.percentile}: the nearest-rank
+    percentile of every observation so far, [nan] when empty;
+    [percentile h 50.], [90.], [99.] are the p50/p90/p99 readouts. *)
 
 (** {1 Whole-registry operations} *)
 
@@ -106,15 +88,6 @@ val mark_volatile : t -> string -> unit
     [engine_handler_seconds]).  Volatile metrics are excluded from
     {!to_json} by default so JSON artifacts diff byte-identical across
     identical seeds; {!pp} still shows them. *)
-
-val is_volatile : t -> string -> bool
-
-val merge : t -> t -> t
-(** Combine two registries into a fresh one: counters add, histograms
-    merge observation-wise, and for a gauge present in both the right
-    operand wins.  Metrics are keyed by (name, full labels) — base
-    labels are folded in, and the result has no base labels.
-    @raise Invalid_argument on histogram bucket-layout mismatch. *)
 
 (** A metric's current reading during {!iter_sorted}.  Histograms hand
     back their live handle, so visitors can query {!hist_count},
@@ -142,8 +115,8 @@ val to_json : ?include_volatile:bool -> t -> Json.t
       "counters": [{"name","labels","value"} ...],
       "gauges":   [{"name","labels","value"} ...],
       "histograms": [{"name","labels","count","mean","min","max",
-                      "p50","p90","p99","underflow","overflow",
-                      "buckets":[{"lo","hi","count"} ...]} ...]}]
+                      "p50","p90","p99"} ...]}]
+    Histogram fields read every observation of the run so far.
     Entries are sorted by name then labels; non-finite numbers render
     as [null]. *)
 

@@ -23,14 +23,12 @@ type sample = { name : string; labels : Registry.labels; point : point }
 
 type window = { index : int; time : float; samples : sample list }
 
-(* Last emitted reading per metric, for delta encoding.  Histograms
-   track only the observation count: percentiles are cumulative-to-
-   window readouts, so count movement is the change signal. *)
-type prev = P_counter of int | P_gauge of float | P_hist of int
-
 type t = {
   resolution : float;
-  prev : (string * Registry.labels, prev) Hashtbl.t;
+  prev : (string * Registry.labels, Registry.snapshot_value) Hashtbl.t;
+      (* last emitted reading per metric, for delta encoding; a
+         histogram is held as a frozen copy, so the next window reads
+         its own observations as the bucket delta *)
   mutable rev_windows : window list;  (* newest first *)
   mutable next_index : int;
 }
@@ -48,7 +46,6 @@ let windows t = List.rev t.rev_windows
 
 let sample t ~at reg =
   let samples = ref [] in
-  let first = t.next_index = 0 in
   Registry.iter_sorted
     (fun name labels value ->
       let key = (name, labels) in
@@ -59,28 +56,32 @@ let sample t ~at reg =
       in
       match value with
       | Registry.Counter_value v ->
-          let old = match before with Some (P_counter o) -> o | _ -> 0 in
-          if first || before = None || v <> old then
-            emit (Counter { value = v; delta = v - old }) (P_counter v)
+          let old = match before with Some (Registry.Counter_value o) -> o | _ -> 0 in
+          if Option.is_none before || v <> old then
+            emit (Counter { value = v; delta = v - old }) value
       | Registry.Gauge_value v ->
-          let old = match before with Some (P_gauge o) -> o | _ -> 0. in
-          if first || before = None || v <> old then
-            emit (Gauge { value = v; delta = v -. old }) (P_gauge v)
+          let old = match before with Some (Registry.Gauge_value o) -> o | _ -> 0. in
+          if Option.is_none before || v <> old then
+            emit (Gauge { value = v; delta = v -. old }) value
       | Registry.Histogram_value h ->
           let count = Registry.hist_count h in
-          let old = match before with Some (P_hist o) -> o | _ -> 0 in
-          if first || before = None || count <> old then
+          let prev =
+            match before with Some (Registry.Histogram_value p) -> Some p | _ -> None
+          in
+          let old = Option.fold ~none:0 ~some:Registry.hist_count prev in
+          if Option.is_none before || count <> old then
+            let w = Option.fold ~none:h ~some:(Dsim.Stats.Log_histogram.diff h) prev in
             emit
               (Hist
                  {
                    count;
                    delta = count - old;
-                   mean = Registry.hist_mean h;
-                   p50 = Registry.percentile h 50.;
-                   p90 = Registry.percentile h 90.;
-                   p99 = Registry.percentile h 99.;
+                   mean = Registry.hist_mean w;
+                   p50 = Registry.percentile w 50.;
+                   p90 = Registry.percentile w 90.;
+                   p99 = Registry.percentile w 99.;
                  })
-              (P_hist count))
+              (Registry.Histogram_value (Dsim.Stats.Log_histogram.copy h)))
     reg;
   let w = { index = t.next_index; time = at; samples = List.rev !samples } in
   t.next_index <- t.next_index + 1;
@@ -136,7 +137,7 @@ let window_json w =
 let to_json t =
   Json.Obj
     [
-      ("schema", Json.String "mailsys.timeseries/1");
+      ("schema", Json.String "mailsys.timeseries/2");
       ("resolution", Json.Float t.resolution);
       ("windows", Json.List (List.map window_json (windows t)));
     ]

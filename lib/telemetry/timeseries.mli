@@ -18,9 +18,11 @@
     Windows after the first are {e delta-encoded}: a metric appears in
     a window only when its reading changed (for histograms: when the
     observation count moved).  The first window is a full baseline.
-    Histogram percentiles are cumulative-to-window readouts (all
-    observations up to the sample instant), not per-window
-    distributions — the right shape for SLO burn tracking. *)
+    A histogram's mean and percentiles read the window's own
+    observations: the bucket delta between this sample and a frozen
+    copy of the previous one, so a burst shows in the window it
+    happened in instead of being diluted by every earlier
+    observation.  The run-to-date readout is in {!Registry.to_json}. *)
 
 (** One metric's reading inside a window. *)
 type point =
@@ -32,7 +34,9 @@ type point =
       mean : float;
       p50 : float;
       p90 : float;
-      p99 : float;  (** cumulative-to-window percentiles. *)
+      p99 : float;
+          (** mean and percentiles of the [delta] observations of this
+              window ({!Dsim.Stats.Log_histogram.percentile}). *)
     }
 
 type sample = { name : string; labels : Registry.labels; point : point }
@@ -64,7 +68,7 @@ val windows : t -> window list
 
 val to_json : t -> Json.t
 (** The [TIMESERIES.json] document:
-    [{"schema":"mailsys.timeseries/1","resolution":…,
+    [{"schema":"mailsys.timeseries/2","resolution":…,
       "windows":[{"index","time",
                   "counters":[{"name","labels","value","delta"}…],
                   "gauges":[{"name","labels","value","delta"}…],

@@ -12,7 +12,7 @@ let test_iter_sorted_order_and_volatile () =
   let reg = R.create () in
   R.incr ~by:3 (R.counter reg "zeta");
   R.set_gauge (R.gauge reg "alpha") 1.5;
-  R.observe (R.histogram ~lo:0. ~hi:10. ~buckets:5 reg "mid") 4.;
+  R.observe (R.histogram reg "mid") 4.;
   R.set_gauge (R.gauge reg "wall_seconds") 123.;
   R.mark_volatile reg "wall_seconds";
   let seen = ref [] in
@@ -102,7 +102,7 @@ let test_timeseries_delta_encoding () =
   let w2 = Ts.sample ts ~at:150. reg in
   Alcotest.(check int) "quiet window is empty" 0 (List.length w2.Ts.samples);
   (* a metric created mid-run appears with a full baseline *)
-  R.observe (R.histogram ~lo:0. ~hi:10. ~buckets:5 reg "lat") 3.;
+  R.observe (R.histogram reg "lat") 3.;
   let w3 = Ts.sample ts ~at:200. reg in
   (match w3.Ts.samples with
   | [ { Ts.name = "lat"; point = Ts.Hist { count; delta; p50; _ }; _ } ] ->
@@ -155,8 +155,8 @@ let test_monitor_dsl_roundtrip () =
     labelled.M.labels;
   Alcotest.(check bool) "selector parsed" true
     (labelled.M.selector = M.Delta);
-  Alcotest.(check string) "standard round-trips" M.standard_dsl
-    (M.to_string M.standard);
+  Alcotest.(check bool) "standard round-trips" true
+    (M.parse (M.to_string M.standard) = M.standard);
   let bad s =
     match M.parse s with
     | exception Invalid_argument _ -> true
@@ -329,6 +329,87 @@ let test_scenario_timeseries_deterministic () =
   Alcotest.(check string) "byte-identical across identical runs" (run ())
     (run ())
 
+(* --- per-window histogram readouts ----------------------------------------- *)
+
+(* Exact nearest-rank percentile for an integer percent [p]: the value
+   of rank ceil(p n / 100) in the sorted sample. *)
+let exact_pct p ls =
+  let a = Array.of_list ls in
+  Array.sort Float.compare a;
+  a.((((p * Array.length a) + 99) / 100) - 1)
+
+let within_1pct exact v = Float.abs (v -. exact) <= 0.01 *. exact
+
+let test_monitor_p99_per_window () =
+  let spec =
+    {
+      sampled_spec with
+      mail_count = 400;
+      sampling = Some 50.;
+      (* Fires in every window with a finite p99, i.e. every window that
+         saw a deposit, so its alerts carry the monitor's readings. *)
+      monitors = M.parse "p99=delivery_latency.p99>-1";
+    }
+  in
+  let sys = Mail.Syntax_system.create (Netsim.Topology.paper_fig1 ()) in
+  let o = Mail.Scenario.drive (module Mail.System.Syntax) sys spec in
+  let ts = Option.get o.Mail.Scenario.timeseries in
+  let mon = Option.get o.Mail.Scenario.monitor in
+  let deposits =
+    List.filter_map
+      (fun m ->
+        match (m.Mail.Message.deposited_at, Mail.Message.delivery_latency m) with
+        | Some at, Some l -> Some (at, l)
+        | _ -> None)
+      (Mail.System.Syntax.submitted sys)
+  in
+  let readings = List.map (fun a -> (a.M.a_window, a.M.a_value)) (M.alerts mon) in
+  let checked = ref 0 and apart = ref 0 in
+  let run_to_date = ref [] in
+  ignore
+    (List.fold_left
+       (fun since (w : Ts.window) ->
+         let inside =
+           List.filter_map
+             (fun (at, l) -> if at > since && at <= w.Ts.time then Some l else None)
+             deposits
+         in
+         run_to_date := inside @ !run_to_date;
+         (match (inside, List.assoc_opt w.Ts.index readings) with
+         | [], None -> ()
+         | [], Some _ -> Alcotest.failf "window %d: a p99 with no deposit" w.Ts.index
+         | _, None -> Alcotest.failf "window %d: deposits but no p99" w.Ts.index
+         | ls, Some v ->
+             let exact = exact_pct 99 ls in
+             if not (within_1pct exact v) then
+               Alcotest.failf "window %d: monitor p99 %g, exact %g" w.Ts.index v
+                 exact;
+             (* the timeseries reads the same window *)
+             (match
+                List.find_opt
+                  (fun (s : Ts.sample) -> s.Ts.name = "delivery_latency")
+                  w.Ts.samples
+              with
+             | Some { Ts.point = Ts.Hist { delta; p50; p90; p99; _ }; _ } ->
+                 Alcotest.(check int) "window count" (List.length ls) delta;
+                 List.iter
+                   (fun (p, v) ->
+                     let exact = exact_pct p ls in
+                     if not (within_1pct exact v) then
+                       Alcotest.failf "window %d: timeseries p%d %g, exact %g"
+                         w.Ts.index p v exact)
+                   [ (50, p50); (90, p90); (99, p99) ]
+             | _ -> Alcotest.failf "window %d: no delivery_latency sample" w.Ts.index);
+             incr checked;
+             if exact_pct 99 !run_to_date <> exact then incr apart);
+         w.Ts.time)
+       neg_infinity (Ts.windows ts));
+  Alcotest.(check int) "every deposit falls in a window" (List.length deposits)
+    (List.length !run_to_date);
+  Alcotest.(check bool) "many windows checked" true (!checked >= 10);
+  (* the readout is the window's own, not the run so far *)
+  Alcotest.(check bool) "windows differ from run-to-date" true (!apart > 0)
+
 let suite =
   [
     ( "observability",
@@ -354,5 +435,7 @@ let suite =
           test_scenario_sampling_and_alerts;
         Alcotest.test_case "scenario timeseries deterministic" `Quick
           test_scenario_timeseries_deterministic;
+        Alcotest.test_case "monitor p99 is per window" `Quick
+          test_monitor_p99_per_window;
       ] );
   ]

@@ -32,24 +32,6 @@ module Summary = struct
         in
         feq ~eps:1e-6 (Dsim.Stats.Summary.mean s) mean
         && feq ~eps:1e-6 (Dsim.Stats.Summary.variance s) var)
-
-  let prop_merge =
-    QCheck.Test.make ~name:"merged summary equals summary of concatenation" ~count:200
-      QCheck.(
-        pair
-          (list_of_size (Gen.int_range 1 50) (float_range (-10.) 10.))
-          (list_of_size (Gen.int_range 1 50) (float_range (-10.) 10.)))
-      (fun (xs, ys) ->
-        let sa = Dsim.Stats.Summary.create ()
-        and sb = Dsim.Stats.Summary.create ()
-        and sc = Dsim.Stats.Summary.create () in
-        List.iter (Dsim.Stats.Summary.add sa) xs;
-        List.iter (Dsim.Stats.Summary.add sb) ys;
-        List.iter (Dsim.Stats.Summary.add sc) (xs @ ys);
-        let m = Dsim.Stats.Summary.merge sa sb in
-        feq ~eps:1e-6 (Dsim.Stats.Summary.mean m) (Dsim.Stats.Summary.mean sc)
-        && feq ~eps:1e-6 (Dsim.Stats.Summary.variance m) (Dsim.Stats.Summary.variance sc)
-        && Dsim.Stats.Summary.count m = Dsim.Stats.Summary.count sc)
 end
 
 module Counter = struct
@@ -67,44 +49,85 @@ module Counter = struct
       (Dsim.Stats.Counter.to_list c)
 end
 
-module Histogram = struct
+module Log_histogram = struct
+  module H = Dsim.Stats.Log_histogram
+
+  let of_list xs =
+    let h = H.create () in
+    List.iter (H.add h) xs;
+    h
+
+  (* Exact nearest-rank percentile for an integer percent: the value
+     of rank ceil(p * n / 100), at least 1, in the sorted sample. *)
+  let nearest_rank xs p =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    let n = Array.length a in
+    a.(max 1 (((p * n) + 99) / 100) - 1)
+
+  let within_1pct exact v = Float.abs (v -. exact) <= 0.01 *. Float.abs exact
+
   let test_buckets () =
-    let h = Dsim.Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:5 in
-    List.iter (Dsim.Stats.Histogram.add h) [ -1.; 0.; 1.9; 2.; 9.99; 10.; 100. ];
-    Alcotest.(check int) "count" 7 (Dsim.Stats.Histogram.count h);
-    Alcotest.(check int) "underflow" 1 (Dsim.Stats.Histogram.underflow h);
-    Alcotest.(check int) "overflow" 2 (Dsim.Stats.Histogram.overflow h);
-    let buckets = Dsim.Stats.Histogram.bucket_counts h in
-    let counts = Array.map (fun (_, _, c) -> c) buckets in
-    Alcotest.(check (array int)) "bucket counts" [| 2; 1; 0; 0; 1 |] counts
+    (* 64 linear buckets per power of two: 1 and 1 + 1/64 start
+       adjacent buckets, each read at its midpoint; ranks 1 and n read
+       the exact min and max; zeros share one bucket read as 0. *)
+    let h = of_list [ 0.5; 1.; 1.015625; 1.02; 3. ] in
+    Alcotest.(check (float 0.)) "rank 1 is min" 0.5 (H.percentile h 20.);
+    Alcotest.(check (float 0.)) "bucket [1, 1+1/64)" 1.0078125 (H.percentile h 40.);
+    Alcotest.(check (float 0.)) "bucket [1+1/64, 1+2/64)" 1.0234375
+      (H.percentile h 60.);
+    Alcotest.(check (float 0.)) "same bucket" 1.0234375 (H.percentile h 80.);
+    Alcotest.(check (float 0.)) "rank n is max" 3. (H.percentile h 100.);
+    let z = of_list [ 0.; 0.; -0.; 7.; 9. ] in
+    Alcotest.(check (float 0.)) "zero bucket" 0. (H.percentile z 60.);
+    Alcotest.(check int) "count" 5 (H.count z);
+    Alcotest.(check (float 0.)) "sum" 16. (H.sum z)
 
-  let test_bad_args () =
-    Alcotest.check_raises "0 buckets"
-      (Invalid_argument "Histogram.create: buckets must be positive") (fun () ->
-        ignore (Dsim.Stats.Histogram.create ~lo:0. ~hi:1. ~buckets:0))
-end
-
-module Reservoir = struct
-  let test_small_exact () =
-    let r = Dsim.Stats.Reservoir.create ~capacity:100 (Dsim.Rng.create 1) in
-    List.iter (Dsim.Stats.Reservoir.add r) [ 1.; 2.; 3.; 4.; 5. ];
-    Alcotest.(check bool) "median" true (feq (Dsim.Stats.Reservoir.median r) 3.);
-    Alcotest.(check bool) "p0" true (feq (Dsim.Stats.Reservoir.percentile r 0.) 1.);
-    Alcotest.(check bool) "p100" true (feq (Dsim.Stats.Reservoir.percentile r 100.) 5.)
-
-  let test_sampling_is_representative () =
-    let r = Dsim.Stats.Reservoir.create ~capacity:500 (Dsim.Rng.create 2) in
-    for i = 1 to 100000 do
-      Dsim.Stats.Reservoir.add r (float_of_int i)
-    done;
-    Alcotest.(check int) "seen" 100000 (Dsim.Stats.Reservoir.count r);
-    let med = Dsim.Stats.Reservoir.median r in
-    Alcotest.(check bool) "median near 50000" true
-      (med > 40000. && med < 60000.)
+  let test_exact_fields () =
+    let one = of_list [ 0.3 ] in
+    List.iter
+      (fun p -> Alcotest.(check (float 0.)) "single sample" 0.3 (H.percentile one p))
+      [ 0.; 50.; 99.; 100. ];
+    let h = of_list [ 3.7; 0.001; 12345.6789; 42.; 42.5 ] in
+    Alcotest.(check (float 0.)) "p0 = min" 0.001 (H.percentile h 0.);
+    Alcotest.(check (float 0.)) "p100 = max" 12345.6789 (H.percentile h 100.);
+    Alcotest.(check (float 0.)) "min" 0.001 (H.min h);
+    Alcotest.(check (float 0.)) "max" 12345.6789 (H.max h)
 
   let test_empty () =
-    let r = Dsim.Stats.Reservoir.create (Dsim.Rng.create 3) in
-    Alcotest.(check bool) "nan" true (Float.is_nan (Dsim.Stats.Reservoir.median r))
+    let h = H.create () in
+    Alcotest.(check int) "count" 0 (H.count h);
+    Alcotest.(check bool) "percentile, mean, min and max read nan" true
+      (List.for_all Float.is_nan [ H.percentile h 50.; H.mean h; H.min h; H.max h ]);
+    Alcotest.(check int) "empty window" 0 (H.count (H.diff h (H.copy h)))
+
+  (* Latency-like values over many octaves, with exact zeros. *)
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return 0.);
+          (3, map (fun e -> 2. ** e) (float_range (-12.) 20.));
+          (3, float_range 0. 1000.);
+        ])
+
+  let prop_window =
+    QCheck.Test.make ~name:"window percentiles within 1% of exact nearest rank"
+      ~count:300
+      QCheck.(
+        make
+          ~print:Print.(pair (list float) (list float))
+          Gen.(pair (list_size (int_range 0 200) value) (list_size (int_range 1 200) value)))
+      (fun (first, second) ->
+        let h = of_list first in
+        let earlier = H.copy h in
+        List.iter (H.add h) second;
+        let w = H.diff h earlier in
+        H.count w = List.length second
+        && List.for_all
+             (fun p -> within_1pct (nearest_rank second p) (H.percentile w (float_of_int p)))
+             [ 0; 1; 10; 50; 90; 99; 100 ]
+        && within_1pct (nearest_rank (first @ second) 99) (H.percentile h 99.))
 end
 
 let suite =
@@ -114,13 +137,11 @@ let suite =
         Alcotest.test_case "summary basic" `Quick Summary.test_basic;
         Alcotest.test_case "summary empty" `Quick Summary.test_empty;
         QCheck_alcotest.to_alcotest Summary.prop_matches_direct;
-        QCheck_alcotest.to_alcotest Summary.prop_merge;
         Alcotest.test_case "counter" `Quick Counter.test_basic;
-        Alcotest.test_case "histogram buckets" `Quick Histogram.test_buckets;
-        Alcotest.test_case "histogram bad args" `Quick Histogram.test_bad_args;
-        Alcotest.test_case "reservoir exact small" `Quick Reservoir.test_small_exact;
-        Alcotest.test_case "reservoir representative" `Slow
-          Reservoir.test_sampling_is_representative;
-        Alcotest.test_case "reservoir empty" `Quick Reservoir.test_empty;
+        Alcotest.test_case "histogram buckets" `Quick Log_histogram.test_buckets;
+        Alcotest.test_case "histogram single sample" `Quick
+          Log_histogram.test_exact_fields;
+        Alcotest.test_case "histogram empty" `Quick Log_histogram.test_empty;
+        QCheck_alcotest.to_alcotest Log_histogram.prop_window;
       ] );
   ]
